@@ -20,18 +20,6 @@ QUICK = ("circles", "moons", "iris", "wine")
 FULL = QUICK + ("swissroll", "normal", "cancer")
 
 
-def load(name: str, seed: int) -> ds.LabeledDataset:
-    makers = {
-        "circles": lambda: ds.make_circles(seed=seed),
-        "moons": lambda: ds.make_moons(seed=seed),
-        "swissroll": lambda: ds.make_swissroll(seed=seed),
-        "normal": lambda: ds.make_gaussian_classes(seed=seed),
-    }
-    if name in makers:
-        return makers[name]()
-    return ds.load_bundled(name)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/benchmarks", type=Path)
@@ -57,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"{'dataset':<12}" + "".join(f"{n:>10}" for n in names))
     for dataset_name in FULL if args.full else QUICK:
-        data = load(dataset_name, args.seed)
+        data = ds.resolve(dataset_name, seed=args.seed)
         report = run_experiment(data, roster, plan, rips=rips)
         report.write_csv(args.out / f"{data.name}_report.csv")
         report.write_json(args.out / f"{data.name}_summary.json")

@@ -3,7 +3,6 @@
 from .baselines import KnnConfig, knn_predict, knn_predict_all
 from .classifier import (
     AssociationTable,
-    LabelSet,
     Prediction,
     associate,
     choose_label,
@@ -47,7 +46,6 @@ __all__ = [
     "FoldPlan",
     "KnnConfig",
     "KnnSpec",
-    "LabelSet",
     "MetricRecord",
     "PersistenceInterval",
     "Prediction",

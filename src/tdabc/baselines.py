@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import EPSILON_FLOOR, AssociationTable, Prediction, choose_label
-from .errors import InsufficientTraining
+from .errors import InsufficientTraining, InvalidConfig
 
 PROVENANCE_BASELINE = "baseline"
 
@@ -16,11 +16,10 @@ PROVENANCE_BASELINE = "baseline"
 class KnnConfig:
     k: int = 5
     weighted: bool = False  # scale votes by inverse distance
-    class_weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise ValueError("k must be positive")
+            raise InvalidConfig("k must be positive")
 
 
 def knn_predict(
@@ -43,10 +42,6 @@ def knn_predict(
         u = train[int(pos)]
         w = 1.0 / max(float(row[pos]), EPSILON_FLOOR) if config.weighted else 1.0
         votes[table.training[u]] += w
-    if config.class_weights is not None:
-        weighted = votes * np.asarray(config.class_weights)
-        if weighted.any():
-            votes = weighted
     label = choose_label(votes, rng)
     probability = votes / votes.sum()
     return Prediction(
@@ -67,12 +62,3 @@ def knn_predict_all(
         rng = np.random.default_rng([seed, v])
         out.append(knn_predict(dist, table, v, config, rng))
     return out
-
-
-def inverse_frequency_weights(table: AssociationTable) -> tuple[float, ...]:
-    """Per-class weights proportional to inverse training frequency."""
-    counts = np.zeros(table.n_classes)
-    for lab in table.training.values():
-        counts[lab] += 1.0
-    weights = np.where(counts > 0, len(table.training) / np.maximum(counts, 1.0), 0.0)
-    return tuple(float(w) for w in weights)

@@ -11,7 +11,7 @@ majority training class.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,32 +30,12 @@ PROVENANCE_FALLBACK = "global_fallback"
 
 
 @dataclass(frozen=True)
-class LabelSet:
-    """Distinct class identifiers; positions double as label indices."""
-
-    names: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.names) < 2:
-            raise ValueError("a label set needs at least two classes")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("label names must be distinct")
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
-
-@dataclass(frozen=True)
 class AssociationTable:
     """Which vertices are labeled with what, and which await labels."""
 
     training: Mapping[int, int]
     test_vertices: frozenset[int]
     n_classes: int
-    ground_truth: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "test_vertices", frozenset(self.test_vertices))

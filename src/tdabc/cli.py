@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,10 @@ import numpy as np
 from . import datasets as ds
 from .baselines import KnnConfig, knn_predict_all
 from .classifier import AssociationTable, classify_all
-from .errors import TdabcError, UnknownDataset
+from .errors import InvalidConfig, TdabcError
 from .evaluation import (
     EvaluationReport,
     FoldPlan,
-    KnnSpec,
     TdabcSpec,
     default_classifiers,
     run_experiment,
@@ -32,32 +32,31 @@ from .evaluation import (
 )
 from .persistence import boundary_reduce, write_diagram_csv, write_diagram_json
 from .rips import RipsConfig, build_rips, pairwise_distances
-from .selection import SelectionPolicy
+from .selection import EPSILON_MODES, RECOVERY_MODES, SELECTORS, SelectionPolicy
+
+_RIPS, _POLICY, _PLAN, _KNN = RipsConfig(), SelectionPolicy(), FoldPlan(), KnnConfig()
 
 _DEFAULTS = {
     "out": None,
     "seed": 0,
     "label_column": "label",
-    "max_dim": 3,
-    "max_edge": None,
-    "metric": "euclidean",
-    "budget": 500_000,
-    "selector": "max",
-    "epsilon_mode": "death",
-    "recovery": "sublevel",
+    "max_dim": _RIPS.max_dim,
+    "max_edge": _RIPS.max_edge,
+    "metric": _RIPS.metric,
+    "budget": _RIPS.budget,
+    "selector": _POLICY.selector,
+    "epsilon_mode": _POLICY.epsilon_mode,
+    "recovery": _POLICY.recovery,
     "baseline": None,
-    "k": 5,
-    "folds": 10,
-    "repeats": 5,
-    "classifiers": "tdabc-m,tdabc-r,tdabc-a,knn,wknn",
+    "k": _KNN.k,
+    "folds": _PLAN.folds,
+    "repeats": _PLAN.repeats,
+    "classifiers": ",".join(spec.name for spec in default_classifiers()),
     "test_fraction": 0.2,
     "test_indices": None,
     "step": None,
     "jobs": 1,
 }
-
-GENERATORS = ("circles", "moons", "swissroll", "normal", "sphere", "ramp")
-BUNDLED = ("iris", "wine", "cancer")
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
@@ -88,7 +87,12 @@ def _out_dir(opts: dict) -> Path:
 def _rips_config(opts: dict) -> RipsConfig:
     max_edge = opts["max_edge"]
     if isinstance(max_edge, str):
-        max_edge = math.inf if max_edge == "inf" else float(max_edge)
+        try:
+            max_edge = float(max_edge)
+        except ValueError:
+            raise InvalidConfig(
+                f"--max-edge must be a number or 'inf', got {max_edge!r}"
+            ) from None
     return RipsConfig(
         max_dim=int(opts["max_dim"]),
         max_edge=max_edge,
@@ -97,39 +101,15 @@ def _rips_config(opts: dict) -> RipsConfig:
     )
 
 
-def _resolve_dataset(name: str, opts: dict) -> ds.LabeledDataset:
-    seed = int(opts["seed"])
-    if name == "circles":
-        return ds.make_circles(seed=seed)
-    if name == "moons":
-        return ds.make_moons(seed=seed)
-    if name == "swissroll":
-        return ds.make_swissroll(seed=seed)
-    if name == "normal":
-        return ds.make_gaussian_classes(seed=seed)
-    if name == "sphere":
-        return ds.make_sphere(seed=seed)
-    if name == "ramp":
-        step = opts["step"]
-        if step is None:
-            raise TdabcError("dataset 'ramp' needs --step between 1 and 16")
-        return ds.make_imbalance_ramp(int(step), seed=seed)
-    if name in BUNDLED:
-        data = ds.load_bundled(name)
-        if name in ds.LOG_SCALED:
-            data = ds.log_shift(data)
-        return data
-    path = Path(name)
-    if path.exists():
-        return ds.load_csv(path, label_column=opts["label_column"])
-    raise UnknownDataset(
-        f"{name!r} is neither a known dataset ({', '.join(GENERATORS + BUNDLED)}) nor a file"
+def _dataset(name: str, opts: dict) -> ds.LabeledDataset:
+    return ds.resolve(
+        name, seed=int(opts["seed"]), step=opts["step"], label_column=opts["label_column"]
     )
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
-    data = _resolve_dataset(args.dataset, opts)
+    data = _dataset(args.dataset, opts)
     out = _out_dir(opts)
     csv_path = out / f"{data.name}.csv"
     ds.save_csv(data, csv_path)
@@ -142,7 +122,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_persistence(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
-    data = _resolve_dataset(args.dataset, opts)
+    data = _dataset(args.dataset, opts)
     dist = pairwise_distances(data.points, opts["metric"])
     complex_ = build_rips(dist, _rips_config(opts))
     diagram = boundary_reduce(complex_)
@@ -164,7 +144,16 @@ def _cmd_persistence(args: argparse.Namespace) -> int:
 
 def _split_test_vertices(data: ds.LabeledDataset, opts: dict) -> frozenset[int]:
     if opts["test_indices"]:
-        return frozenset(int(tok) for tok in str(opts["test_indices"]).split(","))
+        chosen = set()
+        for tok in str(opts["test_indices"]).split(","):
+            try:
+                v = int(tok)
+            except ValueError:
+                raise InvalidConfig(f"--test-indices: {tok!r} is not a vertex id") from None
+            if not 0 <= v < len(data):
+                raise InvalidConfig(f"--test-indices: vertex {v} is outside [0, {len(data)})")
+            chosen.add(v)
+        return frozenset(chosen)
     fraction = float(opts["test_fraction"])
     rng = np.random.default_rng([int(opts["seed"]), 1])
     chosen: list[int] = []
@@ -178,13 +167,12 @@ def _split_test_vertices(data: ds.LabeledDataset, opts: dict) -> frozenset[int]:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
-    data = _resolve_dataset(args.dataset, opts)
+    data = _dataset(args.dataset, opts)
     test = _split_test_vertices(data, opts)
     table = AssociationTable(
         training={int(v): int(data.labels[v]) for v in range(len(data)) if v not in test},
         test_vertices=test,
         n_classes=data.n_classes,
-        ground_truth={int(v): int(data.labels[v]) for v in test},
     )
     dist = pairwise_distances(data.points, opts["metric"])
     if opts["baseline"]:
@@ -226,28 +214,19 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _parse_roster(opts: dict) -> tuple:
+    """Named specs from ``default_classifiers()``, with the run's shared settings."""
+    table = {spec.name: spec for spec in default_classifiers()}
+    tokens = [tok.strip() for tok in str(opts["classifiers"]).split(",") if tok.strip()]
     roster = []
-    for token in str(opts["classifiers"]).split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token == "tdabc-m":
-            roster.append(TdabcSpec("tdabc-m", selector="max",
-                                    epsilon_mode=opts["epsilon_mode"], recovery=opts["recovery"]))
-        elif token == "tdabc-r":
-            roster.append(TdabcSpec("tdabc-r", selector="rand",
-                                    epsilon_mode=opts["epsilon_mode"], recovery=opts["recovery"]))
-        elif token == "tdabc-a":
-            roster.append(TdabcSpec("tdabc-a", selector="avg",
-                                    epsilon_mode=opts["epsilon_mode"], recovery=opts["recovery"]))
-        elif token == "knn":
-            roster.append(KnnSpec("knn", k=int(opts["k"])))
-        elif token == "wknn":
-            roster.append(KnnSpec("wknn", k=int(opts["k"]), weighted=True))
-        else:
+    for token in tokens or table:
+        if token not in table:
             raise TdabcError(f"unknown classifier {token!r}")
-    if not roster:
-        roster = list(default_classifiers())
+        spec = table[token]
+        if isinstance(spec, TdabcSpec):
+            spec = replace(spec, epsilon_mode=opts["epsilon_mode"], recovery=opts["recovery"])
+        else:
+            spec = replace(spec, k=int(opts["k"]))
+        roster.append(spec)
     return tuple(roster)
 
 
@@ -260,7 +239,7 @@ def _evaluate_one(data: ds.LabeledDataset, opts: dict) -> EvaluationReport:
 
 def _ramp_worker(payload: tuple[int, dict]) -> tuple[int, EvaluationReport]:
     step, opts = payload
-    data = ds.make_imbalance_ramp(step, seed=int(opts["seed"]))
+    data = ds.resolve("ramp", seed=int(opts["seed"]), step=step)
     return step, _evaluate_one(data, opts)
 
 
@@ -284,7 +263,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         )
         print(f"wrote {out / 'ramp_curves.csv'} ({failures} fold failures)")
         return 0 if failures == 0 else 1
-    data = _resolve_dataset(args.dataset, opts)
+    data = _dataset(args.dataset, opts)
     report = _evaluate_one(data, opts)
     report.write_csv(out / f"{data.name}_report.csv")
     report.write_json(out / f"{data.name}_summary.json")
@@ -303,18 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, dataset_required: bool = True) -> None:
-        if dataset_required:
-            p.add_argument("--dataset", required=True,
-                           help="generator name, bundled name, or CSV path")
+        p.add_argument("--dataset", required=dataset_required,
+                       help="generator name, bundled name, or CSV path")
         p.add_argument("--config", help="JSON file with default options")
         p.add_argument("--out", help="output directory (or TDABC_OUT_DIR)")
         p.add_argument("--seed", type=int)
         p.add_argument("--label-column", dest="label_column")
         p.add_argument("--step", type=int, help="ramp step, 1 to 16")
-
-    gen = sub.add_parser("generate", help="write a dataset CSV and its spec")
-    common(gen)
-    gen.set_defaults(func=_cmd_generate)
 
     def rips_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--max-dim", dest="max_dim", type=int)
@@ -322,6 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="edge cap, a number or 'inf' (default: data-driven)")
         p.add_argument("--metric", choices=("euclidean", "manhattan", "cosine"))
         p.add_argument("--budget", type=int, help="simplex budget")
+
+    def policy_flags(p: argparse.ArgumentParser) -> None:
+        # Settings shared by every classifier of a run.
+        p.add_argument("--epsilon-mode", dest="epsilon_mode", choices=EPSILON_MODES)
+        p.add_argument("--recovery", choices=RECOVERY_MODES)
+        p.add_argument("--k", type=int)
+
+    gen = sub.add_parser("generate", help="write a dataset CSV and its spec")
+    common(gen)
+    gen.set_defaults(func=_cmd_generate)
 
     per = sub.add_parser("persistence", help="compute a persistence diagram")
     common(per)
@@ -331,33 +315,21 @@ def build_parser() -> argparse.ArgumentParser:
     cls = sub.add_parser("classify", help="label the test vertices of one split")
     common(cls)
     rips_flags(cls)
-    cls.add_argument("--selector", choices=("max", "rand", "avg"))
-    cls.add_argument("--epsilon-mode", dest="epsilon_mode",
-                     choices=("birth", "death", "mid"))
-    cls.add_argument("--recovery", choices=("sublevel", "lifespan"))
+    policy_flags(cls)
+    cls.add_argument("--selector", choices=SELECTORS)
     cls.add_argument("--baseline", choices=("knn", "wknn"))
-    cls.add_argument("--k", type=int)
     cls.add_argument("--test-fraction", dest="test_fraction", type=float)
     cls.add_argument("--test-indices", dest="test_indices",
                      help="comma-separated vertex ids")
     cls.set_defaults(func=_cmd_classify)
 
     ev = sub.add_parser("evaluate", help="repeated stratified cross-validation")
-    ev.add_argument("--dataset", help="generator name, bundled name, or CSV path")
-    ev.add_argument("--config", help="JSON file with default options")
-    ev.add_argument("--out", help="output directory (or TDABC_OUT_DIR)")
-    ev.add_argument("--seed", type=int)
-    ev.add_argument("--label-column", dest="label_column")
-    ev.add_argument("--step", type=int, help="ramp step, 1 to 16")
+    common(ev, dataset_required=False)
     rips_flags(ev)
-    ev.add_argument("--selector", choices=("max", "rand", "avg"))
-    ev.add_argument("--epsilon-mode", dest="epsilon_mode",
-                    choices=("birth", "death", "mid"))
-    ev.add_argument("--recovery", choices=("sublevel", "lifespan"))
-    ev.add_argument("--k", type=int)
+    policy_flags(ev)
     ev.add_argument("--folds", type=int)
     ev.add_argument("--repeats", type=int)
-    ev.add_argument("--classifiers", help="comma list from tdabc-m,tdabc-r,tdabc-a,knn,wknn")
+    ev.add_argument("--classifiers", help=f"comma list from {_DEFAULTS['classifiers']}")
     ev.add_argument("--ramp", action="store_true", help="evaluate all 16 imbalance steps")
     ev.add_argument("--jobs", type=int, help="parallel workers for --ramp")
     ev.set_defaults(func=_cmd_evaluate)

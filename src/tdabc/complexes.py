@@ -183,7 +183,7 @@ class FilteredComplex:
             out.add(tuple(v for v in t if v not in sset))
         return out
 
-    # -- restriction and serialization ---------------------------------------
+    # -- restriction ---------------------------------------------------------
 
     def subcomplex_at(self, epsilon: float) -> "FilteredComplex":
         """Sub-complex of simplices with value at most ``epsilon``."""
@@ -191,22 +191,3 @@ class FilteredComplex:
         return FilteredComplex._from_values(
             {s: v for s, v in self._values.items() if v <= eps}
         )
-
-    def to_lines(self) -> Iterator[str]:
-        """One simplex per line, vertices then value, in filtration order."""
-        for s in self.order:
-            yield " ".join(str(v) for v in s) + " " + repr(self._values[s])
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "FilteredComplex":
-        values: dict[Simplex, float] = {}
-        for line in lines:
-            parts = line.split()
-            if not parts:
-                continue
-            key = simplex(int(v) for v in parts[:-1])
-            values[key] = float(parts[-1])
-        out = cls()
-        for key in sorted(values, key=lambda s: (values[s], len(s), s)):
-            out.insert(key, values[key])
-        return out

@@ -1,4 +1,5 @@
-"""Synthetic dataset generators, CSV ingestion, and the log-shift transform."""
+"""Synthetic dataset generators, CSV ingestion, the log-shift transform,
+and the registry that maps a dataset name to its data."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MissingLabelColumn, ParseError, UnknownDataset
+from .errors import InvalidConfig, MissingLabelColumn, ParseError, UnknownDataset
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ def make_sphere(
 def make_imbalance_ramp(step: int, seed: int = 0) -> LabeledDataset:
     """Fixed positive blob against a negative blob growing 50 points per step."""
     if not 1 <= step <= 16:
-        raise ValueError("step must be between 1 and 16")
+        raise InvalidConfig("step must be between 1 and 16")
     rng_pos = np.random.default_rng([seed, 0])
     rng_neg = np.random.default_rng([seed, 1])
     positive = rng_pos.normal(loc=0.0, scale=1.1, size=(50, 2))
@@ -240,12 +241,14 @@ def load_csv(path: str | Path, label_column: str = "label") -> LabeledDataset:
 
 
 def log_shift(dataset: LabeledDataset) -> LabeledDataset:
-    """Shift all coordinates above zero, then take the natural log."""
-    shift = 1.0 - float(dataset.points.min())
+    """Natural log of the coordinates shifted so their minimum becomes one."""
+    low = float(dataset.points.min())
     spec = dict(dataset.spec)
-    spec["log_shift"] = shift
+    spec["log_shift"] = 1.0 - low
+    # log1p of the offset from the minimum: adding the shift first could
+    # round the minimum's argument below one and give a negative log.
     return LabeledDataset(
-        np.log(dataset.points + shift),
+        np.log1p(dataset.points - low),
         dataset.labels,
         dataset.name,
         spec,
@@ -265,14 +268,9 @@ def save_csv(dataset: LabeledDataset, path: str | Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-_BUNDLED = ("iris", "wine", "cancer")
-# Datasets that need coordinates moved to log scale before distances.
-LOG_SCALED = ("wine", "cancer")
-
-
 def load_bundled(name: str) -> LabeledDataset:
     """One of the classic measurement tables shipped with the package."""
-    if name not in _BUNDLED:
+    if name not in BUNDLED:
         raise UnknownDataset(f"no bundled dataset named {name!r}")
     ref = resources.files("tdabc").joinpath(f"data/{name}.csv")
     with resources.as_file(ref) as path:
@@ -283,4 +281,48 @@ def load_bundled(name: str) -> LabeledDataset:
         name,
         {"name": name, "source": "bundled"},
         class_names=out.class_names,
+    )
+
+
+# -- registry ------------------------------------------------------------------
+#
+# The one mapping from a dataset name to its data.  Generators take the
+# seed, and ``ramp`` its step too; bundled tables take neither.
+
+
+def _ramp(seed: int, step: int | None) -> LabeledDataset:
+    if step is None:
+        raise InvalidConfig("dataset 'ramp' needs --step between 1 and 16")
+    return make_imbalance_ramp(int(step), seed=seed)
+
+
+_GENERATORS = {
+    "circles": lambda seed, step: make_circles(seed=seed),
+    "moons": lambda seed, step: make_moons(seed=seed),
+    "swissroll": lambda seed, step: make_swissroll(seed=seed),
+    "normal": lambda seed, step: make_gaussian_classes(seed=seed),
+    "sphere": lambda seed, step: make_sphere(seed=seed),
+    "ramp": _ramp,
+}
+BUNDLED = ("iris", "wine", "cancer")
+# Bundled tables whose coordinates move to log scale before distances.
+LOG_SCALED = ("wine", "cancer")
+# Every registered name, in the order error messages list them.
+NAMES = (*_GENERATORS, *BUNDLED)
+
+
+def resolve(
+    name: str, seed: int = 0, step: int | None = None, label_column: str = "label"
+) -> LabeledDataset:
+    """The dataset a registered name stands for, or else the CSV at path ``name``."""
+    if name in _GENERATORS:
+        return _GENERATORS[name](seed, step)
+    if name in BUNDLED:
+        data = load_bundled(name)
+        return log_shift(data) if name in LOG_SCALED else data
+    path = Path(name)
+    if path.exists():
+        return load_csv(path, label_column=label_column)
+    raise UnknownDataset(
+        f"{name!r} is neither a known dataset ({', '.join(NAMES)}) nor a file"
     )

@@ -5,6 +5,10 @@ class TdabcError(Exception):
     """Base class for package-specific failures."""
 
 
+class InvalidConfig(TdabcError, ValueError):
+    """An option or configuration value is malformed or out of range."""
+
+
 class MonotonicityViolation(TdabcError):
     """Insert would break face-closure or filtration monotonicity."""
 

@@ -21,12 +21,11 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .baselines import KnnConfig, knn_predict_all
 from .classifier import AssociationTable, Prediction, classify_all
 from .datasets import LabeledDataset
-from .errors import DegenerateClass, NoClassifiers, UndefinedAUC
+from .errors import DegenerateClass, InvalidConfig, NoClassifiers, TdabcError, UndefinedAUC
 from .persistence import boundary_reduce
 from .rips import RipsConfig, build_rips, pairwise_distances
 from .selection import SelectionPolicy
@@ -41,9 +40,9 @@ class FoldPlan:
 
     def __post_init__(self) -> None:
         if self.folds < 2:
-            raise ValueError("need at least two folds")
+            raise InvalidConfig("need at least two folds")
         if self.repeats < 1:
-            raise ValueError("need at least one repeat")
+            raise InvalidConfig("need at least one repeat")
 
 
 def stratified_splits(
@@ -137,13 +136,13 @@ def gmean(tnr: float, recall: float) -> float:
 
 
 def _binary_auc(scores: np.ndarray, positive_mask: np.ndarray) -> float:
-    n_pos = int(positive_mask.sum())
-    n_neg = len(positive_mask) - n_pos
-    if n_pos == 0 or n_neg == 0:
+    pos = scores[positive_mask][:, None]
+    neg = scores[~positive_mask][None, :]
+    if pos.size == 0 or neg.size == 0:
         return math.nan
-    ranks = rankdata(scores)
-    u = float(ranks[positive_mask].sum()) - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    # Mann-Whitney U: positive-negative pairs won, ties counting one half.
+    u = (pos > neg).sum() + 0.5 * (pos == neg).sum()
+    return float(u) / (pos.size * neg.size)
 
 
 def roc_auc_per_class(probabilities: np.ndarray, truth: np.ndarray) -> list[float]:
@@ -336,15 +335,12 @@ def run_experiment(
     classifiers: Sequence[ClassifierSpec],
     plan: FoldPlan,
     rips: RipsConfig | None = None,
-    base_policy: SelectionPolicy | None = None,
 ) -> EvaluationReport:
     """Cross-validate every classifier on ``dataset`` and collect metrics."""
     if not classifiers:
         raise NoClassifiers("classifier roster is empty")
     if rips is None:
         rips = RipsConfig()
-    if base_policy is None:
-        base_policy = SelectionPolicy()
     labels = dataset.labels
     n_classes = dataset.n_classes
     report = EvaluationReport(dataset=dataset.name, classes=dataset.class_names)
@@ -362,7 +358,6 @@ def run_experiment(
             training={int(i): int(labels[i]) for i in train_idx},
             test_vertices=frozenset(int(i) for i in test_idx),
             n_classes=n_classes,
-            ground_truth={int(i): int(labels[i]) for i in test_idx},
         )
         train_counts = np.bincount(labels[train_idx], minlength=n_classes)
         minority = int(np.argmin(train_counts))
@@ -382,7 +377,7 @@ def run_experiment(
                 else:
                     config = KnnConfig(k=spec.k, weighted=spec.weighted)
                     preds = knn_predict_all(dist, table, config, seed=seed)
-            except Exception as exc:  # noqa: BLE001 - fold failures are data
+            except TdabcError as exc:  # a fold the method cannot label is data
                 report.failures.append(
                     FoldFailure(spec.name, repeat, fold, f"{type(exc).__name__}: {exc}")
                 )

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .complexes import FilteredComplex, Simplex
-from .errors import CapacityExceeded, DimensionMismatch
+from .errors import CapacityExceeded, DimensionMismatch, InvalidConfig
 
 _METRICS = {"euclidean": "euclidean", "manhattan": "cityblock", "cosine": "cosine"}
 
@@ -20,7 +20,7 @@ _METRICS = {"euclidean": "euclidean", "manhattan": "cityblock", "cosine": "cosin
 def pairwise_distances(points, metric: str = "euclidean") -> np.ndarray:
     """Symmetric distance matrix with a zero diagonal."""
     if metric not in _METRICS:
-        raise ValueError(f"unknown metric {metric!r}; choose from {sorted(_METRICS)}")
+        raise InvalidConfig(f"unknown metric {metric!r}; choose from {sorted(_METRICS)}")
     if isinstance(points, (list, tuple)):
         lengths = {len(np.atleast_1d(row)) for row in points}
         if len(lengths) > 1:
@@ -51,13 +51,13 @@ class RipsConfig:
 
     def __post_init__(self) -> None:
         if self.max_dim < 2:
-            raise ValueError("max_dim must be at least 2")
+            raise InvalidConfig("max_dim must be at least 2")
         if self.budget < 1:
-            raise ValueError("budget must be positive")
+            raise InvalidConfig("budget must be positive")
         if self.max_edge is not None and not self.max_edge >= 0:
-            raise ValueError("max_edge must be non-negative")
+            raise InvalidConfig("max_edge must be non-negative")
         if self.metric not in _METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}")
+            raise InvalidConfig(f"unknown metric {self.metric!r}")
 
 
 def _max_spanning_edge(dist: np.ndarray) -> float:

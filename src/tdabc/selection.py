@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import FilteredComplex, Simplex, proper_faces
-from .errors import EmptyIntervalSet
+from .errors import EmptyIntervalSet, InvalidConfig
 from .persistence import PersistenceInterval
 
 SELECTORS = ("max", "rand", "avg")
@@ -31,13 +31,13 @@ class SelectionPolicy:
 
     def __post_init__(self) -> None:
         if self.selector not in SELECTORS:
-            raise ValueError(f"selector must be one of {SELECTORS}")
+            raise InvalidConfig(f"selector must be one of {SELECTORS}")
         if self.epsilon_mode not in EPSILON_MODES:
-            raise ValueError(f"epsilon_mode must be one of {EPSILON_MODES}")
+            raise InvalidConfig(f"epsilon_mode must be one of {EPSILON_MODES}")
         if self.recovery not in RECOVERY_MODES:
-            raise ValueError(f"recovery must be one of {RECOVERY_MODES}")
+            raise InvalidConfig(f"recovery must be one of {RECOVERY_MODES}")
         if self.rng_seed < 0:
-            raise ValueError("rng_seed must be non-negative")
+            raise InvalidConfig("rng_seed must be non-negative")
 
 
 def lifetime(d: PersistenceInterval, max_filtration: float) -> float:

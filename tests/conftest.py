@@ -137,8 +137,7 @@ def random_association(
     n_test = int(rng.integers(1, max(2, n // 2) + 1))
     test = set(rng.choice(vertices, size=n_test, replace=False).tolist())
     training = {int(v): int(rng.integers(0, n_classes)) for v in vertices if v not in test}
-    truth = {int(v): int(rng.integers(0, n_classes)) for v in test}
-    return AssociationTable(training, frozenset(int(v) for v in test), n_classes, truth)
+    return AssociationTable(training, frozenset(int(v) for v in test), n_classes)
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tdabc.baselines import KnnConfig, inverse_frequency_weights, knn_predict, knn_predict_all
+from tdabc.baselines import KnnConfig, knn_predict, knn_predict_all
 from tdabc.classifier import AssociationTable
 from tdabc.errors import InsufficientTraining
 from tdabc.rips import pairwise_distances
@@ -15,7 +15,7 @@ def line_fixture():
     """Five training points on a line plus one test point near the left end."""
     points = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [0.4]])
     training = {0: 0, 1: 0, 2: 1, 3: 1, 4: 1}
-    table = AssociationTable(training, frozenset({5}), 2, {5: 0})
+    table = AssociationTable(training, frozenset({5}), 2)
     return pairwise_distances(points), table
 
 
@@ -52,23 +52,9 @@ def test_probability_normalizes_votes():
     assert pred.probability[1] == pytest.approx(3.0 / 5.0)
 
 
-def test_class_weights_rebalance_votes():
-    dist, table = line_fixture()
-    config = KnnConfig(k=5, class_weights=(3.0, 1.0))
-    pred = knn_predict(dist, table, 5, config, np.random.default_rng(0))
-    # votes (2, 3) -> weighted (6, 3)
-    assert pred.label == 0
-
-
-def test_inverse_frequency_weights():
-    table = AssociationTable({0: 0, 1: 0, 2: 0, 3: 1}, frozenset({4}), 2, {})
-    w = inverse_frequency_weights(table)
-    assert w[1] == pytest.approx(3.0 * w[0])
-
-
 def test_tie_break_is_seed_deterministic():
     points = np.array([[0.0], [2.0], [1.0]])
-    table = AssociationTable({0: 0, 1: 1}, frozenset({2}), 2, {})
+    table = AssociationTable({0: 0, 1: 1}, frozenset({2}), 2)
     dist = pairwise_distances(points)
     labels = {
         knn_predict(dist, table, 2, KnnConfig(k=2), np.random.default_rng(9)).label
@@ -86,7 +72,7 @@ def test_predict_all_covers_test_vertices_in_order():
 
 def test_predict_all_deterministic_across_calls():
     points = np.array([[0.0], [2.0], [1.0], [1.0]])
-    table = AssociationTable({0: 0, 1: 1}, frozenset({2, 3}), 2, {})
+    table = AssociationTable({0: 0, 1: 1}, frozenset({2, 3}), 2)
     dist = pairwise_distances(points)
     a = knn_predict_all(dist, table, KnnConfig(k=2), seed=3)
     b = knn_predict_all(dist, table, KnnConfig(k=2), seed=3)

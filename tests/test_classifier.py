@@ -27,13 +27,8 @@ from tdabc.selection import SelectionPolicy
 from conftest import random_association, random_rips
 
 
-def table_for(training, test, n_classes=2, truth=None):
-    return AssociationTable(
-        dict(training),
-        frozenset(test),
-        n_classes,
-        dict(truth or {}),
-    )
+def table_for(training, test, n_classes=2):
+    return AssociationTable(dict(training), frozenset(test), n_classes)
 
 
 def star_complex():
@@ -268,8 +263,7 @@ def blob_fixture():
     labels = np.array([0] * 20 + [1] * 20)
     test = {0, 1, 20, 21}
     training = {i: int(labels[i]) for i in range(40) if i not in test}
-    truth = {i: int(labels[i]) for i in test}
-    table = AssociationTable(training, frozenset(test), 2, truth)
+    table = AssociationTable(training, frozenset(test), 2)
     dist = pairwise_distances(points)
     cx = build_rips(dist, RipsConfig(max_dim=2, budget=200_000))
     return cx, boundary_reduce(cx), table, dist
@@ -280,7 +274,7 @@ def test_separable_blobs_classified_perfectly():
     preds = classify_all(cx, diagram, table, SelectionPolicy(), dist)
     assert len(preds) == 4
     for p in preds:
-        assert p.label == table.ground_truth[p.vertex]
+        assert p.label == (0 if p.vertex < 20 else 1)
 
 
 def test_every_test_vertex_predicted_exactly_once():
@@ -307,7 +301,7 @@ def test_classify_requires_training_data():
     cx = FilteredComplex()
     cx.insert((0,), 0.0)
     cx.insert((1,), 0.0)
-    table = AssociationTable({}, frozenset({0, 1}), 2, {})
+    table = AssociationTable({}, frozenset({0, 1}), 2)
     diagram = boundary_reduce(cx)
     with pytest.raises(NoLabeledData):
         classify_all(cx, diagram, table, SelectionPolicy(), np.zeros((2, 2)))
@@ -319,7 +313,7 @@ def test_global_fallback_predicts_majority():
     dist = pairwise_distances(points)
     cx = build_rips(dist, RipsConfig(max_dim=2, max_edge=1.0))
     diagram = boundary_reduce(cx)
-    table = AssociationTable({0: 1, 1: 1, 2: 0}, frozenset({3}), 2, {3: 0})
+    table = AssociationTable({0: 1, 1: 1, 2: 0}, frozenset({3}), 2)
     (pred,) = classify_all(cx, diagram, table, SelectionPolicy(), dist)
     assert pred.provenance == "global_fallback"
     assert pred.label == 1

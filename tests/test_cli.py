@@ -8,7 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from tdabc.cli import main
+from tdabc.cli import _parse_roster, main
+from tdabc.evaluation import TdabcSpec, default_classifiers
 
 
 def run_cli(*argv: str) -> int:
@@ -59,6 +60,24 @@ def test_unknown_dataset_exits_two(tmp_path, capsys):
     rc = run_cli("generate", "--dataset", "not-a-thing", "--out", str(tmp_path))
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--dataset", "circles", "--max-edge", "-1"),
+        ("persistence", "--dataset", "circles", "--max-edge", "wide"),
+        ("classify", "--dataset", "circles", "--test-indices", "999"),
+        ("classify", "--dataset", "circles", "--test-indices", "0,-1"),
+        ("classify", "--dataset", "circles", "--test-indices", "x"),
+        ("generate", "--dataset", "ramp", "--step", "17"),
+    ],
+)
+def test_invalid_values_exit_two_with_one_error_line(tmp_path, capsys, argv):
+    rc = run_cli(*argv, "--out", str(tmp_path))
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +215,23 @@ def test_evaluate_requires_dataset_or_ramp(capsys):
     with pytest.raises(SystemExit):
         run_cli("evaluate", "--folds", "3")
     assert "ramp" in capsys.readouterr().err
+
+
+def test_evaluate_has_no_selector_option():
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("evaluate", "--dataset", "circles", "--selector", "rand")
+    assert excinfo.value.code == 2
+
+
+def test_empty_classifier_list_keeps_the_shared_settings():
+    opts = {"classifiers": " , ", "k": 3, "epsilon_mode": "mid", "recovery": "lifespan"}
+    roster = _parse_roster(opts)
+    assert [s.name for s in roster] == [s.name for s in default_classifiers()]
+    for spec in roster:
+        if isinstance(spec, TdabcSpec):
+            assert (spec.epsilon_mode, spec.recovery) == ("mid", "lifespan")
+        else:
+            assert spec.k == 3
 
 
 def test_evaluate_config_file_supplies_defaults(tmp_path):

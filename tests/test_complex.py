@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -258,28 +257,6 @@ def test_subcomplex_preserves_values_and_is_face_closed(seed):
         assert sub.value(s) <= cutoff
         for f in proper_faces(s):
             assert f in sub
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_lines_roundtrip():
-    cx = unit_square_complex()
-    again = FilteredComplex.from_lines(cx.to_lines())
-    assert set(again.simplices()) == set(cx.simplices())
-    for s in cx.simplices():
-        assert again.value(s) == cx.value(s)
-
-
-def test_lines_roundtrip_preserves_exact_floats():
-    cx = FilteredComplex()
-    cx.insert((0,), 0.0)
-    cx.insert((1,), 0.0)
-    cx.insert((0, 1), math.sqrt(2))
-    again = FilteredComplex.from_lines(cx.to_lines())
-    assert again.value((0, 1)) == math.sqrt(2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdabc.datasets import (
@@ -193,6 +193,7 @@ def test_log_shift_makes_minimum_zero():
 
 
 @given(st.integers(0, 10_000))
+@example(6494)  # shifting before the log gave a minimum of -1.78e-15 here
 @settings(max_examples=30, deadline=None)
 def test_log_shift_arguments_always_at_least_one(seed):
     rng = np.random.default_rng(seed)

@@ -8,9 +8,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
+from tdabc import evaluation
 from tdabc.datasets import make_gaussian_classes
 from tdabc.errors import DegenerateClass, NoClassifiers, UndefinedAUC
 from tdabc.evaluation import (
@@ -18,6 +20,7 @@ from tdabc.evaluation import (
     FoldPlan,
     KnnSpec,
     TdabcSpec,
+    _binary_auc,
     binary_rates,
     default_classifiers,
     f1,
@@ -187,6 +190,32 @@ def test_auc_inversion_symmetry(seed):
     assert a + b == pytest.approx(1.0)
 
 
+def rank_auc(scores: np.ndarray, positive_mask: np.ndarray) -> float:
+    """Reference: the Mann-Whitney U statistic from average ranks."""
+    n_pos = int(positive_mask.sum())
+    n_neg = len(positive_mask) - n_pos
+    u = float(rankdata(scores)[positive_mask].sum()) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+            st.booleans(),
+        ),
+        min_size=2,
+        max_size=80,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_binary_auc_equals_rank_form_with_ties(pairs):
+    scores = np.array([s for s, _ in pairs])
+    positive = np.array([p for _, p in pairs])
+    assume(positive.any() and not positive.all())
+    assert _binary_auc(scores, positive) == rank_auc(scores, positive)
+
+
 def test_pr_auc_perfect_ranking():
     probs = np.array([[0.1, 0.9], [0.2, 0.8], [0.8, 0.2], [0.9, 0.1]])
     truth = np.array([1, 1, 0, 0])
@@ -275,6 +304,26 @@ def test_minority_mean_tracks_smallest_class():
 def test_no_classifiers_rejected():
     with pytest.raises(NoClassifiers):
         run_experiment(small_dataset(), (), small_plan())
+
+
+def test_run_experiment_lets_bugs_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("a bug, not a fold failure")
+
+    monkeypatch.setattr(evaluation, "classify_all", broken)
+    with pytest.raises(RuntimeError):
+        run_experiment(
+            small_dataset(), (TdabcSpec("tdabc-m"),), small_plan(),
+            rips=RipsConfig(max_dim=2, budget=100_000),
+        )
+
+
+def test_run_experiment_records_tdabc_errors_as_fold_failures():
+    # 28 points in two folds leave 14 training vertices, fewer than k.
+    report = run_experiment(small_dataset(), (KnnSpec("knn", k=20),), small_plan())
+    assert not report.records
+    assert len(report.failures) == 2
+    assert all(f.error.startswith("InsufficientTraining") for f in report.failures)
 
 
 def test_report_csv_layout(tmp_path):
