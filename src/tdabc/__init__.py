@@ -1,6 +1,6 @@
 """Transductive classification over persistence-selected Rips subcomplexes."""
 
-from .baselines import KnnConfig, knn_predict, knn_predict_all
+from .baselines import KnnConfig, knn_predict_all
 from .classifier import (
     AssociationTable,
     Prediction,
@@ -70,7 +70,6 @@ __all__ = [
     "handle_isolated",
     "handle_unlabeled_link",
     "intervals_above_dim_zero",
-    "knn_predict",
     "knn_predict_all",
     "lifetime",
     "max_int",

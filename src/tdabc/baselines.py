@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import EPSILON_FLOOR, AssociationTable, Prediction, choose_label
+from .classifier import EPSILON_FLOOR, AssociationTable, Prediction, predict
 from .errors import InsufficientTraining, InvalidConfig
 
 PROVENANCE_BASELINE = "baseline"
@@ -22,43 +22,28 @@ class KnnConfig:
             raise InvalidConfig("k must be positive")
 
 
-def knn_predict(
-    dist: np.ndarray,
-    table: AssociationTable,
-    v: int,
-    config: KnnConfig,
-    rng: np.random.Generator,
-) -> Prediction:
-    """Majority (or inverse-distance) vote among the k nearest training vertices."""
+def knn_predict_all(
+    dist: np.ndarray, table: AssociationTable, config: KnnConfig, seed: int = 0
+) -> list[Prediction]:
+    """Majority (or inverse-distance) vote among each test vertex's k nearest
+    training vertices, one prediction per test vertex in vertex order."""
+    tests = sorted(table.test_vertices)
+    if not tests:
+        return []
     train = sorted(table.training)
     if config.k > len(train):
         raise InsufficientTraining(
             f"k={config.k} exceeds the {len(train)} training vertices"
         )
-    row = dist[v, train]
-    nearest = np.argsort(row, kind="stable")[: config.k]
-    votes = np.zeros(table.n_classes)
-    for pos in nearest:
-        u = train[int(pos)]
-        w = 1.0 / max(float(row[pos]), EPSILON_FLOOR) if config.weighted else 1.0
-        votes[table.training[u]] += w
-    label = choose_label(votes, rng)
-    probability = votes / votes.sum()
-    return Prediction(
-        vertex=v,
-        label=int(label),
-        scores=tuple(float(x) for x in votes),
-        probability=tuple(float(x) for x in probability),
-        provenance=PROVENANCE_BASELINE,
-    )
-
-
-def knn_predict_all(
-    dist: np.ndarray, table: AssociationTable, config: KnnConfig, seed: int = 0
-) -> list[Prediction]:
-    """One prediction per test vertex, tie-breaks seeded per vertex."""
-    out = []
-    for v in sorted(table.test_vertices):
-        rng = np.random.default_rng([seed, v])
-        out.append(knn_predict(dist, table, v, config, rng))
-    return out
+    block = dist[np.ix_(tests, train)]
+    # Stable, so equal distances keep ascending training-id order.
+    nearest = np.argsort(block, axis=1, kind="stable")[:, : config.k]
+    labels = np.array([table.training[u] for u in train])[nearest]
+    near = np.take_along_axis(block, nearest, axis=1)
+    weights = 1.0 / np.maximum(near, EPSILON_FLOOR) if config.weighted else np.ones_like(near)
+    votes = np.zeros((len(tests), table.n_classes))
+    rows = np.arange(len(tests))
+    # Nearest first, one column at a time: each row sums in per-vertex order.
+    for j in range(config.k):
+        votes[rows, labels[:, j]] += weights[:, j]
+    return [predict(table, v, row, seed, PROVENANCE_BASELINE) for v, row in zip(tests, votes)]

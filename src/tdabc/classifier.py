@@ -17,9 +17,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .complexes import FilteredComplex, Simplex, facets
-from .errors import NoLabeledData, SimplexNotFound
+from .errors import InvalidAssociation, NoLabeledData, SimplexNotFound
 from .persistence import Diagram, intervals_above_dim_zero
-from .selection import SelectionPolicy, interval_epsilon, recover, select
+from .selection import SelectionPolicy, recover, select
 
 EPSILON_FLOOR = 1e-12
 
@@ -41,12 +41,12 @@ class AssociationTable:
         object.__setattr__(self, "test_vertices", frozenset(self.test_vertices))
         overlap = set(self.training) & self.test_vertices
         if overlap:
-            raise ValueError(f"vertices {sorted(overlap)} are both training and test")
+            raise InvalidAssociation(f"vertices {sorted(overlap)} are both training and test")
         if self.n_classes < 2:
-            raise ValueError("need at least two classes")
+            raise InvalidAssociation("need at least two classes")
         for v, lab in self.training.items():
             if not 0 <= lab < self.n_classes:
-                raise ValueError(f"label {lab} of vertex {v} out of range")
+                raise InvalidAssociation(f"label {lab} of vertex {v} out of range")
 
 
 def associate(table: AssociationTable, s: Simplex) -> np.ndarray:
@@ -93,15 +93,16 @@ def extend_link_form(
     return scores
 
 
-def choose_label(scores: np.ndarray, rng: np.random.Generator) -> int | None:
-    """Index of the largest score; uniform tie-break; None when all zero."""
+def choose_label(scores: np.ndarray, seed) -> int | None:
+    """Index of the largest score; None when all zero; ties drawn uniformly
+    from ``np.random.default_rng(seed)``, which is built only on a tie."""
     top = scores.max() if scores.size else 0.0
     if top <= 0.0:
         return None
     ties = np.flatnonzero(scores == top)
     if len(ties) == 1:
         return int(ties[0])
-    return int(ties[rng.integers(len(ties))])
+    return int(ties[np.random.default_rng(seed).integers(len(ties))])
 
 
 def handle_isolated(
@@ -197,13 +198,27 @@ def majority_class(table: AssociationTable) -> int:
     return int(np.argmax(counts))
 
 
+def predict(
+    table: AssociationTable, v: int, scores: np.ndarray, seed: int, provenance: str
+) -> Prediction:
+    """Every classifier's rule from scores to label: ties seeded by ``[seed, v]``,
+    all-zero scores fall back to the majority class at uniform probability."""
+    label = choose_label(scores, [seed, v])
+    if label is None:
+        label, provenance = majority_class(table), PROVENANCE_FALLBACK
+        probability = np.full(table.n_classes, 1.0 / table.n_classes)
+    else:
+        probability = scores / scores.sum()
+    return Prediction(v, label, tuple(float(x) for x in scores),
+                      tuple(float(x) for x in probability), provenance)
+
+
 def classify_all(
     complex_: FilteredComplex,
     diagram: Diagram,
     table: AssociationTable,
     policy: SelectionPolicy,
     dist: np.ndarray,
-    recover_cache: dict | None = None,
 ) -> list[Prediction]:
     """Predictions for every test vertex, in vertex order."""
     if not table.training:
@@ -215,17 +230,11 @@ def classify_all(
         )
 
     candidates = intervals_above_dim_zero(diagram)
-    rng_select = np.random.default_rng(policy.rng_seed)
     if candidates:
-        chosen = select(candidates, diagram.max_filtration, policy, rng_select)
+        rng = np.random.default_rng(policy.rng_seed)
+        chosen = select(candidates, diagram.max_filtration, policy, rng)
         epsilon_death = min(chosen.death, diagram.max_filtration)
-        key = (policy.recovery, policy.epsilon_mode, chosen.birth, chosen.death)
-        if recover_cache is not None and key in recover_cache:
-            sub = recover_cache[key]
-        else:
-            sub = recover(complex_, chosen, policy)
-            if recover_cache is not None:
-                recover_cache[key] = sub
+        sub = recover(complex_, chosen, policy)
     else:
         # Nothing above dimension zero: use the whole complex.
         sub = complex_
@@ -236,7 +245,6 @@ def classify_all(
         v: extend(sub, table, v) if (v,) in sub else np.zeros(table.n_classes)
         for v in tests
     }
-    fallback = majority_class(table)
 
     predictions: list[Prediction] = []
     for v in tests:
@@ -252,21 +260,5 @@ def classify_all(
             else:
                 scores = handle_unlabeled_link(sub, table, v)
                 provenance = PROVENANCE_UNLABELED
-        if scores.any():
-            rng_v = np.random.default_rng([policy.rng_seed, v])
-            label = choose_label(scores, rng_v)
-            probability = scores / scores.sum()
-        else:
-            label = fallback
-            provenance = PROVENANCE_FALLBACK
-            probability = np.full(table.n_classes, 1.0 / table.n_classes)
-        predictions.append(
-            Prediction(
-                vertex=v,
-                label=int(label),
-                scores=tuple(float(x) for x in scores),
-                probability=tuple(float(x) for x in probability),
-                provenance=provenance,
-            )
-        )
+        predictions.append(predict(table, v, scores, policy.rng_seed, provenance))
     return predictions

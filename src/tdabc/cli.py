@@ -59,12 +59,25 @@ _DEFAULTS = {
 }
 
 
+def _read_config(path: str, types: dict) -> dict:
+    """The config file's options, each converted as its flag's value would be."""
+    try:
+        conf = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise InvalidConfig(f"--config {path}: {exc}") from None
+    if not isinstance(conf, dict):
+        raise InvalidConfig(f"--config {path}: must hold a JSON object")
+    for key in conf.keys() & types.keys():
+        try:
+            conf[key] = types[key](str(conf[key]))
+        except ValueError:
+            raise InvalidConfig(f"--config {path}: {key!r} must be "
+                                f"{types[key].__name__}, got {conf[key]!r}") from None
+    return conf
+
+
 def _merge_options(args: argparse.Namespace) -> dict:
-    file_conf = {}
-    if getattr(args, "config", None):
-        file_conf = json.loads(Path(args.config).read_text())
-        if not isinstance(file_conf, dict):
-            raise TdabcError("config file must hold a JSON object")
+    file_conf = _read_config(args.config, args.option_types) if args.config else {}
     merged = {}
     for key, default in _DEFAULTS.items():
         flag_value = getattr(args, key, None)
@@ -333,6 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--ramp", action="store_true", help="evaluate all 16 imbalance steps")
     ev.add_argument("--jobs", type=int, help="parallel workers for --ramp")
     ev.set_defaults(func=_cmd_evaluate)
+    for p in (gen, per, cls, ev):
+        p.set_defaults(option_types={a.dest: a.type for a in p._actions if a.type})
     return parser
 
 

@@ -4,7 +4,7 @@ A simplex is an ascending tuple of vertex ids.  A complex maps simplices to
 filtration values and is face-closed: every face of a stored simplex is
 stored, with a value no larger than its cofaces.  Inserts happen while a
 complex is being built; afterwards it is treated as read-only, which keeps
-the lazily built order and coface caches valid.
+the lazily built order, coface and sub-complex caches valid.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ class FilteredComplex:
         self._n_vertices = 0
         self._order: list[Simplex] | None = None
         self._cofaces: dict[int, list[Simplex]] | None = None
+        # Restrictions already built, keyed by epsilon or (birth, death).
+        self._restrictions: dict[object, FilteredComplex] = {}
 
     @classmethod
     def _from_values(cls, values: dict[Simplex, float]) -> "FilteredComplex":
@@ -130,6 +132,7 @@ class FilteredComplex:
             self._n_vertices += 1
         self._order = None
         self._cofaces = None
+        self._restrictions = {}
 
     # -- neighborhood operators --------------------------------------------
 
@@ -185,9 +188,25 @@ class FilteredComplex:
 
     # -- restriction ---------------------------------------------------------
 
+    def _restricted(self, key: object, members) -> "FilteredComplex":
+        # Built once per key, from the set ``members()`` returns, in filtration
+        # order so that the sub-complex's own order needs no sort.
+        if key not in self._restrictions:
+            keep = members()
+            values = {s: self._values[s] for s in self.order if s in keep}
+            sub = self._restrictions[key] = FilteredComplex._from_values(values)
+            sub._order = list(values)
+        return self._restrictions[key]
+
     def subcomplex_at(self, epsilon: float) -> "FilteredComplex":
-        """Sub-complex of simplices with value at most ``epsilon``."""
+        """Sub-complex of simplices with value at most ``epsilon``; the complex
+        itself (read-only, as every sub-complex) from ``max_value`` up."""
         eps = float(epsilon)
-        return FilteredComplex._from_values(
-            {s: v for s, v in self._values.items() if v <= eps}
-        )
+        if eps >= self.max_value:
+            return self
+        return self._restricted(eps, lambda: {s for s, v in self._values.items() if v <= eps})
+
+    def band(self, birth: float, death: float) -> "FilteredComplex":
+        """Simplices with value in ``(birth, death]`` and all their faces."""
+        inside = (s for s, v in self._values.items() if birth < v <= death)
+        return self._restricted((birth, death), lambda: self.closure(inside))

@@ -4,6 +4,7 @@ and the registry that maps a dataset name to its data."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -222,11 +223,12 @@ def load_csv(path: str | Path, label_column: str = "label") -> LabeledDataset:
                 if i == label_idx:
                     continue
                 try:
-                    feats.append(float(cell))
+                    value = float(cell)
                 except ValueError:
-                    raise ParseError(
-                        f"non-numeric value {cell!r}", row=lineno, column=header[i]
-                    ) from None
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ParseError(f"not a finite number: {cell!r}", row=lineno, column=header[i])
+                feats.append(value)
             rows.append(feats)
             raw_labels.append(row[label_idx].strip())
     classes = sorted(set(raw_labels))

@@ -33,6 +33,10 @@ class EmptyIntervalSet(TdabcError):
     """Interval selection was called with no candidate intervals."""
 
 
+class InvalidAssociation(TdabcError, ValueError):
+    """Training and test sets overlap, or labels do not fit the class count."""
+
+
 class NoLabeledData(TdabcError):
     """Classification requires at least one labeled vertex."""
 

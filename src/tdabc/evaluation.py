@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -339,6 +339,12 @@ def run_experiment(
     """Cross-validate every classifier on ``dataset`` and collect metrics."""
     if not classifiers:
         raise NoClassifiers("classifier roster is empty")
+    # Built before any fold: an invalid setting is the caller's error.
+    configs = [
+        SelectionPolicy(spec.selector, spec.epsilon_mode, spec.recovery)
+        if isinstance(spec, TdabcSpec) else KnnConfig(spec.k, spec.weighted)
+        for spec in classifiers
+    ]
     if rips is None:
         rips = RipsConfig()
     labels = dataset.labels
@@ -351,7 +357,6 @@ def run_experiment(
     if any(isinstance(spec, TdabcSpec) for spec in classifiers):
         complex_ = build_rips(dist, rips)
         diagram = boundary_reduce(complex_)
-    recover_cache: dict = {}
 
     for repeat, fold, train_idx, test_idx in stratified_splits(labels, plan):
         table = AssociationTable(
@@ -362,20 +367,12 @@ def run_experiment(
         train_counts = np.bincount(labels[train_idx], minlength=n_classes)
         minority = int(np.argmin(train_counts))
         seed = _fold_seed(plan.seed, repeat, fold)
-        for spec in classifiers:
+        for spec, config in zip(classifiers, configs):
             try:
-                if isinstance(spec, TdabcSpec):
-                    policy = SelectionPolicy(
-                        selector=spec.selector,
-                        epsilon_mode=spec.epsilon_mode,
-                        recovery=spec.recovery,
-                        rng_seed=seed,
-                    )
-                    preds = classify_all(
-                        complex_, diagram, table, policy, dist, recover_cache
-                    )
+                if isinstance(config, SelectionPolicy):
+                    policy = replace(config, rng_seed=seed)
+                    preds = classify_all(complex_, diagram, table, policy, dist)
                 else:
-                    config = KnnConfig(k=spec.k, weighted=spec.weighted)
                     preds = knn_predict_all(dist, table, config, seed=seed)
             except TdabcError as exc:  # a fold the method cannot label is data
                 report.failures.append(

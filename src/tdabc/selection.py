@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import FilteredComplex, Simplex, proper_faces
+from .complexes import FilteredComplex
 from .errors import EmptyIntervalSet, InvalidConfig
 from .persistence import PersistenceInterval
 
@@ -113,21 +113,5 @@ def recover(
     """Sub-complex induced by ``d`` under the policy's recovery mode."""
     maxf = complex_.max_value
     if policy.recovery == "sublevel":
-        eps = interval_epsilon(d, maxf, policy.epsilon_mode)
-        return complex_.subcomplex_at(eps)
-    death = min(d.death, maxf)
-    members: dict[Simplex, float] = {}
-    lifespan: list[Simplex] = []
-    for s in complex_.order:
-        v = complex_.value(s)
-        if d.birth < v <= death:
-            lifespan.append(s)
-            members[s] = v
-    for s in lifespan:
-        for f in proper_faces(s):
-            if f not in members:
-                members[f] = complex_.value(f)
-    ordered = {
-        s: members[s] for s in sorted(members, key=lambda t: (members[t], len(t), t))
-    }
-    return FilteredComplex._from_values(ordered)
+        return complex_.subcomplex_at(interval_epsilon(d, maxf, policy.epsilon_mode))
+    return complex_.band(d.birth, min(d.death, maxf))

@@ -19,7 +19,7 @@ from tdabc.classifier import (
     majority_class,
 )
 from tdabc.complexes import FilteredComplex
-from tdabc.errors import NoLabeledData, SimplexNotFound
+from tdabc.errors import InvalidAssociation, NoLabeledData, SimplexNotFound
 from tdabc.persistence import boundary_reduce
 from tdabc.rips import RipsConfig, build_rips, pairwise_distances
 from tdabc.selection import SelectionPolicy
@@ -47,13 +47,19 @@ def star_complex():
 
 
 def test_table_rejects_overlapping_sets():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidAssociation):
         table_for({0: 0}, {0})
 
 
 def test_table_rejects_out_of_range_labels():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidAssociation):
         table_for({0: 5}, {1}, n_classes=2)
+
+
+def test_table_rejects_a_single_class():
+    with pytest.raises(InvalidAssociation) as excinfo:
+        table_for({0: 0}, {1}, n_classes=1)
+    assert isinstance(excinfo.value, ValueError)
 
 
 def test_majority_class():
@@ -168,6 +174,18 @@ def test_choose_label_tie_covers_both_classes_across_seeds():
     scores = np.array([1.0, 1.0])
     picks = {choose_label(scores, np.random.default_rng(s)) for s in range(32)}
     assert picks == {0, 1}
+
+
+def test_choose_label_seeds_a_generator_only_on_a_tie(monkeypatch):
+    tie = np.array([1.0, 0.5, 1.0, 1.0])
+    expected = [choose_label(tie, np.random.default_rng([s, 5])) for s in range(16)]
+    assert [choose_label(tie, [s, 5]) for s in range(16)] == expected
+
+    def no_generator(seed=None):
+        raise AssertionError("a generator was built without a tie")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    assert choose_label(np.array([0.5, 2.0, 1.0]), [0, 5]) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,8 @@ def test_unknown_dataset_exits_two(tmp_path, capsys):
         ("classify", "--dataset", "circles", "--test-indices", "0,-1"),
         ("classify", "--dataset", "circles", "--test-indices", "x"),
         ("generate", "--dataset", "ramp", "--step", "17"),
+        ("evaluate", "--dataset", "circles", "--folds", "2", "--repeats", "1",
+         "--classifiers", "knn", "--k", "0"),
     ],
 )
 def test_invalid_values_exit_two_with_one_error_line(tmp_path, capsys, argv):
@@ -78,6 +80,30 @@ def test_invalid_values_exit_two_with_one_error_line(tmp_path, capsys, argv):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, content, reason",
+    [
+        (("persistence", "--dataset", "circles", "--config", "FILE"), None, "No such file"),
+        (("persistence", "--dataset", "circles", "--config", "FILE"), "{not json", "line 1 column 2"),
+        (("persistence", "--dataset", "circles", "--config", "FILE"),
+         '{"max_dim": "x"}', "'max_dim' must be int"),
+        (("classify", "--dataset", "FILE"), "f0,label\n0.0,a\n1.0,a\n2.0,a\n",
+         "two classes"),
+        (("classify", "--dataset", "FILE"), "f0,label\n0.0,a\nnan,b\n1.0,b\n",
+         "(row 3, column f0)"),
+    ],
+)
+def test_bad_input_files_exit_two_with_one_error_line(tmp_path, capsys, argv, content, reason):
+    path = tmp_path / "input.csv"
+    if content is not None:
+        path.write_text(content)
+    rc = run_cli(*(str(path) if a == "FILE" else a for a in argv), "--out", str(tmp_path))
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert reason in err[0]
 
 
 # ---------------------------------------------------------------------------

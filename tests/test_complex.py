@@ -228,6 +228,35 @@ def test_subcomplex_at_max_value_is_whole_complex():
     cx = unit_square_complex()
     sub = cx.subcomplex_at(cx.max_value)
     assert set(sub.simplices()) == set(cx.simplices())
+    assert sub is cx
+
+
+def test_repeated_restrictions_return_the_same_object():
+    cx = unit_square_complex()
+    assert cx.subcomplex_at(1.0) is cx.subcomplex_at(1.0)
+    assert cx.band(0.0, 1.0) is cx.band(0.0, 1.0)
+    assert cx.band(0.0, 1.0) is not cx.subcomplex_at(1.0)
+
+
+def band_reference(cx, birth, death):
+    """Simplices valued in (birth, death] plus their faces, in filtration order."""
+    members = {}
+    for s in cx.order:
+        if birth < cx.value(s) <= death:
+            members[s] = cx.value(s)
+            for f in proper_faces(s):
+                members.setdefault(f, cx.value(f))
+    return sorted(members.items(), key=lambda kv: (kv[1], len(kv[0]), kv[0]))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_band_matches_the_explicit_construction(seed):
+    rng = np.random.default_rng(seed)
+    cx = random_monotone_complex(rng)
+    birth, death = sorted(float(x) for x in rng.uniform(0.0, max(cx.max_value, 0.1), 2))
+    band = cx.band(birth, death)
+    assert [(s, band.value(s)) for s in band.order] == band_reference(cx, birth, death)
 
 
 def test_subcomplex_at_zero_is_vertex_skeleton():
@@ -257,6 +286,7 @@ def test_subcomplex_preserves_values_and_is_face_closed(seed):
         assert sub.value(s) <= cutoff
         for f in proper_faces(s):
             assert f in sub
+    assert sub.order == [s for s in cx.order if cx.value(s) <= cutoff]
 
 
 # ---------------------------------------------------------------------------

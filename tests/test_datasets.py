@@ -152,11 +152,12 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_load_csv_reports_bad_cell_location(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("f0,f1,label\n0.0,1.0,a\n0.5,oops,b\n")
-    with pytest.raises(ParseError) as excinfo:
-        load_csv(path)
-    assert excinfo.value.row == 3
-    assert excinfo.value.column == "f1"
+    for cell in ("oops", "nan", "-inf"):
+        path.write_text(f"f0,f1,label\n0.0,1.0,a\n0.5,{cell},b\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_csv(path)
+        assert excinfo.value.row == 3
+        assert excinfo.value.column == "f1"
 
 
 def test_load_csv_missing_label_column(tmp_path):

@@ -14,7 +14,7 @@ from scipy.stats import rankdata
 
 from tdabc import evaluation
 from tdabc.datasets import make_gaussian_classes
-from tdabc.errors import DegenerateClass, NoClassifiers, UndefinedAUC
+from tdabc.errors import DegenerateClass, InvalidConfig, NoClassifiers, UndefinedAUC
 from tdabc.evaluation import (
     EvaluationReport,
     FoldPlan,
@@ -324,6 +324,18 @@ def test_run_experiment_records_tdabc_errors_as_fold_failures():
     assert not report.records
     assert len(report.failures) == 2
     assert all(f.error.startswith("InsufficientTraining") for f in report.failures)
+
+
+@pytest.mark.parametrize(
+    "spec", [KnnSpec("knn", k=0), TdabcSpec("tdabc-x", selector="bogus")]
+)
+def test_run_experiment_rejects_invalid_specs_before_any_work(monkeypatch, spec):
+    def no_work(*args, **kwargs):
+        raise RuntimeError("settings must be checked before any distance is computed")
+
+    monkeypatch.setattr(evaluation, "pairwise_distances", no_work)
+    with pytest.raises(InvalidConfig):
+        run_experiment(small_dataset(), (KnnSpec("knn"), spec), small_plan())
 
 
 def test_report_csv_layout(tmp_path):
