@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Minority-class F1 across the 16-step imbalance ramp.
 
-Each step fixes 100 positive points and adds 50·step negatives drawn from
+Each step fixes 50 positive points and adds 50·step negatives drawn from
 a wider distribution, so step 16 is a 16:1 imbalance.  Propagation
 variants use an explicit edge cap (default 0.3) that keeps neighborhoods
 inside the tight positive core; see README for the scale discussion.

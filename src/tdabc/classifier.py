@@ -192,10 +192,8 @@ class Prediction:
 
 
 def majority_class(table: AssociationTable) -> int:
-    counts = np.zeros(table.n_classes, dtype=int)
-    for lab in table.training.values():
-        counts[lab] += 1
-    return int(np.argmax(counts))
+    labels = np.fromiter(table.training.values(), dtype=np.intp, count=len(table.training))
+    return int(np.argmax(np.bincount(labels, minlength=table.n_classes)))
 
 
 def predict(

@@ -2,7 +2,9 @@
 
 Options resolve with flag > config-file > default precedence.  The config
 file is a flat JSON object whose keys are the long flag names with
-underscores.  TDABC_OUT_DIR sets where outputs land when --out is absent.
+underscores; each value is checked as its flag's would be, and ``null``
+keeps the default.  TDABC_OUT_DIR sets where outputs land when --out is
+absent.
 """
 
 from __future__ import annotations
@@ -25,81 +27,57 @@ from .errors import InvalidConfig, TdabcError
 from .evaluation import (
     EvaluationReport,
     FoldPlan,
+    KnnSpec,
     TdabcSpec,
     default_classifiers,
     run_experiment,
     write_ramp_csv,
 )
 from .persistence import boundary_reduce, write_diagram_csv, write_diagram_json
-from .rips import RipsConfig, build_rips, pairwise_distances
+from .rips import METRICS, RipsConfig, build_rips, pairwise_distances
 from .selection import EPSILON_MODES, RECOVERY_MODES, SELECTORS, SelectionPolicy
 
 _RIPS, _POLICY, _PLAN, _KNN = RipsConfig(), SelectionPolicy(), FoldPlan(), KnnConfig()
-
-_DEFAULTS = {
-    "out": None,
-    "seed": 0,
-    "label_column": "label",
-    "max_dim": _RIPS.max_dim,
-    "max_edge": _RIPS.max_edge,
-    "metric": _RIPS.metric,
-    "budget": _RIPS.budget,
-    "selector": _POLICY.selector,
-    "epsilon_mode": _POLICY.epsilon_mode,
-    "recovery": _POLICY.recovery,
-    "baseline": None,
-    "k": _KNN.k,
-    "folds": _PLAN.folds,
-    "repeats": _PLAN.repeats,
-    "classifiers": ",".join(spec.name for spec in default_classifiers()),
-    "test_fraction": 0.2,
-    "test_indices": None,
-    "step": None,
-    "jobs": 1,
-}
+_BASELINES = {spec.name: spec for spec in default_classifiers() if isinstance(spec, KnnSpec)}
 
 
-def _read_config(path: str, types: dict) -> dict:
-    """The config file's options, each converted as its flag's value would be."""
+def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
+    """The config file's options, each converted and checked as its flag's value
+    would be; ``null`` and keys that name no value option are left out."""
     try:
         conf = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise InvalidConfig(f"--config {path}: {exc}") from None
     if not isinstance(conf, dict):
         raise InvalidConfig(f"--config {path}: must hold a JSON object")
-    for key in conf.keys() & types.keys():
+    values = {}
+    for action in parser._actions:
+        key = action.dest
+        if action.nargs == 0 or key in ("dataset", "config") or conf.get(key) is None:
+            continue
+        convert = action.type or str
         try:
-            conf[key] = types[key](str(conf[key]))
+            value = convert(str(conf[key]))
         except ValueError:
             raise InvalidConfig(f"--config {path}: {key!r} must be "
-                                f"{types[key].__name__}, got {conf[key]!r}") from None
-    return conf
+                                f"{convert.__name__}, got {conf[key]!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise InvalidConfig(f"--config {path}: {key!r} must be one of "
+                                f"{', '.join(action.choices)}, got {conf[key]!r}")
+        values[key] = value
+    return values
 
 
-def _merge_options(args: argparse.Namespace) -> dict:
-    file_conf = _read_config(args.config, args.option_types) if args.config else {}
-    merged = {}
-    for key, default in _DEFAULTS.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-        elif key in file_conf:
-            merged[key] = file_conf[key]
-        else:
-            merged[key] = default
-    return merged
-
-
-def _out_dir(opts: dict) -> Path:
-    out = opts["out"] or os.environ.get("TDABC_OUT_DIR") or "."
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = args.out or os.environ.get("TDABC_OUT_DIR") or "."
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _rips_config(opts: dict) -> RipsConfig:
-    max_edge = opts["max_edge"]
-    if isinstance(max_edge, str):
+def _rips_config(args: argparse.Namespace) -> RipsConfig:
+    max_edge = args.max_edge
+    if max_edge is not None:
         try:
             max_edge = float(max_edge)
         except ValueError:
@@ -107,23 +85,22 @@ def _rips_config(opts: dict) -> RipsConfig:
                 f"--max-edge must be a number or 'inf', got {max_edge!r}"
             ) from None
     return RipsConfig(
-        max_dim=int(opts["max_dim"]),
+        max_dim=args.max_dim,
         max_edge=max_edge,
-        metric=opts["metric"],
-        budget=int(opts["budget"]),
+        metric=args.metric,
+        budget=args.budget,
     )
 
 
-def _dataset(name: str, opts: dict) -> ds.LabeledDataset:
+def _dataset(args: argparse.Namespace) -> ds.LabeledDataset:
     return ds.resolve(
-        name, seed=int(opts["seed"]), step=opts["step"], label_column=opts["label_column"]
+        args.dataset, seed=args.seed, step=args.step, label_column=args.label_column
     )
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    opts = _merge_options(args)
-    data = _dataset(args.dataset, opts)
-    out = _out_dir(opts)
+    data = _dataset(args)
+    out = _out_dir(args)
     csv_path = out / f"{data.name}.csv"
     ds.save_csv(data, csv_path)
     (out / f"{data.name}.spec.json").write_text(
@@ -134,12 +111,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_persistence(args: argparse.Namespace) -> int:
-    opts = _merge_options(args)
-    data = _dataset(args.dataset, opts)
-    dist = pairwise_distances(data.points, opts["metric"])
-    complex_ = build_rips(dist, _rips_config(opts))
+    data = _dataset(args)
+    dist = pairwise_distances(data.points, args.metric)
+    complex_ = build_rips(dist, _rips_config(args))
     diagram = boundary_reduce(complex_)
-    out = _out_dir(opts)
+    out = _out_dir(args)
     write_diagram_csv(diagram, out / f"{data.name}.diagram.csv")
     write_diagram_json(diagram, out / f"{data.name}.diagram.json")
     bars = ["dim,birth,death,length"]
@@ -155,10 +131,10 @@ def _cmd_persistence(args: argparse.Namespace) -> int:
     return 0
 
 
-def _split_test_vertices(data: ds.LabeledDataset, opts: dict) -> frozenset[int]:
-    if opts["test_indices"]:
+def _split_test_vertices(data: ds.LabeledDataset, args: argparse.Namespace) -> frozenset[int]:
+    if args.test_indices:
         chosen = set()
-        for tok in str(opts["test_indices"]).split(","):
+        for tok in args.test_indices.split(","):
             try:
                 v = int(tok)
             except ValueError:
@@ -167,8 +143,10 @@ def _split_test_vertices(data: ds.LabeledDataset, opts: dict) -> frozenset[int]:
                 raise InvalidConfig(f"--test-indices: vertex {v} is outside [0, {len(data)})")
             chosen.add(v)
         return frozenset(chosen)
-    fraction = float(opts["test_fraction"])
-    rng = np.random.default_rng([int(opts["seed"]), 1])
+    fraction = args.test_fraction
+    if not 0 < fraction < 1:
+        raise InvalidConfig(f"--test-fraction must be between 0 and 1, got {fraction!r}")
+    rng = np.random.default_rng([args.seed, 1])
     chosen: list[int] = []
     for c in range(data.n_classes):
         members = np.flatnonzero(data.labels == c)
@@ -179,29 +157,28 @@ def _split_test_vertices(data: ds.LabeledDataset, opts: dict) -> frozenset[int]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    opts = _merge_options(args)
-    data = _dataset(args.dataset, opts)
-    test = _split_test_vertices(data, opts)
+    data = _dataset(args)
+    test = _split_test_vertices(data, args)
     table = AssociationTable(
         training={int(v): int(data.labels[v]) for v in range(len(data)) if v not in test},
         test_vertices=test,
         n_classes=data.n_classes,
     )
-    dist = pairwise_distances(data.points, opts["metric"])
-    if opts["baseline"]:
-        config = KnnConfig(k=int(opts["k"]), weighted=(opts["baseline"] == "wknn"))
-        preds = knn_predict_all(dist, table, config, seed=int(opts["seed"]))
+    dist = pairwise_distances(data.points, args.metric)
+    if args.baseline:
+        config = KnnConfig(k=args.k, weighted=_BASELINES[args.baseline].weighted)
+        preds = knn_predict_all(dist, table, config, seed=args.seed)
     else:
-        complex_ = build_rips(dist, _rips_config(opts))
+        complex_ = build_rips(dist, _rips_config(args))
         diagram = boundary_reduce(complex_)
         policy = SelectionPolicy(
-            selector=opts["selector"],
-            epsilon_mode=opts["epsilon_mode"],
-            recovery=opts["recovery"],
-            rng_seed=int(opts["seed"]),
+            selector=args.selector,
+            epsilon_mode=args.epsilon_mode,
+            recovery=args.recovery,
+            rng_seed=args.seed,
         )
         preds = classify_all(complex_, diagram, table, policy, dist)
-    out = _out_dir(opts)
+    out = _out_dir(args)
     prob_header = ",".join(f"p_{name}" for name in data.class_names)
     lines = [f"vertex,predicted,provenance,{prob_header}"]
     for p in preds:
@@ -226,45 +203,43 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_roster(opts: dict) -> tuple:
+def _parse_roster(args: argparse.Namespace) -> tuple:
     """Named specs from ``default_classifiers()``, with the run's shared settings."""
     table = {spec.name: spec for spec in default_classifiers()}
-    tokens = [tok.strip() for tok in str(opts["classifiers"]).split(",") if tok.strip()]
+    tokens = [tok.strip() for tok in args.classifiers.split(",") if tok.strip()]
     roster = []
     for token in tokens or table:
         if token not in table:
             raise TdabcError(f"unknown classifier {token!r}")
         spec = table[token]
         if isinstance(spec, TdabcSpec):
-            spec = replace(spec, epsilon_mode=opts["epsilon_mode"], recovery=opts["recovery"])
+            spec = replace(spec, epsilon_mode=args.epsilon_mode, recovery=args.recovery)
         else:
-            spec = replace(spec, k=int(opts["k"]))
+            spec = replace(spec, k=args.k)
         roster.append(spec)
     return tuple(roster)
 
 
-def _evaluate_one(data: ds.LabeledDataset, opts: dict) -> EvaluationReport:
-    plan = FoldPlan(
-        folds=int(opts["folds"]), repeats=int(opts["repeats"]), seed=int(opts["seed"])
-    )
-    return run_experiment(data, _parse_roster(opts), plan, rips=_rips_config(opts))
+def _evaluate_one(data: ds.LabeledDataset, args: argparse.Namespace) -> EvaluationReport:
+    plan = FoldPlan(folds=args.folds, repeats=args.repeats, seed=args.seed)
+    return run_experiment(data, _parse_roster(args), plan, rips=_rips_config(args))
 
 
-def _ramp_worker(payload: tuple[int, dict]) -> tuple[int, EvaluationReport]:
-    step, opts = payload
-    data = ds.resolve("ramp", seed=int(opts["seed"]), step=step)
-    return step, _evaluate_one(data, opts)
+def _ramp_worker(payload: tuple[int, argparse.Namespace]) -> tuple[int, EvaluationReport]:
+    step, args = payload
+    data = ds.resolve("ramp", seed=args.seed, step=step)
+    return step, _evaluate_one(data, args)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    opts = _merge_options(args)
-    out = _out_dir(opts)
+    if args.jobs < 1:
+        raise InvalidConfig(f"--jobs must be at least 1, got {args.jobs}")
+    out = _out_dir(args)
     if args.ramp:
         steps = list(range(1, 17))
-        jobs = int(opts["jobs"])
-        payloads = [(step, opts) for step in steps]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        payloads = [(step, args) for step in steps]
+        if args.jobs > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = dict(pool.map(_ramp_worker, payloads))
         else:
             results = dict(map(_ramp_worker, payloads))
@@ -276,8 +251,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         )
         print(f"wrote {out / 'ramp_curves.csv'} ({failures} fold failures)")
         return 0 if failures == 0 else 1
-    data = _dataset(args.dataset, opts)
-    report = _evaluate_one(data, opts)
+    data = _dataset(args)
+    report = _evaluate_one(data, args)
     report.write_csv(out / f"{data.name}_report.csv")
     report.write_json(out / f"{data.name}_summary.json")
     print(
@@ -299,64 +274,75 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generator name, bundled name, or CSV path")
         p.add_argument("--config", help="JSON file with default options")
         p.add_argument("--out", help="output directory (or TDABC_OUT_DIR)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--label-column", dest="label_column")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--label-column", dest="label_column", default="label")
         p.add_argument("--step", type=int, help="ramp step, 1 to 16")
 
     def rips_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--max-dim", dest="max_dim", type=int)
-        p.add_argument("--max-edge", dest="max_edge",
+        p.add_argument("--max-dim", dest="max_dim", type=int, default=_RIPS.max_dim)
+        p.add_argument("--max-edge", dest="max_edge", default=_RIPS.max_edge,
                        help="edge cap, a number or 'inf' (default: data-driven)")
-        p.add_argument("--metric", choices=("euclidean", "manhattan", "cosine"))
-        p.add_argument("--budget", type=int, help="simplex budget")
+        p.add_argument("--metric", choices=tuple(METRICS), default=_RIPS.metric)
+        p.add_argument("--budget", type=int, default=_RIPS.budget, help="simplex budget")
 
     def policy_flags(p: argparse.ArgumentParser) -> None:
         # Settings shared by every classifier of a run.
-        p.add_argument("--epsilon-mode", dest="epsilon_mode", choices=EPSILON_MODES)
-        p.add_argument("--recovery", choices=RECOVERY_MODES)
-        p.add_argument("--k", type=int)
+        p.add_argument("--epsilon-mode", dest="epsilon_mode", choices=EPSILON_MODES,
+                       default=_POLICY.epsilon_mode)
+        p.add_argument("--recovery", choices=RECOVERY_MODES, default=_POLICY.recovery)
+        p.add_argument("--k", type=int, default=_KNN.k)
 
     gen = sub.add_parser("generate", help="write a dataset CSV and its spec")
     common(gen)
-    gen.set_defaults(func=_cmd_generate)
+    gen.set_defaults(func=_cmd_generate, parser=gen)
 
     per = sub.add_parser("persistence", help="compute a persistence diagram")
     common(per)
     rips_flags(per)
-    per.set_defaults(func=_cmd_persistence)
+    per.set_defaults(func=_cmd_persistence, parser=per)
 
     cls = sub.add_parser("classify", help="label the test vertices of one split")
     common(cls)
     rips_flags(cls)
     policy_flags(cls)
-    cls.add_argument("--selector", choices=SELECTORS)
-    cls.add_argument("--baseline", choices=("knn", "wknn"))
-    cls.add_argument("--test-fraction", dest="test_fraction", type=float)
+    cls.add_argument("--selector", choices=SELECTORS, default=_POLICY.selector)
+    cls.add_argument("--baseline", choices=tuple(_BASELINES))
+    cls.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.2)
     cls.add_argument("--test-indices", dest="test_indices",
                      help="comma-separated vertex ids")
-    cls.set_defaults(func=_cmd_classify)
+    cls.set_defaults(func=_cmd_classify, parser=cls)
 
+    roster = ",".join(spec.name for spec in default_classifiers())
     ev = sub.add_parser("evaluate", help="repeated stratified cross-validation")
     common(ev, dataset_required=False)
     rips_flags(ev)
     policy_flags(ev)
-    ev.add_argument("--folds", type=int)
-    ev.add_argument("--repeats", type=int)
-    ev.add_argument("--classifiers", help=f"comma list from {_DEFAULTS['classifiers']}")
+    ev.add_argument("--folds", type=int, default=_PLAN.folds)
+    ev.add_argument("--repeats", type=int, default=_PLAN.repeats)
+    ev.add_argument("--classifiers", default=roster, help=f"comma list from {roster}")
     ev.add_argument("--ramp", action="store_true", help="evaluate all 16 imbalance steps")
-    ev.add_argument("--jobs", type=int, help="parallel workers for --ramp")
-    ev.set_defaults(func=_cmd_evaluate)
-    for p in (gen, per, cls, ev):
-        p.set_defaults(option_types={a.dest: a.type for a in p._actions if a.type})
+    ev.add_argument("--jobs", type=int, default=1, help="parallel workers for --ramp")
+    ev.set_defaults(func=_cmd_evaluate, parser=ev)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """Options by flag > ``--config`` file > declared default: the file's values
+    become the subcommand's defaults and the command line is parsed again."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "evaluate" and not args.ramp and not args.dataset:
         parser.error("evaluate needs --dataset or --ramp")
+    if args.config:
+        args.parser.set_defaults(**_read_config(args.config, args.parser))
+        args = parser.parse_args(argv)
+    del args.parser  # --ramp workers receive the namespace, and a parser does not pickle
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
+        args = _parse_args(argv)
         return args.func(args)
     except TdabcError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -88,7 +88,7 @@ class FilteredComplex:
     def max_value(self) -> float:
         if not self._values:
             return 0.0
-        return max(self._values.values())
+        return self._values[self.order[-1]]
 
     def value(self, s: Iterable[int]) -> float:
         key = tuple(s)

@@ -317,6 +317,8 @@ def resolve(
     name: str, seed: int = 0, step: int | None = None, label_column: str = "label"
 ) -> LabeledDataset:
     """The dataset a registered name stands for, or else the CSV at path ``name``."""
+    if seed < 0:
+        raise InvalidConfig(f"seed must be non-negative, got {seed}")
     if name in _GENERATORS:
         return _GENERATORS[name](seed, step)
     if name in BUNDLED:

@@ -35,7 +35,6 @@ from .selection import SelectionPolicy
 class FoldPlan:
     folds: int = 10
     repeats: int = 5
-    stratified: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -43,6 +42,8 @@ class FoldPlan:
             raise InvalidConfig("need at least two folds")
         if self.repeats < 1:
             raise InvalidConfig("need at least one repeat")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
 
 
 def stratified_splits(
@@ -55,7 +56,7 @@ def stratified_splits(
     if counts.min() < 2:
         small = classes[np.argmin(counts)]
         raise DegenerateClass(f"class {small} has {counts.min()} member(s)")
-    if plan.stratified and counts.min() < plan.folds:
+    if counts.min() < plan.folds:
         warnings.warn(
             f"smallest class has {counts.min()} members for {plan.folds} folds; "
             "stratification is best-effort",
@@ -65,15 +66,10 @@ def stratified_splits(
     for repeat in range(plan.repeats):
         rng = np.random.default_rng([plan.seed, repeat])
         buckets: list[list[int]] = [[] for _ in range(plan.folds)]
-        if plan.stratified:
-            for c in classes:
-                members = np.flatnonzero(labels == c)
-                rng.shuffle(members)
-                for pos, idx in enumerate(members):
-                    buckets[pos % plan.folds].append(int(idx))
-        else:
-            order = rng.permutation(n)
-            for pos, idx in enumerate(order):
+        for c in classes:
+            members = np.flatnonzero(labels == c)
+            rng.shuffle(members)
+            for pos, idx in enumerate(members):
                 buckets[pos % plan.folds].append(int(idx))
         for fold, bucket in enumerate(buckets):
             test = np.array(sorted(bucket), dtype=int)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
@@ -45,6 +46,16 @@ class Diagram:
 
     def in_dim(self, dim: int) -> tuple[PersistenceInterval, ...]:
         return tuple(d for d in self.intervals if d.dim == dim)
+
+    @cached_property
+    def candidates(self) -> tuple[PersistenceInterval, ...]:
+        """Dim >= 1 intervals with a positive span once truncated at ``max_filtration``."""
+        maxf = self.max_filtration
+        return tuple(
+            d
+            for d in self.intervals
+            if d.dim >= 1 and min(d.death, maxf) - d.birth > 0.0
+        )
 
 
 def boundary_reduce(complex_: FilteredComplex) -> Diagram:
@@ -102,13 +113,8 @@ def boundary_reduce(complex_: FilteredComplex) -> Diagram:
 
 
 def intervals_above_dim_zero(diagram: Diagram) -> tuple[PersistenceInterval, ...]:
-    """Candidates for scale selection: dim >= 1 with a positive truncated span."""
-    maxf = diagram.max_filtration
-    return tuple(
-        d
-        for d in diagram.intervals
-        if d.dim >= 1 and min(d.death, maxf) - d.birth > 0.0
-    )
+    """Candidates for scale selection, computed once per diagram."""
+    return diagram.candidates
 
 
 _ORACLE_DIM_CAP = 6000

@@ -14,13 +14,13 @@ from scipy.spatial.distance import cdist
 from .complexes import FilteredComplex, Simplex
 from .errors import CapacityExceeded, DimensionMismatch, InvalidConfig
 
-_METRICS = {"euclidean": "euclidean", "manhattan": "cityblock", "cosine": "cosine"}
+METRICS = {"euclidean": "euclidean", "manhattan": "cityblock", "cosine": "cosine"}
 
 
 def pairwise_distances(points, metric: str = "euclidean") -> np.ndarray:
     """Symmetric distance matrix with a zero diagonal."""
-    if metric not in _METRICS:
-        raise InvalidConfig(f"unknown metric {metric!r}; choose from {sorted(_METRICS)}")
+    if metric not in METRICS:
+        raise InvalidConfig(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
     if isinstance(points, (list, tuple)):
         lengths = {len(np.atleast_1d(row)) for row in points}
         if len(lengths) > 1:
@@ -32,7 +32,7 @@ def pairwise_distances(points, metric: str = "euclidean") -> np.ndarray:
         raise DimensionMismatch(f"expected a 2-d cloud, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise ValueError("point coordinates must be finite")
-    d = cdist(pts, pts, metric=_METRICS[metric])
+    d = cdist(pts, pts, metric=METRICS[metric])
     if not np.isfinite(d).all():
         raise ValueError(f"{metric} distance is undefined for some input rows")
     d = np.minimum(d, d.T)
@@ -56,7 +56,7 @@ class RipsConfig:
             raise InvalidConfig("budget must be positive")
         if self.max_edge is not None and not self.max_edge >= 0:
             raise InvalidConfig("max_edge must be non-negative")
-        if self.metric not in _METRICS:
+        if self.metric not in METRICS:
             raise InvalidConfig(f"unknown metric {self.metric!r}")
 
 

@@ -65,6 +65,7 @@ def test_table_rejects_a_single_class():
 def test_majority_class():
     t = table_for({0: 1, 1: 1, 2: 0}, {3})
     assert majority_class(t) == 1
+    assert majority_class(table_for({0: 1, 1: 0, 2: 2}, {3}, n_classes=4)) == 0  # first max
 
 
 # ---------------------------------------------------------------------------

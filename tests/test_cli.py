@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from tdabc.cli import _parse_roster, main
+from tdabc.cli import _parse_args, _parse_roster, build_parser, main
 from tdabc.evaluation import TdabcSpec, default_classifiers
 
 
@@ -73,6 +74,12 @@ def test_unknown_dataset_exits_two(tmp_path, capsys):
         ("generate", "--dataset", "ramp", "--step", "17"),
         ("evaluate", "--dataset", "circles", "--folds", "2", "--repeats", "1",
          "--classifiers", "knn", "--k", "0"),
+        ("generate", "--dataset", "circles", "--seed", "-1"),
+        ("evaluate", "--dataset", "circles", "--folds", "2", "--repeats", "1",
+         "--classifiers", "knn", "--seed", "-2"),
+        ("classify", "--dataset", "circles", "--test-fraction", "-1"),
+        ("classify", "--dataset", "circles", "--test-fraction", "1.5"),
+        ("evaluate", "--ramp", "--jobs", "0"),
     ],
 )
 def test_invalid_values_exit_two_with_one_error_line(tmp_path, capsys, argv):
@@ -93,6 +100,11 @@ def test_invalid_values_exit_two_with_one_error_line(tmp_path, capsys, argv):
          "two classes"),
         (("classify", "--dataset", "FILE"), "f0,label\n0.0,a\nnan,b\n1.0,b\n",
          "(row 3, column f0)"),
+        (("persistence", "--dataset", "circles", "--config", "FILE"),
+         '{"metric": "bogus"}', "FILE: 'metric' must be one of"),
+        *((("classify", "--dataset", "moons", "--config", "FILE"),
+           json.dumps({key: "bogus"}), f"FILE: {key!r} must be one of")
+          for key in ("selector", "epsilon_mode", "recovery", "baseline")),
     ],
 )
 def test_bad_input_files_exit_two_with_one_error_line(tmp_path, capsys, argv, content, reason):
@@ -103,7 +115,73 @@ def test_bad_input_files_exit_two_with_one_error_line(tmp_path, capsys, argv, co
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert reason in err[0]
+    assert reason.replace("FILE", str(path)) in err[0]
+
+
+# Two valid values for each value option, as they are written on the command line.
+OPTION_VALUES = {
+    "out": ("a", "b"),
+    "seed": ("3", "4"),
+    "label_column": ("y", "z"),
+    "step": ("2", "5"),
+    "max_dim": ("2", "4"),
+    "max_edge": ("0.5", "inf"),
+    "metric": ("cosine", "manhattan"),
+    "budget": ("1000", "2000"),
+    "epsilon_mode": ("mid", "birth"),
+    "recovery": ("lifespan", "sublevel"),
+    "k": ("3", "7"),
+    "selector": ("avg", "rand"),
+    "baseline": ("knn", "wknn"),
+    "test_fraction": ("0.3", "0.25"),
+    "test_indices": ("1,2", "3"),
+    "folds": ("3", "4"),
+    "repeats": ("2", "1"),
+    "classifiers": ("knn", "tdabc-m,wknn"),
+    "jobs": ("2", "3"),
+}
+
+
+def value_options():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.nargs != 0 and action.dest not in ("dataset", "config"):
+                yield command, action
+
+
+def parsed(*argv: str) -> dict:
+    """The parsed options of ``argv`` but for ``config``."""
+    args = vars(_parse_args(list(argv)))
+    del args["config"]
+    return args
+
+
+@pytest.mark.parametrize(
+    "command, action", list(value_options()), ids=lambda x: getattr(x, "dest", x)
+)
+def test_config_values_parse_like_flags(tmp_path, command, action):
+    first, second = OPTION_VALUES[action.dest]
+    try:
+        in_file = json.loads(first)
+    except ValueError:
+        in_file = first
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({action.dest: in_file}))
+    flag, base = action.option_strings[0], (command, "--dataset", "circles")
+    from_flag = parsed(*base, flag, first)
+    assert from_flag != parsed(*base, flag, second)
+    from_file = parsed(*base, "--config", str(config))
+    assert from_file == from_flag
+    assert type(from_file[action.dest]) is type(from_flag[action.dest])
+    assert parsed(*base, "--config", str(config), flag, second) == parsed(*base, flag, second)
+
+
+def test_null_config_values_keep_the_defaults(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: None for key in OPTION_VALUES}))
+    base = ("evaluate", "--dataset", "circles")
+    assert parsed(*base, "--config", str(config)) == parsed(*base)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +328,8 @@ def test_evaluate_has_no_selector_option():
 
 
 def test_empty_classifier_list_keeps_the_shared_settings():
-    opts = {"classifiers": " , ", "k": 3, "epsilon_mode": "mid", "recovery": "lifespan"}
-    roster = _parse_roster(opts)
+    args = argparse.Namespace(classifiers=" , ", k=3, epsilon_mode="mid", recovery="lifespan")
+    roster = _parse_roster(args)
     assert [s.name for s in roster] == [s.name for s in default_classifiers()]
     for spec in roster:
         if isinstance(spec, TdabcSpec):
@@ -300,3 +378,15 @@ def test_evaluate_ramp_writes_curves(tmp_path):
     steps = {int(r["step"]) for r in rows}
     assert steps == set(range(1, 17))
     assert (tmp_path / "ramp_summary.json").exists()
+
+
+def test_ramp_workers_write_the_same_files_as_one_process(tmp_path):
+    argv = ["evaluate", "--ramp", "--seed", "0", "--folds", "2", "--repeats", "1",
+            "--classifiers", "knn,wknn"]
+    outputs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert run_cli(*argv, "--jobs", jobs, "--out", str(out)) == 0
+        outputs[jobs] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert outputs["1"] == outputs["2"]
+    assert set(outputs["1"]) == {"ramp_curves.csv", "ramp_summary.json"}

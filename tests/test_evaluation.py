@@ -93,6 +93,11 @@ def test_plan_requires_two_folds():
         FoldPlan(folds=1)
 
 
+def test_plan_rejects_a_negative_seed():
+    with pytest.raises(InvalidConfig):
+        FoldPlan(seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # binary rates and scalar metrics
 # ---------------------------------------------------------------------------

@@ -187,6 +187,7 @@ def test_candidates_exclude_dim_zero_and_zero_length():
         PersistenceInterval(1, 0.5, 1.5),
         PersistenceInterval(2, 1.0, float("inf")),
     )
+    assert intervals_above_dim_zero(diagram) is got  # computed once per diagram
 
 
 def test_unit_square_has_single_candidate():

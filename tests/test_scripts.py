@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tdabc import datasets as ds
-from tdabc.errors import TdabcError, UnknownDataset
+from tdabc.errors import InvalidConfig, TdabcError, UnknownDataset
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -50,3 +50,8 @@ def test_unknown_name_raises():
 def test_ramp_without_step_raises():
     with pytest.raises(TdabcError):
         ds.resolve("ramp")
+
+
+def test_negative_seed_raises():
+    with pytest.raises(InvalidConfig):
+        ds.resolve("circles", seed=-1)
