@@ -8,6 +8,7 @@ from .classifier import (
     choose_label,
     classify_all,
     extend,
+    extend_all,
     extend_link_form,
     handle_isolated,
     handle_unlabeled_link,
@@ -64,6 +65,7 @@ __all__ = [
     "classify_all",
     "default_classifiers",
     "extend",
+    "extend_all",
     "extend_link_form",
     "f1",
     "gmean",

@@ -59,28 +59,64 @@ def associate(table: AssociationTable, s: Simplex) -> np.ndarray:
     return out
 
 
+def _extension(
+    complex_: FilteredComplex, table: AssociationTable, vertices: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Star-form score rows of ``vertices`` and their proper-coface counts.
+
+    Each row of ``complex_.rows`` holding a queried vertex adds the labels of
+    its other vertices over its value.  Hits are visited row by row, then
+    column by column, which is the star's order: coface by filtration order,
+    then vertex within the coface.  ``np.bincount`` adds weights in input
+    order, so every sum equals the per-vertex star loop's bit for bit.
+    """
+    queried, back = np.unique(np.asarray(vertices, dtype=np.int32), return_inverse=True)
+    matrix, values = complex_.rows
+    top = max(int(matrix.max(initial=-1)), int(queried.max(initial=-1)),
+              max(table.training, default=-1))
+    # Lookups by vertex id; the padding id -1 reads the last, unused entry.
+    slot = np.full(top + 2, -1, dtype=np.int32)
+    slot[queried] = np.arange(queried.size, dtype=np.int32)
+    label = np.full(top + 2, -1, dtype=np.int32)
+    label[np.fromiter(table.training, dtype=np.int32)] = np.fromiter(
+        table.training.values(), dtype=np.int32
+    )
+    hit_row, hit_col = np.nonzero((slot >= 0)[matrix])
+    owner = slot[matrix[hit_row, hit_col]]
+    others = label[matrix[hit_row]]
+    others[np.arange(hit_row.size), hit_col] = -1  # the vertex's own column
+    hit, col = np.nonzero(others >= 0)
+    weights = 1.0 / np.maximum(values[hit_row[hit]], EPSILON_FLOOR)
+    scores = np.bincount(
+        owner[hit] * table.n_classes + others[hit, col],
+        weights=weights,
+        minlength=queried.size * table.n_classes,
+    ).reshape(queried.size, table.n_classes)
+    cofaces = np.bincount(owner, minlength=queried.size)
+    return scores[back], cofaces[back]
+
+
+def extend_all(
+    complex_: FilteredComplex, table: AssociationTable, vertices: Sequence[int]
+) -> np.ndarray:
+    """Star-form extension of every vertex in ``vertices``, one score row each:
+    each coface of the vertex adds the labels of its other vertices over the
+    coface's value.  A vertex outside the complex gets a zero row."""
+    return _extension(complex_, table, vertices)[0]
+
+
 def extend(complex_: FilteredComplex, table: AssociationTable, v: int) -> np.ndarray:
-    """Star-form extension: labels of each coface minus ``v``, over its value."""
+    """Star-form extension of one vertex of the complex."""
     if (v,) not in complex_:
         raise SimplexNotFound(f"vertex {v} is not in the complex")
-    scores = np.zeros(table.n_classes)
-    for mu in complex_.star((v,)):
-        if len(mu) == 1:
-            continue
-        w = 1.0 / max(complex_.value(mu), EPSILON_FLOOR)
-        for u in mu:
-            if u == v:
-                continue
-            lab = table.training.get(u)
-            if lab is not None:
-                scores[lab] += w
-    return scores
+    return extend_all(complex_, table, [v])[0]
 
 
 def extend_link_form(
     complex_: FilteredComplex, table: AssociationTable, v: int
 ) -> np.ndarray:
-    """Link-form extension; agrees with :func:`extend` on any complex."""
+    """Link-form extension; agrees with :func:`extend` on any complex.  Kept as
+    the tests' second route to the same scores."""
     if (v,) not in complex_:
         raise SimplexNotFound(f"vertex {v} is not in the complex")
     scores = np.zeros(table.n_classes)
@@ -227,10 +263,9 @@ def classify_all(
             f"table covers {covered} vertices, complex has {complex_.vertex_count}"
         )
 
-    candidates = intervals_above_dim_zero(diagram)
-    if candidates:
+    if intervals_above_dim_zero(diagram):
         rng = np.random.default_rng(policy.rng_seed)
-        chosen = select(candidates, diagram.max_filtration, policy, rng)
+        chosen = select(diagram, policy, rng)
         epsilon_death = min(chosen.death, diagram.max_filtration)
         sub = recover(complex_, chosen, policy)
     else:
@@ -239,18 +274,14 @@ def classify_all(
         epsilon_death = diagram.max_filtration
 
     tests = sorted(table.test_vertices)
-    extensions = {
-        v: extend(sub, table, v) if (v,) in sub else np.zeros(table.n_classes)
-        for v in tests
-    }
+    rows, cofaces = _extension(sub, table, tests)
+    extensions = dict(zip(tests, rows))
 
     predictions: list[Prediction] = []
-    for v in tests:
-        scores = extensions[v]
+    for v, scores, n_cofaces in zip(tests, rows, cofaces):
         provenance = PROVENANCE_LINK
         if not scores.any():
-            star_size = len(sub.star((v,))) if (v,) in sub else 1
-            if star_size <= 1:
+            if n_cofaces == 0:
                 scores = handle_isolated(
                     sub, table, v, epsilon_death, dist, extensions
                 )

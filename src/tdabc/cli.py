@@ -64,6 +64,8 @@ def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
         if action.choices is not None and value not in action.choices:
             raise InvalidConfig(f"--config {path}: {key!r} must be one of "
                                 f"{', '.join(action.choices)}, got {conf[key]!r}")
+        if key == "max_edge":
+            _max_edge(value, f"--config {path}: 'max_edge'")
         values[key] = value
     return values
 
@@ -75,18 +77,20 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return path
 
 
+def _max_edge(value: str | None, source: str) -> float | None:
+    """An edge cap as a number; None (data-driven) stays None."""
+    if value is None:
+        return None
+    try:
+        return float(value)
+    except ValueError:
+        raise InvalidConfig(f"{source} must be a number or 'inf', got {value!r}") from None
+
+
 def _rips_config(args: argparse.Namespace) -> RipsConfig:
-    max_edge = args.max_edge
-    if max_edge is not None:
-        try:
-            max_edge = float(max_edge)
-        except ValueError:
-            raise InvalidConfig(
-                f"--max-edge must be a number or 'inf', got {max_edge!r}"
-            ) from None
     return RipsConfig(
         max_dim=args.max_dim,
-        max_edge=max_edge,
+        max_edge=_max_edge(args.max_edge, "--max-edge"),
         metric=args.metric,
         budget=args.budget,
     )

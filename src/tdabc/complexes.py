@@ -4,13 +4,15 @@ A simplex is an ascending tuple of vertex ids.  A complex maps simplices to
 filtration values and is face-closed: every face of a stored simplex is
 stored, with a value no larger than its cofaces.  Inserts happen while a
 complex is being built; afterwards it is treated as read-only, which keeps
-the lazily built order, coface and sub-complex caches valid.
+the lazily built order, row, coface and sub-complex caches valid.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import DuplicateSimplex, MonotonicityViolation, SimplexNotFound
 
@@ -51,6 +53,7 @@ class FilteredComplex:
         self._values: dict[Simplex, float] = {}
         self._n_vertices = 0
         self._order: list[Simplex] | None = None
+        self._rows: tuple[np.ndarray, np.ndarray] | None = None
         self._cofaces: dict[int, list[Simplex]] | None = None
         # Restrictions already built, keyed by epsilon or (birth, death).
         self._restrictions: dict[object, FilteredComplex] = {}
@@ -108,6 +111,21 @@ class FilteredComplex:
             self._order = sorted(self._values, key=lambda s: (self._values[s], len(s), s))
         return self._order
 
+    @property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Simplices of dimension one and up, in filtration order, as an
+        ``int32`` matrix of vertex rows padded with -1, and their values."""
+        if self._rows is None:
+            cofaces = [s for s in self.order if len(s) > 1]
+            width = max(map(len, cofaces), default=1)
+            pad = (-1,) * width
+            flat = chain.from_iterable((s + pad)[:width] for s in cofaces)
+            matrix = np.fromiter(flat, dtype=np.int32, count=len(cofaces) * width)
+            values = np.fromiter(map(self._values.__getitem__, cofaces),
+                                 dtype=np.float64, count=len(cofaces))
+            self._rows = matrix.reshape(len(cofaces), width), values
+        return self._rows
+
     # -- construction ------------------------------------------------------
 
     def insert(self, s: Iterable[int], value: float) -> None:
@@ -131,6 +149,7 @@ class FilteredComplex:
         if len(key) == 1:
             self._n_vertices += 1
         self._order = None
+        self._rows = None
         self._cofaces = None
         self._restrictions = {}
 

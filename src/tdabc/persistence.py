@@ -26,7 +26,7 @@ from .complexes import FilteredComplex, facets
 from .errors import CapacityExceeded
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PersistenceInterval:
     dim: int
     birth: float
@@ -56,6 +56,26 @@ class Diagram:
             for d in self.intervals
             if d.dim >= 1 and min(d.death, maxf) - d.birth > 0.0
         )
+
+    @cached_property
+    def spans(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The candidates' lifetimes and births as arrays, and the mean lifetime."""
+        return _span_arrays(self.candidates, self.max_filtration)
+
+
+def _span_arrays(
+    intervals: tuple[PersistenceInterval, ...], max_filtration: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lifetimes (death clamped at ``max_filtration``, minus birth) and births
+    of ``intervals``, and the lifetimes' mean, summed left to right as the
+    built-in ``sum`` of a list of floats does up to Python 3.11."""
+    n = len(intervals)
+    births = np.fromiter((d.birth for d in intervals), dtype=np.float64, count=n)
+    lifetimes = np.fromiter((d.death for d in intervals), dtype=np.float64, count=n)
+    np.minimum(lifetimes, max_filtration, out=lifetimes)
+    lifetimes -= births
+    mean = float(np.add.accumulate(lifetimes)[-1]) / n if n else math.nan
+    return lifetimes, births, mean
 
 
 def boundary_reduce(complex_: FilteredComplex) -> Diagram:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .complexes import FilteredComplex
 from .errors import EmptyIntervalSet, InvalidConfig
-from .persistence import PersistenceInterval
+from .persistence import Diagram, PersistenceInterval, _span_arrays
 
 SELECTORS = ("max", "rand", "avg")
 EPSILON_MODES = ("birth", "death", "mid")
@@ -45,13 +45,34 @@ def lifetime(d: PersistenceInterval, max_filtration: float) -> float:
     return min(d.death, max_filtration) - d.birth
 
 
+def _pick(
+    selector: str,
+    spans: tuple[np.ndarray, np.ndarray, float],
+    rng: np.random.Generator | None = None,
+) -> int:
+    """Index chosen by ``selector`` from ``(lifetimes, births, mean)``."""
+    lifetimes, births, mean = spans
+    if not lifetimes.size:
+        raise EmptyIntervalSet("no intervals to select from")
+    if selector == "rand":
+        pool = np.flatnonzero(lifetimes > mean)
+        if not pool.size:
+            return int(rng.integers(lifetimes.size))
+        return int(pool[rng.integers(pool.size)])
+    if selector == "max":
+        tied = np.flatnonzero(lifetimes == lifetimes.max())
+    else:
+        gap = np.abs(lifetimes - mean)
+        tied = np.flatnonzero(gap == gap.min())
+    # Later birth wins a tie; the first of equal births after that.
+    return int(tied[np.argmax(births[tied])])
+
+
 def max_int(
     intervals: tuple[PersistenceInterval, ...], max_filtration: float
 ) -> PersistenceInterval:
     """The longest-lived interval; ties go to the later birth."""
-    if not intervals:
-        raise EmptyIntervalSet("no intervals to select from")
-    return max(intervals, key=lambda d: (lifetime(d, max_filtration), d.birth))
+    return intervals[_pick("max", _span_arrays(intervals, max_filtration))]
 
 
 def rand_int(
@@ -60,40 +81,21 @@ def rand_int(
     rng: np.random.Generator,
 ) -> PersistenceInterval:
     """Uniform draw from the intervals living longer than the mean lifetime."""
-    if not intervals:
-        raise EmptyIntervalSet("no intervals to select from")
-    spans = [lifetime(d, max_filtration) for d in intervals]
-    mean = sum(spans) / len(spans)
-    pool = [d for d, s in zip(intervals, spans) if s > mean]
-    if not pool:
-        pool = list(intervals)
-    return pool[int(rng.integers(len(pool)))]
+    return intervals[_pick("rand", _span_arrays(intervals, max_filtration), rng)]
 
 
 def avg_int(
     intervals: tuple[PersistenceInterval, ...], max_filtration: float
 ) -> PersistenceInterval:
     """The interval whose lifetime is closest to the mean; later birth wins ties."""
-    if not intervals:
-        raise EmptyIntervalSet("no intervals to select from")
-    spans = [lifetime(d, max_filtration) for d in intervals]
-    mean = sum(spans) / len(spans)
-    return min(
-        zip(intervals, spans), key=lambda pair: (abs(pair[1] - mean), -pair[0].birth)
-    )[0]
+    return intervals[_pick("avg", _span_arrays(intervals, max_filtration))]
 
 
 def select(
-    intervals: tuple[PersistenceInterval, ...],
-    max_filtration: float,
-    policy: SelectionPolicy,
-    rng: np.random.Generator,
+    diagram: Diagram, policy: SelectionPolicy, rng: np.random.Generator
 ) -> PersistenceInterval:
-    if policy.selector == "max":
-        return max_int(intervals, max_filtration)
-    if policy.selector == "rand":
-        return rand_int(intervals, max_filtration, rng)
-    return avg_int(intervals, max_filtration)
+    """The policy's pick among the diagram's candidates, from its cached spans."""
+    return diagram.candidates[_pick(policy.selector, diagram.spans, rng)]
 
 
 def interval_epsilon(

@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdabc.classifier import (
+    EPSILON_FLOOR,
     AssociationTable,
+    _extension,
     associate,
     choose_label,
     classify_all,
     extend,
+    extend_all,
     extend_link_form,
     handle_isolated,
     handle_unlabeled_link,
@@ -139,6 +142,55 @@ def test_extension_forms_agree(seed):
         a = extend(cx, t, v)
         b = extend_link_form(cx, t, v)
         assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def star_loop_extension(complex_, table, v):
+    """One vertex's extension as a loop over its star: the oracle for the
+    batched route's values and summation order."""
+    scores = np.zeros(table.n_classes)
+    for mu in complex_.star((v,)):
+        if len(mu) == 1:
+            continue
+        w = 1.0 / max(complex_.value(mu), EPSILON_FLOOR)
+        for u in mu:
+            if u == v:
+                continue
+            lab = table.training.get(u)
+            if lab is not None:
+                scores[lab] += w
+    return scores
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_batched_extension_equals_the_star_loop(seed):
+    """Bit-identical scores for test, training and absent vertices, on the
+    complex, a sublevel sub-complex and a lifespan band."""
+    rng = np.random.default_rng(seed)
+    cx = random_rips(rng, max_points=12)
+    table = random_association(rng, cx, n_classes=int(rng.integers(2, 4)))
+    subs = [cx, cx.subcomplex_at(float(rng.uniform(0.0, cx.max_value)))]
+    candidates = boundary_reduce(cx).candidates
+    if candidates:
+        d = candidates[int(rng.integers(len(candidates)))]
+        subs.append(cx.band(d.birth, min(d.death, cx.max_value)))
+    queried = rng.permutation(cx.vertex_count + 2).tolist()  # two ids in no complex
+    queried.append(queried[0])
+    for sub in subs:
+        rows, cofaces = _extension(sub, table, queried)
+        assert np.array_equal(extend_all(sub, table, queried), rows)
+        for v, got, count in zip(queried, rows, cofaces):
+            if (v,) in sub:
+                assert np.array_equal(got, star_loop_extension(sub, table, v))
+                assert np.array_equal(extend(sub, table, v), got)
+                assert count == len(sub.star((v,))) - 1
+            else:
+                assert not got.any() and count == 0
+
+
+def test_extend_all_of_no_vertices_is_empty():
+    t = table_for({1: 0, 2: 1}, {0})
+    assert extend_all(star_complex(), t, []).shape == (0, 2)
 
 
 @given(st.integers(0, 10_000))

@@ -105,6 +105,8 @@ def test_invalid_values_exit_two_with_one_error_line(tmp_path, capsys, argv):
         *((("classify", "--dataset", "moons", "--config", "FILE"),
            json.dumps({key: "bogus"}), f"FILE: {key!r} must be one of")
           for key in ("selector", "epsilon_mode", "recovery", "baseline")),
+        (("persistence", "--dataset", "circles", "--config", "FILE"),
+         '{"max_edge": "wide"}', "FILE: 'max_edge' must be a number or 'inf', got 'wide'"),
     ],
 )
 def test_bad_input_files_exit_two_with_one_error_line(tmp_path, capsys, argv, content, reason):

@@ -132,6 +132,27 @@ def test_order_places_faces_before_cofaces(seed):
             assert position[f] < position[s]
 
 
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_rows_hold_the_cofaces_in_filtration_order(seed):
+    cx = random_monotone_complex(np.random.default_rng(seed))
+    matrix, values = cx.rows
+    cofaces = [s for s in cx.order if len(s) > 1]
+    assert matrix.dtype == np.int32 and matrix.shape[0] == len(cofaces)
+    assert [tuple(v for v in row if v >= 0) for row in matrix.tolist()] == cofaces
+    assert values.tolist() == [cx.value(s) for s in cofaces]
+    assert cx.rows is cx.rows
+
+
+def test_insert_clears_the_rows():
+    cx = FilteredComplex()
+    for v in (0, 1, 2):
+        cx.insert((v,), 0.0)
+    assert cx.rows[0].shape == (0, 1)
+    cx.insert((0, 2), 0.5)
+    assert cx.rows[0].tolist() == [[0, 2]] and cx.rows[1].tolist() == [0.5]
+
+
 # ---------------------------------------------------------------------------
 # star / closure / link
 # ---------------------------------------------------------------------------

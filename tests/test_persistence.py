@@ -6,8 +6,10 @@ implementations; their agreement on random complexes is the core safety net.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -188,6 +190,16 @@ def test_candidates_exclude_dim_zero_and_zero_length():
         PersistenceInterval(2, 1.0, float("inf")),
     )
     assert intervals_above_dim_zero(diagram) is got  # computed once per diagram
+
+
+def test_slotted_intervals_pickle_hash_compare_and_replace():
+    d = PersistenceInterval(1, 0.5, float("inf"))
+    assert not hasattr(d, "__dict__")
+    again = pickle.loads(pickle.dumps(d))
+    assert again == d and hash(again) == hash(d) and again.immortal
+    assert dataclasses.replace(d, death=2.0) == PersistenceInterval(1, 0.5, 2.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.death = 1.0
 
 
 def test_unit_square_has_single_candidate():

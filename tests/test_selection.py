@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import operator
+import sys
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,7 +14,12 @@ from hypothesis import strategies as st
 
 from tdabc.complexes import proper_faces
 from tdabc.errors import EmptyIntervalSet
-from tdabc.persistence import PersistenceInterval, boundary_reduce, intervals_above_dim_zero
+from tdabc.persistence import (
+    Diagram,
+    PersistenceInterval,
+    boundary_reduce,
+    intervals_above_dim_zero,
+)
 from tdabc.selection import (
     SelectionPolicy,
     avg_int,
@@ -115,10 +123,76 @@ def test_rand_rejects_empty():
 
 def test_select_dispatches_by_policy():
     rng = np.random.default_rng(0)
-    assert select(BARS, 10.0, SelectionPolicy(selector="max"), rng) == max_int(BARS, 10.0)
-    assert select(BARS, 10.0, SelectionPolicy(selector="avg"), rng) == avg_int(BARS, 10.0)
-    picked = select(BARS, 10.0, SelectionPolicy(selector="rand"), np.random.default_rng(1))
+    diagram = Diagram(BARS, 10.0)
+    assert select(diagram, SelectionPolicy(selector="max"), rng) == max_int(BARS, 10.0)
+    assert select(diagram, SelectionPolicy(selector="avg"), rng) == avg_int(BARS, 10.0)
+    picked = select(diagram, SelectionPolicy(selector="rand"), np.random.default_rng(1))
     assert picked == rand_int(BARS, 10.0, np.random.default_rng(1))
+
+
+def max_reference(intervals, max_filtration):
+    """Scans of the interval tuple with ``max``/``min`` and ``sum``: the oracles
+    for the array kernels, tie rules included."""
+    return max(intervals, key=lambda d: (lifetime(d, max_filtration), d.birth))
+
+
+def avg_reference(intervals, max_filtration):
+    spans = [lifetime(d, max_filtration) for d in intervals]
+    mean = sum(spans) / len(spans)
+    return min(zip(intervals, spans), key=lambda pair: (abs(pair[1] - mean), -pair[0].birth))[0]
+
+
+def rand_reference(intervals, max_filtration, rng):
+    spans = [lifetime(d, max_filtration) for d in intervals]
+    mean = sum(spans) / len(spans)
+    pool = [d for d, s in zip(intervals, spans) if s > mean] or list(intervals)
+    return pool[int(rng.integers(len(pool)))]
+
+
+# Few distinct values, so that lifetimes and births tie often.
+GRID = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])
+GRID_BARS = st.lists(
+    st.tuples(st.integers(0, 2), GRID, st.one_of(GRID, st.just(INF))), max_size=12
+)
+
+
+@given(GRID_BARS, st.sampled_from([1.0, 1.5, 10.0]), st.integers(0, 100))
+@settings(max_examples=200, deadline=None)
+def test_select_equals_the_scans_with_ties(raw, max_filtration, seed):
+    # Copies of one bar are distinct objects, so ``is`` checks which index won.
+    diagram = Diagram(tuple(bar(q, b, b + s) for q, b, s in raw), max_filtration)
+    candidates = diagram.candidates
+    if not candidates:
+        with pytest.raises(EmptyIntervalSet):
+            select(diagram, SelectionPolicy(), np.random.default_rng(seed))
+        return
+    for selector, pick, reference in (("max", max_int, max_reference),
+                                      ("avg", avg_int, avg_reference)):
+        want = reference(candidates, max_filtration)
+        assert select(diagram, SelectionPolicy(selector=selector), None) is want
+        assert pick(candidates, max_filtration) is want
+    want = rand_reference(candidates, max_filtration, np.random.default_rng(seed))
+    rand = SelectionPolicy(selector="rand")
+    assert select(diagram, rand, np.random.default_rng(seed)) is want
+    assert rand_int(candidates, max_filtration, np.random.default_rng(seed)) is want
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_cached_mean_is_the_left_to_right_sum(seed):
+    rng = np.random.default_rng(seed)
+    births = rng.uniform(0.0, 5.0, size=int(rng.integers(1, 400))).tolist()
+    deaths = [b + float(rng.exponential()) if rng.random() < 0.9 else INF for b in births]
+    max_filtration = float(rng.uniform(5.0, 8.0))
+    diagram = Diagram(tuple(bar(1, b, d) for b, d in zip(births, deaths)), max_filtration)
+    spans = [lifetime(d, max_filtration) for d in diagram.candidates]
+    lifetimes, cached_births, mean = diagram.spans
+    assert lifetimes.tolist() == spans
+    assert cached_births.tolist() == [d.birth for d in diagram.candidates]
+    assert mean == reduce(operator.add, spans) / len(spans)
+    if sys.version_info < (3, 12):  # later versions compensate ``sum`` of floats
+        assert mean == sum(spans) / len(spans)
+    assert diagram.spans is diagram.spans
 
 
 # ---------------------------------------------------------------------------
