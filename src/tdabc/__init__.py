@@ -9,7 +9,6 @@ from .classifier import (
     classify_all,
     extend,
     extend_all,
-    extend_link_form,
     handle_isolated,
     handle_unlabeled_link,
 )
@@ -31,12 +30,11 @@ from .evaluation import (
 from .persistence import (
     Diagram,
     PersistenceInterval,
-    betti_oracle,
     boundary_reduce,
     intervals_above_dim_zero,
 )
 from .rips import RipsConfig, auto_max_edge, build_rips, pairwise_distances
-from .selection import SelectionPolicy, avg_int, lifetime, max_int, rand_int, recover
+from .selection import SelectionPolicy, recover
 
 __version__ = "0.1.0"
 
@@ -56,8 +54,6 @@ __all__ = [
     "TdabcSpec",
     "associate",
     "auto_max_edge",
-    "avg_int",
-    "betti_oracle",
     "binary_rates",
     "boundary_reduce",
     "build_rips",
@@ -66,18 +62,14 @@ __all__ = [
     "default_classifiers",
     "extend",
     "extend_all",
-    "extend_link_form",
     "f1",
     "gmean",
     "handle_isolated",
     "handle_unlabeled_link",
     "intervals_above_dim_zero",
     "knn_predict_all",
-    "lifetime",
-    "max_int",
     "pairwise_distances",
     "pr_auc",
-    "rand_int",
     "recover",
     "roc_auc_ovr_macro",
     "run_experiment",

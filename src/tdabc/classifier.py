@@ -112,23 +112,6 @@ def extend(complex_: FilteredComplex, table: AssociationTable, v: int) -> np.nda
     return extend_all(complex_, table, [v])[0]
 
 
-def extend_link_form(
-    complex_: FilteredComplex, table: AssociationTable, v: int
-) -> np.ndarray:
-    """Link-form extension; agrees with :func:`extend` on any complex.  Kept as
-    the tests' second route to the same scores."""
-    if (v,) not in complex_:
-        raise SimplexNotFound(f"vertex {v} is not in the complex")
-    scores = np.zeros(table.n_classes)
-    for sigma in complex_.link((v,)):
-        phi = associate(table, sigma)
-        if not phi.any():
-            continue
-        joined = tuple(sorted(sigma + (v,)))
-        scores += phi / max(complex_.value(joined), EPSILON_FLOOR)
-    return scores
-
-
 def choose_label(scores: np.ndarray, seed) -> int | None:
     """Index of the largest score; None when all zero; ties drawn uniformly
     from ``np.random.default_rng(seed)``, which is built only on a tie."""
@@ -142,18 +125,17 @@ def choose_label(scores: np.ndarray, seed) -> int | None:
 
 
 def handle_isolated(
-    complex_: FilteredComplex,
     table: AssociationTable,
     v: int,
     epsilon_death: float,
     dist: np.ndarray,
-    extensions: Mapping[int, np.ndarray] | None = None,
+    extensions: Mapping[int, np.ndarray],
 ) -> np.ndarray:
     """Distance-ball vote for a vertex with an empty link.
 
     Every vertex within twice ``epsilon_death`` contributes at inverse
     distance: training vertices their one-hot label, test vertices the
-    extension vector they received themselves.
+    extension vector they received themselves (their row of ``extensions``).
     """
     scores = np.zeros(table.n_classes)
     row = dist[v]
@@ -165,15 +147,8 @@ def handle_isolated(
         lab = table.training.get(u)
         if lab is not None:
             scores[lab] += w
-        elif u in table.test_vertices:
-            if extensions is not None:
-                contribution = extensions.get(u)
-            elif (u,) in complex_:
-                contribution = extend(complex_, table, u)
-            else:
-                contribution = None
-            if contribution is not None:
-                scores += w * contribution
+        elif u in extensions:
+            scores += w * extensions[u]
     return scores
 
 
@@ -282,9 +257,7 @@ def classify_all(
         provenance = PROVENANCE_LINK
         if not scores.any():
             if n_cofaces == 0:
-                scores = handle_isolated(
-                    sub, table, v, epsilon_death, dist, extensions
-                )
+                scores = handle_isolated(table, v, epsilon_death, dist, extensions)
                 provenance = PROVENANCE_ISOLATED
             else:
                 scores = handle_unlabeled_link(sub, table, v)

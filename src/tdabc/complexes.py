@@ -194,17 +194,6 @@ class FilteredComplex:
         sset = set(key)
         return {t for t in closed_star if sset.isdisjoint(t)}
 
-    def link_via_star(self, s: Iterable[int]) -> set[Simplex]:
-        """Link computed as vertex-set differences over the open star."""
-        key = tuple(s)
-        sset = set(key)
-        out: set[Simplex] = set()
-        for t in self.star(key):
-            if t == key:
-                continue
-            out.add(tuple(v for v in t if v not in sset))
-        return out
-
     # -- restriction ---------------------------------------------------------
 
     def _restricted(self, key: object, members) -> "FilteredComplex":

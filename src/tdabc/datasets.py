@@ -190,7 +190,7 @@ def make_imbalance_ramp(step: int, seed: int = 0) -> LabeledDataset:
         pts,
         labels,
         f"ramp{step:02d}",
-        {"name": "ramp", "step": step, "ratio": step, "seed": seed},
+        {"name": "ramp", "step": step, "seed": seed},
     )
 
 

@@ -250,6 +250,14 @@ class FoldFailure:
     error: str
 
 
+def _finite_mean(values) -> float:
+    """Mean of the values that are not nan, summed left to right; nan if none."""
+    finite = [v for v in values if not math.isnan(v)]
+    if not finite:
+        return math.nan
+    return sum(finite) / len(finite)
+
+
 @dataclass
 class EvaluationReport:
     dataset: str
@@ -276,26 +284,18 @@ class EvaluationReport:
         return out
 
     def mean_metric(self, classifier: str, scope: str, metric: str) -> float:
-        values = [
+        return _finite_mean(
             getattr(r, metric)
             for r in self.records
             if r.classifier == classifier and r.scope == scope
-        ]
-        finite = [v for v in values if not math.isnan(v)]
-        if not finite:
-            return math.nan
-        return sum(finite) / len(finite)
+        )
 
     def minority_mean(self, classifier: str, metric: str) -> float:
-        values = [
+        return _finite_mean(
             getattr(r, metric)
             for r in self.records
             if r.classifier == classifier and r.minority
-        ]
-        finite = [v for v in values if not math.isnan(v)]
-        if not finite:
-            return math.nan
-        return sum(finite) / len(finite)
+        )
 
     def write_csv(self, path: str | Path) -> None:
         header = ["dataset", "classifier", "repeat", "fold", "scope", "minority"]
@@ -433,7 +433,7 @@ def _fold_records(
 
 def write_ramp_csv(reports: dict[int, EvaluationReport], path: str | Path) -> None:
     """Plot-ready long format: one row per (step, classifier, scope, metric)."""
-    lines = ["step,ratio,classifier,scope,metric,mean,std"]
+    lines = ["step,classifier,scope,metric,mean,std"]
     for step in sorted(reports):
         report = reports[step]
         summary = report.summary()
@@ -442,7 +442,7 @@ def write_ramp_csv(reports: dict[int, EvaluationReport], path: str | Path) -> No
                 for metric in METRIC_FIELDS:
                     cell = summary[classifier][scope][metric]
                     lines.append(
-                        f"{step},{step},{classifier},{scope},{metric},"
+                        f"{step},{classifier},{scope},{metric},"
                         f"{cell['mean']!r},{cell['std']!r}"
                     )
     Path(path).write_text("\n".join(lines) + "\n")

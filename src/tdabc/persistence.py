@@ -5,10 +5,6 @@ rule, processing dimensions from the top down so that columns already known
 to be paired are cleared instead of reduced.  Columns are big-int bitsets
 indexed per dimension, which keeps additions at machine speed and memory
 proportional to the rows of one boundary map at a time.
-
-``betti_oracle`` is an intentionally separate check: it ranks dense
-boundary matrices by Gaussian elimination and shares no code with the
-reduction.
 """
 
 from __future__ import annotations
@@ -17,13 +13,11 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from .complexes import FilteredComplex, facets
-from .errors import CapacityExceeded
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,23 +53,17 @@ class Diagram:
 
     @cached_property
     def spans(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """The candidates' lifetimes and births as arrays, and the mean lifetime."""
-        return _span_arrays(self.candidates, self.max_filtration)
-
-
-def _span_arrays(
-    intervals: tuple[PersistenceInterval, ...], max_filtration: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lifetimes (death clamped at ``max_filtration``, minus birth) and births
-    of ``intervals``, and the lifetimes' mean, summed left to right as the
-    built-in ``sum`` of a list of floats does up to Python 3.11."""
-    n = len(intervals)
-    births = np.fromiter((d.birth for d in intervals), dtype=np.float64, count=n)
-    lifetimes = np.fromiter((d.death for d in intervals), dtype=np.float64, count=n)
-    np.minimum(lifetimes, max_filtration, out=lifetimes)
-    lifetimes -= births
-    mean = float(np.add.accumulate(lifetimes)[-1]) / n if n else math.nan
-    return lifetimes, births, mean
+        """The candidates' lifetimes (death clamped at ``max_filtration``, minus
+        birth) and births as arrays, and the lifetimes' mean, summed left to
+        right as the built-in ``sum`` of a list of floats does up to Python 3.11."""
+        intervals = self.candidates
+        n = len(intervals)
+        births = np.fromiter((d.birth for d in intervals), dtype=np.float64, count=n)
+        lifetimes = np.fromiter((d.death for d in intervals), dtype=np.float64, count=n)
+        np.minimum(lifetimes, self.max_filtration, out=lifetimes)
+        lifetimes -= births
+        mean = float(np.add.accumulate(lifetimes)[-1]) / n if n else math.nan
+        return lifetimes, births, mean
 
 
 def boundary_reduce(complex_: FilteredComplex) -> Diagram:
@@ -135,65 +123,6 @@ def boundary_reduce(complex_: FilteredComplex) -> Diagram:
 def intervals_above_dim_zero(diagram: Diagram) -> tuple[PersistenceInterval, ...]:
     """Candidates for scale selection, computed once per diagram."""
     return diagram.candidates
-
-
-_ORACLE_DIM_CAP = 6000
-
-
-def _gf2_rank(mat: np.ndarray) -> int:
-    if mat.size == 0:
-        return 0
-    mat = mat.copy()
-    n_rows, n_cols = mat.shape
-    rank = 0
-    for c in range(n_cols):
-        hits = np.flatnonzero(mat[rank:, c])
-        if hits.size == 0:
-            continue
-        pivot = rank + int(hits[0])
-        if pivot != rank:
-            mat[[rank, pivot]] = mat[[pivot, rank]]
-        others = np.flatnonzero(mat[:, c])
-        others = others[others != rank]
-        if others.size:
-            mat[others] ^= mat[rank]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
-def betti_oracle(complex_: FilteredComplex, epsilon: float, dim: int) -> int:
-    """Betti number at scale ``epsilon`` from dense boundary-map ranks."""
-    eps = float(epsilon)
-    grouped: dict[int, list[tuple[int, ...]]] = {}
-    for s in complex_.order:
-        if complex_.value(s) <= eps:
-            grouped.setdefault(len(s) - 1, []).append(s)
-    for q, members in grouped.items():
-        if len(members) > _ORACLE_DIM_CAP:
-            raise CapacityExceeded(
-                f"{len(members)} simplices of dimension {q}; the oracle is for small complexes"
-            )
-
-    def boundary_matrix(q: int) -> np.ndarray:
-        cols = grouped.get(q, [])
-        rows = grouped.get(q - 1, [])
-        mat = np.zeros((len(rows), len(cols)), dtype=np.uint8)
-        if not rows or not cols:
-            return mat
-        rowpos = {s: i for i, s in enumerate(rows)}
-        for j, s in enumerate(cols):
-            for f in combinations(s, q):
-                mat[rowpos[f], j] = 1
-        return mat
-
-    n_dim = len(grouped.get(dim, []))
-    if n_dim == 0:
-        return 0
-    rank_down = _gf2_rank(boundary_matrix(dim)) if dim > 0 else 0
-    rank_up = _gf2_rank(boundary_matrix(dim + 1))
-    return n_dim - rank_down - rank_up
 
 
 def write_diagram_csv(diagram: Diagram, path: str | Path) -> None:

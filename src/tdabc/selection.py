@@ -13,7 +13,7 @@ import numpy as np
 
 from .complexes import FilteredComplex
 from .errors import EmptyIntervalSet, InvalidConfig
-from .persistence import Diagram, PersistenceInterval, _span_arrays
+from .persistence import Diagram, PersistenceInterval
 
 SELECTORS = ("max", "rand", "avg")
 EPSILON_MODES = ("birth", "death", "mid")
@@ -40,62 +40,30 @@ class SelectionPolicy:
             raise InvalidConfig("rng_seed must be non-negative")
 
 
-def lifetime(d: PersistenceInterval, max_filtration: float) -> float:
-    """Interval span with the death clamped to the filtration's end."""
-    return min(d.death, max_filtration) - d.birth
+def select(
+    diagram: Diagram, policy: SelectionPolicy, rng: np.random.Generator
+) -> PersistenceInterval:
+    """The policy's pick among the diagram's candidates, from its cached spans.
 
-
-def _pick(
-    selector: str,
-    spans: tuple[np.ndarray, np.ndarray, float],
-    rng: np.random.Generator | None = None,
-) -> int:
-    """Index chosen by ``selector`` from ``(lifetimes, births, mean)``."""
-    lifetimes, births, mean = spans
+    ``max`` takes the longest lifetime, ``avg`` the lifetime closest to the
+    mean, and ``rand`` a uniform draw from the lifetimes above the mean (from
+    all of them when none is above).
+    """
+    lifetimes, births, mean = diagram.spans
     if not lifetimes.size:
         raise EmptyIntervalSet("no intervals to select from")
-    if selector == "rand":
+    if policy.selector == "rand":
         pool = np.flatnonzero(lifetimes > mean)
         if not pool.size:
-            return int(rng.integers(lifetimes.size))
-        return int(pool[rng.integers(pool.size)])
-    if selector == "max":
+            pool = np.arange(lifetimes.size)
+        return diagram.candidates[int(pool[rng.integers(pool.size)])]
+    if policy.selector == "max":
         tied = np.flatnonzero(lifetimes == lifetimes.max())
     else:
         gap = np.abs(lifetimes - mean)
         tied = np.flatnonzero(gap == gap.min())
     # Later birth wins a tie; the first of equal births after that.
-    return int(tied[np.argmax(births[tied])])
-
-
-def max_int(
-    intervals: tuple[PersistenceInterval, ...], max_filtration: float
-) -> PersistenceInterval:
-    """The longest-lived interval; ties go to the later birth."""
-    return intervals[_pick("max", _span_arrays(intervals, max_filtration))]
-
-
-def rand_int(
-    intervals: tuple[PersistenceInterval, ...],
-    max_filtration: float,
-    rng: np.random.Generator,
-) -> PersistenceInterval:
-    """Uniform draw from the intervals living longer than the mean lifetime."""
-    return intervals[_pick("rand", _span_arrays(intervals, max_filtration), rng)]
-
-
-def avg_int(
-    intervals: tuple[PersistenceInterval, ...], max_filtration: float
-) -> PersistenceInterval:
-    """The interval whose lifetime is closest to the mean; later birth wins ties."""
-    return intervals[_pick("avg", _span_arrays(intervals, max_filtration))]
-
-
-def select(
-    diagram: Diagram, policy: SelectionPolicy, rng: np.random.Generator
-) -> PersistenceInterval:
-    """The policy's pick among the diagram's candidates, from its cached spans."""
-    return diagram.candidates[_pick(policy.selector, diagram.spans, rng)]
+    return diagram.candidates[int(tied[np.argmax(births[tied])])]
 
 
 def interval_epsilon(

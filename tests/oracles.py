@@ -1,0 +1,111 @@
+"""Second routes to what the package computes, kept only as test references.
+
+Each function here reaches a result the package also reaches, by a route
+that shares no code with the package's own: dense boundary-matrix ranks
+for Betti numbers, vertex-set differences over the open star for links,
+the link-form sum for the label extension, and a per-interval scan for
+lifetimes.  Tests compare the two routes.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from typing import Iterable
+
+import numpy as np
+
+from tdabc.classifier import EPSILON_FLOOR, AssociationTable, associate
+from tdabc.complexes import FilteredComplex, Simplex
+from tdabc.errors import CapacityExceeded, SimplexNotFound
+from tdabc.persistence import PersistenceInterval
+
+_ORACLE_DIM_CAP = 6000
+
+
+def lifetime(d: PersistenceInterval, max_filtration: float) -> float:
+    """Interval span with the death clamped to the filtration's end."""
+    return min(d.death, max_filtration) - d.birth
+
+
+def link_via_star(complex_: FilteredComplex, s: Iterable[int]) -> set[Simplex]:
+    """Link computed as vertex-set differences over the open star."""
+    key = tuple(s)
+    sset = set(key)
+    out: set[Simplex] = set()
+    for t in complex_.star(key):
+        if t == key:
+            continue
+        out.add(tuple(v for v in t if v not in sset))
+    return out
+
+
+def extend_link_form(
+    complex_: FilteredComplex, table: AssociationTable, v: int
+) -> np.ndarray:
+    """Link-form extension; agrees with ``tdabc.classifier.extend`` on any complex."""
+    if (v,) not in complex_:
+        raise SimplexNotFound(f"vertex {v} is not in the complex")
+    scores = np.zeros(table.n_classes)
+    for sigma in complex_.link((v,)):
+        phi = associate(table, sigma)
+        if not phi.any():
+            continue
+        joined = tuple(sorted(sigma + (v,)))
+        scores += phi / max(complex_.value(joined), EPSILON_FLOOR)
+    return scores
+
+
+def _gf2_rank(mat: np.ndarray) -> int:
+    if mat.size == 0:
+        return 0
+    mat = mat.copy()
+    n_rows, n_cols = mat.shape
+    rank = 0
+    for c in range(n_cols):
+        hits = np.flatnonzero(mat[rank:, c])
+        if hits.size == 0:
+            continue
+        pivot = rank + int(hits[0])
+        if pivot != rank:
+            mat[[rank, pivot]] = mat[[pivot, rank]]
+        others = np.flatnonzero(mat[:, c])
+        others = others[others != rank]
+        if others.size:
+            mat[others] ^= mat[rank]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def betti_oracle(complex_: FilteredComplex, epsilon: float, dim: int) -> int:
+    """Betti number at scale ``epsilon`` from dense boundary-map ranks."""
+    eps = float(epsilon)
+    grouped: dict[int, list[tuple[int, ...]]] = {}
+    for s in complex_.order:
+        if complex_.value(s) <= eps:
+            grouped.setdefault(len(s) - 1, []).append(s)
+    for q, members in grouped.items():
+        if len(members) > _ORACLE_DIM_CAP:
+            raise CapacityExceeded(
+                f"{len(members)} simplices of dimension {q}; the oracle is for small complexes"
+            )
+
+    def boundary_matrix(q: int) -> np.ndarray:
+        cols = grouped.get(q, [])
+        rows = grouped.get(q - 1, [])
+        mat = np.zeros((len(rows), len(cols)), dtype=np.uint8)
+        if not rows or not cols:
+            return mat
+        rowpos = {s: i for i, s in enumerate(rows)}
+        for j, s in enumerate(cols):
+            for f in combinations(s, q):
+                mat[rowpos[f], j] = 1
+        return mat
+
+    n_dim = len(grouped.get(dim, []))
+    if n_dim == 0:
+        return 0
+    rank_down = _gf2_rank(boundary_matrix(dim)) if dim > 0 else 0
+    rank_up = _gf2_rank(boundary_matrix(dim + 1))
+    return n_dim - rank_down - rank_up

@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from tdabc.classifier import extend, extend_link_form
+from tdabc.classifier import extend
 from tdabc.complexes import facets
 from tdabc.datasets import make_imbalance_ramp, make_sphere, load_bundled
 from tdabc.evaluation import (
@@ -31,9 +31,9 @@ from tdabc.evaluation import (
     gmean,
     run_experiment,
 )
-from tdabc.persistence import betti_oracle, boundary_reduce, intervals_above_dim_zero
+from tdabc.persistence import boundary_reduce, intervals_above_dim_zero
 from tdabc.rips import RipsConfig, build_rips, pairwise_distances
-from tdabc.selection import lifetime, max_int
+from tdabc.selection import SelectionPolicy, select
 
 from conftest import (
     circle_points,
@@ -44,6 +44,7 @@ from conftest import (
     record_criterion,
     unit_square_complex,
 )
+from oracles import betti_oracle, extend_link_form, lifetime, link_via_star
 
 
 def alive(diagram, epsilon, dim):
@@ -121,7 +122,7 @@ def test_criterion_3_link_characterizations():
         rng = np.random.default_rng(2000 + i)
         cx = random_monotone_complex(rng) if i % 2 else random_rips(rng)
         for s in cx.simplices():
-            if cx.link(s) != cx.link_via_star(s):
+            if cx.link(s) != link_via_star(cx, s):
                 failures += 1
             if len(s) == 1:
                 closed_star = cx.closure(cx.star(s))
@@ -186,7 +187,7 @@ def test_criterion_6_circle_loop_dominance():
     diagram = boundary_reduce(cx)
     candidates = intervals_above_dim_zero(diagram)
     maxf = diagram.max_filtration
-    picked = max_int(candidates, maxf)
+    picked = select(diagram, SelectionPolicy(selector="max"), np.random.default_rng(0))
     loops = sorted(
         (d for d in candidates if d.dim == 1),
         key=lambda d: -lifetime(d, maxf),

@@ -16,7 +16,6 @@ from tdabc.classifier import (
     classify_all,
     extend,
     extend_all,
-    extend_link_form,
     handle_isolated,
     handle_unlabeled_link,
     majority_class,
@@ -28,6 +27,7 @@ from tdabc.rips import RipsConfig, build_rips, pairwise_distances
 from tdabc.selection import SelectionPolicy
 
 from conftest import random_association, random_rips
+from oracles import extend_link_form
 
 
 def table_for(training, test, n_classes=2):
@@ -247,34 +247,25 @@ def test_choose_label_seeds_a_generator_only_on_a_tie(monkeypatch):
 
 
 def test_isolated_ball_vote_single_green_neighbor():
-    cx = FilteredComplex()
-    cx.insert((0,), 0.0)
-    cx.insert((1,), 0.0)
     t = table_for({1: 0}, {0})
     dist = np.array([[0.0, 1.0], [1.0, 0.0]])
-    got = handle_isolated(cx, t, 0, epsilon_death=0.75, dist=dist)  # ball radius 1.5
+    got = handle_isolated(t, 0, epsilon_death=0.75, dist=dist, extensions={})  # ball radius 1.5
     assert got == pytest.approx([1.0, 0.0])
 
 
 def test_isolated_empty_ball_is_zero_vector():
-    cx = FilteredComplex()
-    cx.insert((0,), 0.0)
-    cx.insert((1,), 0.0)
     t = table_for({1: 0}, {0})
     dist = np.array([[0.0, 9.0], [9.0, 0.0]])
-    got = handle_isolated(cx, t, 0, epsilon_death=0.75, dist=dist)
+    got = handle_isolated(t, 0, epsilon_death=0.75, dist=dist, extensions={})
     assert got.tolist() == [0.0, 0.0]
 
 
 def test_isolated_equidistant_training_ties():
-    cx = FilteredComplex()
-    for v in (0, 1, 2):
-        cx.insert((v,), 0.0)
     t = table_for({1: 0, 2: 1}, {0})
     dist = np.array(
         [[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]]
     )
-    got = handle_isolated(cx, t, 0, epsilon_death=1.0, dist=dist)
+    got = handle_isolated(t, 0, epsilon_death=1.0, dist=dist, extensions={})
     assert got[0] == pytest.approx(got[1])
     assert got[0] > 0
 
@@ -289,7 +280,9 @@ def test_isolated_test_neighbor_contributes_its_extension():
     dist = np.array(
         [[0.0, 1.0, 9.0], [1.0, 0.0, 0.5], [9.0, 0.5, 0.0]]
     )
-    got = handle_isolated(cx, t, 0, epsilon_death=0.6, dist=dist)
+    got = handle_isolated(
+        t, 0, epsilon_death=0.6, dist=dist, extensions={1: extend(cx, t, 1)}
+    )
     # vertex 1's extension is (1/0.5) = 2 toward green; passed on at 1/f(0,1) = 1
     assert got == pytest.approx([2.0, 0.0])
 

@@ -94,6 +94,7 @@ def test_ramp_counts_at_extremes():
     assert len(step16.labels) == 850
     assert np.bincount(step1.labels).tolist() == [50, 50]
     assert np.bincount(step16.labels).tolist() == [50, 800]
+    assert step16.spec == {"name": "ramp", "step": 16, "seed": 0}
 
 
 def test_ramp_keeps_the_same_positive_draw_across_steps():

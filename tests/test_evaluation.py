@@ -353,6 +353,20 @@ def test_report_csv_layout(tmp_path):
     assert {"classifier", "repeat", "fold", "scope", "f1", "dataset"} <= set(rows[0])
 
 
+def test_ramp_csv_layout(tmp_path):
+    report = run_experiment(small_dataset(), (KnnSpec("knn"),), small_plan())
+    path = tmp_path / "ramp_curves.csv"
+    evaluation.write_ramp_csv({3: report}, path)
+    header, *rows = path.read_text().splitlines()
+    assert header == "step,classifier,scope,metric,mean,std"
+    assert len(rows) == 3 * len(evaluation.METRIC_FIELDS)  # classes 0, 1 and macro
+    summary = report.summary()
+    for row in rows:
+        step, classifier, scope, metric, mean, std = row.split(",")
+        assert step == "3"
+        assert mean == repr(summary[classifier][scope][metric]["mean"])
+
+
 def test_report_json_summary(tmp_path):
     report = run_experiment(small_dataset(), (KnnSpec("knn"),), small_plan())
     path = tmp_path / "r.json"

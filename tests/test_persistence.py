@@ -21,7 +21,6 @@ from tdabc.errors import CapacityExceeded
 from tdabc.persistence import (
     Diagram,
     PersistenceInterval,
-    betti_oracle,
     boundary_reduce,
     intervals_above_dim_zero,
     write_diagram_csv,
@@ -30,6 +29,7 @@ from tdabc.persistence import (
 from tdabc.rips import RipsConfig, build_rips, pairwise_distances
 
 from conftest import random_cloud, random_monotone_complex, unit_square_complex
+from oracles import betti_oracle
 
 
 def betti_from_diagram(diagram: Diagram, epsilon: float, dim: int) -> int:

@@ -20,18 +20,10 @@ from tdabc.persistence import (
     boundary_reduce,
     intervals_above_dim_zero,
 )
-from tdabc.selection import (
-    SelectionPolicy,
-    avg_int,
-    interval_epsilon,
-    lifetime,
-    max_int,
-    rand_int,
-    recover,
-    select,
-)
+from tdabc.selection import SelectionPolicy, interval_epsilon, recover, select
 
 from conftest import random_rips, unit_square_complex
+from oracles import lifetime
 
 INF = float("inf")
 
@@ -45,17 +37,20 @@ def bar(dim, birth, death):
 # ---------------------------------------------------------------------------
 
 
+def lifetimes(intervals, max_filtration):
+    return Diagram(tuple(intervals), max_filtration).spans[0].tolist()
+
+
 def test_lifetime_finite():
-    assert lifetime(bar(1, 0.5, 2.0), 10.0) == 1.5
+    assert lifetimes([bar(1, 0.5, 2.0)], 10.0) == [1.5]
 
 
 def test_lifetime_truncates_at_max_filtration():
-    assert lifetime(bar(1, 0.5, INF), 3.0) == 2.5
-    assert lifetime(bar(1, 0.5, 9.0), 3.0) == 2.5
+    assert lifetimes([bar(1, 0.5, INF), bar(1, 0.5, 9.0)], 3.0) == [2.5, 2.5]
 
 
 # ---------------------------------------------------------------------------
-# selectors
+# selectors (the paper's Max.Int, Avg.Int and Rand.Int)
 # ---------------------------------------------------------------------------
 
 BARS = (
@@ -65,69 +60,73 @@ BARS = (
 )
 
 
+def pick(selector, intervals, max_filtration, rng=None):
+    return select(Diagram(tuple(intervals), max_filtration), SelectionPolicy(selector), rng)
+
+
 def test_max_int_picks_longest():
-    assert max_int(BARS, 10.0) == bar(1, 1.0, 4.0)
+    assert pick("max", BARS, 10.0) == bar(1, 1.0, 4.0)
 
 
 def test_max_int_tie_prefers_later_birth():
     tie = (bar(1, 0.0, 2.0), bar(1, 1.0, 3.0))
-    assert max_int(tie, 10.0) == bar(1, 1.0, 3.0)
+    assert pick("max", tie, 10.0) == bar(1, 1.0, 3.0)
 
 
 def test_max_int_truncation_can_change_winner():
     bars = (bar(1, 0.0, 1.5), bar(1, 2.0, INF))
-    assert max_int(bars, 10.0) == bar(1, 2.0, INF)
-    assert max_int(bars, 3.0) == bar(1, 0.0, 1.5)
+    assert pick("max", bars, 10.0) == bar(1, 2.0, INF)
+    assert pick("max", bars, 3.0) == bar(1, 0.0, 1.5)
 
 
 def test_avg_int_picks_closest_to_mean():
     # lifetimes 1.0, 3.0, 2.5 -> mean 13/6 ~ 2.1667; closest is 2.5
-    assert avg_int(BARS, 10.0) == bar(2, 2.0, 4.5)
+    assert pick("avg", BARS, 10.0) == bar(2, 2.0, 4.5)
 
 
 def test_avg_int_tie_prefers_later_birth():
     bars = (bar(1, 0.0, 2.0), bar(1, 1.0, 3.0), bar(1, 0.0, 8.0))
     # lifetimes 2, 2, 8 -> mean 4; both 2-lifetime bars tie at distance 2... 8 is 4 away
-    assert avg_int(bars, 10.0) == bar(1, 1.0, 3.0)
+    assert pick("avg", bars, 10.0) == bar(1, 1.0, 3.0)
 
 
 def test_rand_int_draws_from_above_mean_pool():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        picked = rand_int(BARS, 10.0, rng)
+        picked = pick("rand", BARS, 10.0, rng)
         assert lifetime(picked, 10.0) > 13.0 / 6.0
 
 
 def test_rand_int_falls_back_to_all_when_no_bar_exceeds_mean():
     bars = (bar(1, 0.0, 1.0), bar(1, 2.0, 3.0))  # equal lifetimes, none above mean
     rng = np.random.default_rng(0)
-    assert rand_int(bars, 10.0, rng) in bars
+    assert pick("rand", bars, 10.0, rng) in bars
 
 
 def test_rand_int_is_seed_deterministic():
-    first = rand_int(BARS, 10.0, np.random.default_rng(42))
-    second = rand_int(BARS, 10.0, np.random.default_rng(42))
+    first = pick("rand", BARS, 10.0, np.random.default_rng(42))
+    second = pick("rand", BARS, 10.0, np.random.default_rng(42))
     assert first == second
 
 
-@pytest.mark.parametrize("fn", [max_int, avg_int])
-def test_selectors_reject_empty(fn):
+@pytest.mark.parametrize("selector", ["max", "avg"], ids=["max_int", "avg_int"])
+def test_selectors_reject_empty(selector):
     with pytest.raises(EmptyIntervalSet):
-        fn((), 1.0)
+        pick(selector, (), 1.0)
 
 
 def test_rand_rejects_empty():
     with pytest.raises(EmptyIntervalSet):
-        rand_int((), 1.0, np.random.default_rng(0))
+        pick("rand", (), 1.0, np.random.default_rng(0))
 
 
 def test_select_dispatches_by_policy():
     rng = np.random.default_rng(0)
     diagram = Diagram(BARS, 10.0)
-    assert select(diagram, SelectionPolicy(selector="max"), rng) == max_int(BARS, 10.0)
-    assert select(diagram, SelectionPolicy(selector="avg"), rng) == avg_int(BARS, 10.0)
+    assert select(diagram, SelectionPolicy(selector="max"), rng) == bar(1, 1.0, 4.0)
+    assert select(diagram, SelectionPolicy(selector="avg"), rng) == bar(2, 2.0, 4.5)
     picked = select(diagram, SelectionPolicy(selector="rand"), np.random.default_rng(1))
-    assert picked == rand_int(BARS, 10.0, np.random.default_rng(1))
+    assert picked == rand_reference(BARS, 10.0, np.random.default_rng(1))
 
 
 def max_reference(intervals, max_filtration):
@@ -166,15 +165,12 @@ def test_select_equals_the_scans_with_ties(raw, max_filtration, seed):
         with pytest.raises(EmptyIntervalSet):
             select(diagram, SelectionPolicy(), np.random.default_rng(seed))
         return
-    for selector, pick, reference in (("max", max_int, max_reference),
-                                      ("avg", avg_int, avg_reference)):
+    for selector, reference in (("max", max_reference), ("avg", avg_reference)):
         want = reference(candidates, max_filtration)
         assert select(diagram, SelectionPolicy(selector=selector), None) is want
-        assert pick(candidates, max_filtration) is want
     want = rand_reference(candidates, max_filtration, np.random.default_rng(seed))
     rand = SelectionPolicy(selector="rand")
     assert select(diagram, rand, np.random.default_rng(seed)) is want
-    assert rand_int(candidates, max_filtration, np.random.default_rng(seed)) is want
 
 
 @given(st.integers(0, 10_000))
