@@ -2,13 +2,15 @@
 
 A simplex is an ascending tuple of vertex ids.  A complex maps simplices to
 filtration values and is face-closed: every face of a stored simplex is
-stored, with a value no larger than its cofaces.  Inserts happen while a
-complex is being built; afterwards it is treated as read-only, which keeps
-the lazily built order, row, coface and sub-complex caches valid.
+stored, with a value no larger than its cofaces.  A complex is fixed when it
+is made, so its lazily built order, rows, coface table and sub-complexes
+never go stale; a sub-complex at a threshold is a prefix of the order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterable, Iterator
 
@@ -49,12 +51,28 @@ def proper_faces(s: Simplex) -> Iterator[Simplex]:
 class FilteredComplex:
     """Simplices with filtration values, ordered by (value, dim, lex)."""
 
-    def __init__(self) -> None:
-        self._values: dict[Simplex, float] = {}
-        self._n_vertices = 0
-        self._order: list[Simplex] | None = None
-        self._rows: tuple[np.ndarray, np.ndarray] | None = None
-        self._cofaces: dict[int, list[Simplex]] | None = None
+    def __init__(self, simplices: Iterable[tuple[Iterable[int], float]] = ()) -> None:
+        """Complex of ``(simplex, value)`` pairs, each listed after its facets
+        and no cheaper than them; a repeat must carry the same value."""
+        values: dict[Simplex, float] = {}
+        for s, value in simplices:
+            key = simplex(s)
+            value = float(value)
+            if value < 0.0:
+                raise MonotonicityViolation(f"negative filtration value {value}")
+            stored = values.get(key)
+            if stored is not None:
+                if stored != value:
+                    raise DuplicateSimplex(f"{key} already stored at {stored}, got {value}")
+                continue
+            for f in facets(key):
+                fv = values.get(f)
+                if fv is None:
+                    raise MonotonicityViolation(f"face {f} of {key} is missing")
+                if fv > value:
+                    raise MonotonicityViolation(f"face {f} at {fv} exceeds {key} at {value}")
+            values[key] = value
+        self._values = values
         # Restrictions already built, keyed by epsilon or (birth, death).
         self._restrictions: dict[object, FilteredComplex] = {}
 
@@ -63,7 +81,6 @@ class FilteredComplex:
         # Bulk load for builders that guarantee closure and monotonicity.
         out = cls()
         out._values = values
-        out._n_vertices = sum(1 for s in values if len(s) == 1)
         return out
 
     # -- basic queries -----------------------------------------------------
@@ -77,9 +94,9 @@ class FilteredComplex:
     def __iter__(self) -> Iterator[Simplex]:
         return iter(self.order)
 
-    @property
+    @cached_property
     def vertex_count(self) -> int:
-        return self._n_vertices
+        return sum(1 for s in self._values if len(s) == 1)
 
     @property
     def dimension(self) -> int:
@@ -104,72 +121,45 @@ class FilteredComplex:
         """Stored simplices in insertion order (cheaper than ``order``)."""
         return iter(self._values)
 
+    @cached_property
+    def _order(self) -> list[Simplex]:
+        # Cached apart from ``order``, a plain property so perfbench can wrap it.
+        return sorted(self._values, key=lambda s: (self._values[s], len(s), s))
+
     @property
     def order(self) -> list[Simplex]:
         """Filtration order: by value, then dimension, then vertex tuple."""
-        if self._order is None:
-            self._order = sorted(self._values, key=lambda s: (self._values[s], len(s), s))
         return self._order
 
-    @property
+    @cached_property
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Simplices of dimension one and up, in filtration order, as an
         ``int32`` matrix of vertex rows padded with -1, and their values."""
-        if self._rows is None:
-            cofaces = [s for s in self.order if len(s) > 1]
-            width = max(map(len, cofaces), default=1)
-            pad = (-1,) * width
-            flat = chain.from_iterable((s + pad)[:width] for s in cofaces)
-            matrix = np.fromiter(flat, dtype=np.int32, count=len(cofaces) * width)
-            values = np.fromiter(map(self._values.__getitem__, cofaces),
-                                 dtype=np.float64, count=len(cofaces))
-            self._rows = matrix.reshape(len(cofaces), width), values
-        return self._rows
-
-    # -- construction ------------------------------------------------------
-
-    def insert(self, s: Iterable[int], value: float) -> None:
-        """Add ``s`` at ``value``; faces must already be present and cheaper."""
-        key = simplex(s)
-        value = float(value)
-        if value < 0.0:
-            raise MonotonicityViolation(f"negative filtration value {value}")
-        stored = self._values.get(key)
-        if stored is not None:
-            if stored != value:
-                raise DuplicateSimplex(f"{key} already stored at {stored}, got {value}")
-            return
-        for f in facets(key):
-            fv = self._values.get(f)
-            if fv is None:
-                raise MonotonicityViolation(f"face {f} of {key} is missing")
-            if fv > value:
-                raise MonotonicityViolation(f"face {f} at {fv} exceeds {key} at {value}")
-        self._values[key] = value
-        if len(key) == 1:
-            self._n_vertices += 1
-        self._order = None
-        self._rows = None
-        self._cofaces = None
-        self._restrictions = {}
+        cofaces = [s for s in self.order if len(s) > 1]
+        width = max(map(len, cofaces), default=1)
+        pad = (-1,) * width
+        flat = chain.from_iterable((s + pad)[:width] for s in cofaces)
+        matrix = np.fromiter(flat, dtype=np.int32, count=len(cofaces) * width)
+        values = np.fromiter(map(self._values.__getitem__, cofaces),
+                             dtype=np.float64, count=len(cofaces))
+        return matrix.reshape(len(cofaces), width), values
 
     # -- neighborhood operators --------------------------------------------
 
-    def _coface_lists(self) -> dict[int, list[Simplex]]:
-        if self._cofaces is None:
-            table: dict[int, list[Simplex]] = {}
-            for s in self.order:
-                for v in s:
-                    table.setdefault(v, []).append(s)
-            self._cofaces = table
-        return self._cofaces
+    @cached_property
+    def _cofaces(self) -> dict[int, list[Simplex]]:
+        table: dict[int, list[Simplex]] = {}
+        for s in self.order:
+            for v in s:
+                table.setdefault(v, []).append(s)
+        return table
 
     def star(self, s: Iterable[int]) -> list[Simplex]:
         """Cofaces of ``s`` including ``s`` itself, in filtration order."""
         key = tuple(s)
         if key not in self._values:
             raise SimplexNotFound(f"simplex {key} is not in the complex")
-        table = self._coface_lists()
+        table = self._cofaces
         if len(key) == 1:
             return list(table[key[0]])
         candidates = min((table[v] for v in key), key=len)
@@ -196,25 +186,33 @@ class FilteredComplex:
 
     # -- restriction ---------------------------------------------------------
 
+    def _prefix_length(self, epsilon: float) -> int:
+        return bisect_right(self.order, epsilon, key=self._values.__getitem__)
+
     def _restricted(self, key: object, members) -> "FilteredComplex":
-        # Built once per key, from the set ``members()`` returns, in filtration
-        # order so that the sub-complex's own order needs no sort.
+        # Built once per key from ``members()``, a list in filtration order,
+        # so that the sub-complex's own order needs no sort.
         if key not in self._restrictions:
-            keep = members()
-            values = {s: self._values[s] for s in self.order if s in keep}
-            sub = self._restrictions[key] = FilteredComplex._from_values(values)
-            sub._order = list(values)
+            order = members()
+            sub = FilteredComplex._from_values({s: self._values[s] for s in order})
+            sub._order = order
+            self._restrictions[key] = sub
         return self._restrictions[key]
 
     def subcomplex_at(self, epsilon: float) -> "FilteredComplex":
-        """Sub-complex of simplices with value at most ``epsilon``; the complex
-        itself (read-only, as every sub-complex) from ``max_value`` up."""
+        """Sub-complex of simplices with value at most ``epsilon``, a prefix of
+        the order; the complex itself from ``max_value`` up."""
         eps = float(epsilon)
         if eps >= self.max_value:
             return self
-        return self._restricted(eps, lambda: {s for s, v in self._values.items() if v <= eps})
+        return self._restricted(eps, lambda: self.order[: self._prefix_length(eps)])
 
     def band(self, birth: float, death: float) -> "FilteredComplex":
         """Simplices with value in ``(birth, death]`` and all their faces."""
-        inside = (s for s, v in self._values.items() if birth < v <= death)
-        return self._restricted((birth, death), lambda: self.closure(inside))
+        def members() -> list[Simplex]:
+            lo, hi = self._prefix_length(birth), self._prefix_length(death)
+            inside = self.order[lo:hi]
+            # Faces valued at most ``birth`` lie before ``lo``.
+            faces = set(chain.from_iterable(map(proper_faces, inside)))
+            return [s for s in self.order[:lo] if s in faces] + inside
+        return self._restricted((birth, death), members)

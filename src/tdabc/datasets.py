@@ -43,9 +43,6 @@ class LabeledDataset:
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    def class_sizes(self) -> list[int]:
-        return np.bincount(self.labels, minlength=self.n_classes).tolist()
-
 
 def make_circles(
     n_per_class: Sequence[int] = (25, 25), noise: float = 3.0, seed: int = 0

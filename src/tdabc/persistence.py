@@ -38,9 +38,6 @@ class Diagram:
     intervals: tuple[PersistenceInterval, ...]
     max_filtration: float
 
-    def in_dim(self, dim: int) -> tuple[PersistenceInterval, ...]:
-        return tuple(d for d in self.intervals if d.dim == dim)
-
     @cached_property
     def candidates(self) -> tuple[PersistenceInterval, ...]:
         """Dim >= 1 intervals with a positive span once truncated at ``max_filtration``."""

@@ -82,20 +82,14 @@ def _max_spanning_edge(dist: np.ndarray) -> float:
 def _simplex_count_bound(dist: np.ndarray, r: float, max_dim: int) -> float:
     # Per-vertex degree bound: a q-simplex is counted once per vertex via
     # neighbor subsets, so the sum over comb(degree, q) / (q + 1) dominates
-    # the true count.
-    n = dist.shape[0]
+    # the true count.  comb(degree, q) is the falling factorial over q!.
     deg = (dist <= r).sum(axis=1).astype(float) - 1.0
-    total = float(n) + deg.sum() / 2.0
-    if max_dim >= 2:
-        total += (deg * (deg - 1.0) / 2.0).sum() / 3.0
-    if max_dim >= 3:
-        total += (deg * (deg - 1.0) * (deg - 2.0) / 6.0).sum() / 4.0
-    if max_dim >= 4:
-        # Rarely used; extend the same pattern one level at a time.
-        from math import comb
-
-        for q in range(4, max_dim + 1):
-            total += sum(comb(int(d), q) for d in deg) / (q + 1.0)
+    total = float(dist.shape[0])
+    falling, factorial = np.ones_like(deg), 1.0
+    for q in range(1, max_dim + 1):
+        falling = falling * (deg - (q - 1.0))
+        factorial *= q
+        total += (falling / factorial).sum() / (q + 1.0)
     return total
 
 
@@ -143,23 +137,16 @@ def build_rips(dist: np.ndarray, config: RipsConfig | None = None) -> FilteredCo
                 f"tighten max_edge or max_dim (current cap {max_edge})"
             )
 
-    for i in range(n):
-        values[(i,)] = 0.0
-    check(len(values))
-
     adjacent = dist <= max_edge
     np.fill_diagonal(adjacent, False)
     up = np.triu(adjacent)
 
-    frontier: list[tuple[Simplex, float]] = []
-    for i in range(n):
-        js = np.flatnonzero(up[i])
-        check(len(values) + len(js))
-        for j in js:
-            frontier.append(((i, int(j)), float(dist[i, j])))
-            values[(i, int(j))] = float(dist[i, j])
-
-    for _dim in range(2, config.max_dim + 1):
+    # Each dimension grows from the one below: a simplex gains every later
+    # vertex adjacent to all of its vertices.
+    frontier: list[tuple[Simplex, float]] = [((i,), 0.0) for i in range(n)]
+    values.update(frontier)
+    check(len(values))
+    for _dim in range(1, config.max_dim + 1):
         grown: list[tuple[Simplex, float]] = []
         for s, val in frontier:
             mask = up[s[0]]

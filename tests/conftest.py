@@ -7,6 +7,8 @@ that prints one PASS/FAIL line per acceptance criterion after the run.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -56,28 +58,19 @@ def circle_points(n: int = 20, radius: float = 1.0) -> np.ndarray:
 
 def tetrahedron_complex() -> FilteredComplex:
     """Full tetrahedron on vertices 2,3,4,5 with unit filtration values."""
-    cx = FilteredComplex()
     verts = (2, 3, 4, 5)
-    for v in verts:
-        cx.insert((v,), 0.0)
-    import itertools
-
-    for q in (2, 3, 4):
-        for combo in itertools.combinations(verts, q):
-            cx.insert(combo, 1.0)
-    return cx
+    cofaces = [(combo, 1.0) for q in (2, 3, 4) for combo in itertools.combinations(verts, q)]
+    return FilteredComplex([((v,), 0.0) for v in verts] + cofaces)
 
 
 def two_triangles_complex() -> FilteredComplex:
     """Two triangles glued along the edge (1, 2)."""
-    cx = FilteredComplex()
-    for v in (0, 1, 2, 3):
-        cx.insert((v,), 0.0)
-    for edge in ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)):
-        cx.insert(edge, 1.0)
-    cx.insert((0, 1, 2), 1.0)
-    cx.insert((1, 2, 3), 1.0)
-    return cx
+    edges = ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))
+    return FilteredComplex(
+        [((v,), 0.0) for v in (0, 1, 2, 3)]
+        + [(edge, 1.0) for edge in edges]
+        + [((0, 1, 2), 1.0), ((1, 2, 3), 1.0)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +115,7 @@ def random_monotone_complex(rng: np.random.Generator, max_vertices: int = 8, max
             base = max(values[f] for f in proper_faces(s) if len(f) == len(s) - 1)
             bump = float(rng.choice([0.0, rng.uniform(0.0, 0.5)]))
             values[s] = base + bump
-    cx = FilteredComplex()
-    for s in sorted(values, key=lambda t: (len(t), t)):
-        cx.insert(s, values[s])
-    return cx
+    return FilteredComplex((s, values[s]) for s in sorted(values, key=lambda t: (len(t), t)))
 
 
 def random_association(

@@ -3,8 +3,9 @@
 Each function here reaches a result the package also reaches, by a route
 that shares no code with the package's own: dense boundary-matrix ranks
 for Betti numbers, vertex-set differences over the open star for links,
-the link-form sum for the label extension, and a per-interval scan for
-lifetimes.  Tests compare the two routes.
+the link-form sum for the label extension, a per-interval scan for
+lifetimes, and every vertex subset for the Rips complex.  Tests compare
+the two routes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,19 @@ _ORACLE_DIM_CAP = 6000
 def lifetime(d: PersistenceInterval, max_filtration: float) -> float:
     """Interval span with the death clamped to the filtration's end."""
     return min(d.death, max_filtration) - d.birth
+
+
+def rips_cliques(dist: np.ndarray, cap: float, max_dim: int) -> dict[Simplex, float]:
+    """Every vertex set of at most ``max_dim + 1`` points whose pairwise
+    distances are all within ``cap``, valued at the largest of them (0 for
+    a vertex)."""
+    out: dict[Simplex, float] = {}
+    for size in range(1, max_dim + 2):
+        for s in combinations(range(dist.shape[0]), size):
+            pairs = [float(dist[a, b]) for a, b in combinations(s, 2)]
+            if all(d <= cap for d in pairs):
+                out[s] = max(pairs, default=0.0)
+    return out
 
 
 def link_via_star(complex_: FilteredComplex, s: Iterable[int]) -> set[Simplex]:

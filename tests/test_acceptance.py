@@ -82,10 +82,10 @@ def test_criterion_2_unit_square_golden_diagram():
     """The unit square yields the hand-derived diagram."""
     t0 = time.perf_counter()
     diagram = boundary_reduce(unit_square_complex())
-    h0 = diagram.in_dim(0)
+    h0 = [d for d in diagram.intervals if d.dim == 0]
     finite_h0 = [d for d in h0 if not d.immortal]
     immortal_h0 = [d for d in h0 if d.immortal]
-    h1 = [d for d in diagram.in_dim(1) if d.death > d.birth]
+    h1 = [d for d in diagram.intervals if d.dim == 1 and d.death > d.birth]
     elapsed = time.perf_counter() - t0
     ok_h0 = (
         len(finite_h0) == 3

@@ -36,12 +36,8 @@ def table_for(training, test, n_classes=2):
 
 def star_complex():
     """Vertex 0 joined to a green vertex (1) at 0.5 and a red vertex (2) at 1.0."""
-    cx = FilteredComplex()
-    for v in (0, 1, 2):
-        cx.insert((v,), 0.0)
-    cx.insert((0, 1), 0.5)
-    cx.insert((0, 2), 1.0)
-    return cx
+    vertices = [((v,), 0.0) for v in (0, 1, 2)]
+    return FilteredComplex(vertices + [((0, 1), 0.5), ((0, 2), 1.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +102,7 @@ def test_extend_weights_by_inverse_filtration():
 
 
 def test_extend_isolated_vertex_is_zero():
-    cx = FilteredComplex()
-    cx.insert((0,), 0.0)
-    cx.insert((1,), 0.0)
+    cx = FilteredComplex([((0,), 0.0), ((1,), 0.0)])
     t = table_for({1: 0}, {0})
     assert extend(cx, t, 0).tolist() == [0.0, 0.0]
 
@@ -122,11 +116,10 @@ def test_extend_missing_vertex_raises():
 
 def test_inverse_weights_break_raw_count_ties():
     """Equal label counts resolve toward the class clustered at smaller values."""
-    cx = FilteredComplex()
-    for v in (0, 1, 2):
-        cx.insert((v,), 0.0)
-    cx.insert((0, 1), 0.25)  # nearby green
-    cx.insert((0, 2), 2.0)  # distant red
+    cx = FilteredComplex(
+        [((v,), 0.0) for v in (0, 1, 2)]
+        + [((0, 1), 0.25), ((0, 2), 2.0)]  # nearby green, distant red
+    )
     t = table_for({1: 0, 2: 1}, {0})
     scores = extend(cx, t, 0)
     assert scores[0] > scores[1]
@@ -272,10 +265,8 @@ def test_isolated_equidistant_training_ties():
 
 def test_isolated_test_neighbor_contributes_its_extension():
     """A test vertex inside the ball passes along its own accumulated vector."""
-    cx = FilteredComplex()
-    for v in (0, 1, 2):
-        cx.insert((v,), 0.0)
-    cx.insert((1, 2), 0.5)  # test vertex 1 linked to green vertex 2
+    # Test vertex 1 linked to green vertex 2.
+    cx = FilteredComplex([((v,), 0.0) for v in (0, 1, 2)] + [((1, 2), 0.5)])
     t = table_for({2: 0}, {0, 1})
     dist = np.array(
         [[0.0, 1.0, 9.0], [1.0, 0.0, 0.5], [9.0, 0.5, 0.0]]
@@ -294,21 +285,14 @@ def test_isolated_test_neighbor_contributes_its_extension():
 
 def test_unlabeled_chain_reaches_label_at_depth_two():
     """Chain v - x - s with unit edges: the green label arrives at weight 1/2."""
-    cx = FilteredComplex()
-    for v in (0, 1, 2):
-        cx.insert((v,), 0.0)
-    cx.insert((0, 1), 1.0)
-    cx.insert((1, 2), 1.0)
+    cx = FilteredComplex([((v,), 0.0) for v in (0, 1, 2)] + [((0, 1), 1.0), ((1, 2), 1.0)])
     t = table_for({2: 0}, {0, 1})
     got = handle_unlabeled_link(cx, t, 0)
     assert got == pytest.approx([0.5, 0.0])
 
 
 def test_unlabeled_component_without_training_is_zero():
-    cx = FilteredComplex()
-    for v in (0, 1, 2):
-        cx.insert((v,), 0.0)
-    cx.insert((0, 1), 1.0)
+    cx = FilteredComplex([((v,), 0.0) for v in (0, 1, 2)] + [((0, 1), 1.0)])
     t = table_for({2: 0}, {0, 1})
     got = handle_unlabeled_link(cx, t, 0)
     assert got.tolist() == [0.0, 0.0]
@@ -362,9 +346,7 @@ def test_provenances_are_known_kinds():
 
 
 def test_classify_requires_training_data():
-    cx = FilteredComplex()
-    cx.insert((0,), 0.0)
-    cx.insert((1,), 0.0)
+    cx = FilteredComplex([((0,), 0.0), ((1,), 0.0)])
     table = AssociationTable({}, frozenset({0, 1}), 2)
     diagram = boundary_reduce(cx)
     with pytest.raises(NoLabeledData):

@@ -67,37 +67,46 @@ def test_proper_face_count_is_power_of_two_minus_two(q):
 
 
 # ---------------------------------------------------------------------------
-# insert() validation
+# Constructor validation: each (simplex, value) pair is checked as it is added
 # ---------------------------------------------------------------------------
 
 
 def test_insert_requires_facets_present():
-    cx = FilteredComplex()
-    cx.insert((0,), 0.0)
-    with pytest.raises(MonotonicityViolation):
-        cx.insert((0, 1), 1.0)
+    with pytest.raises(MonotonicityViolation, match=r"face \(1,\) of \(0, 1\) is missing"):
+        FilteredComplex([((0,), 0.0), ((0, 1), 1.0)])
 
 
 def test_insert_rejects_value_below_facet():
-    cx = FilteredComplex()
-    cx.insert((0,), 0.5)
-    cx.insert((1,), 0.0)
-    with pytest.raises(MonotonicityViolation):
-        cx.insert((0, 1), 0.25)
+    with pytest.raises(MonotonicityViolation, match=r"face \(0,\) at 0.5 exceeds \(0, 1\) at 0.25"):
+        FilteredComplex([((0,), 0.5), ((1,), 0.0), ((0, 1), 0.25)])
 
 
 def test_insert_rejects_conflicting_duplicate():
-    cx = FilteredComplex()
-    cx.insert((0,), 0.0)
-    with pytest.raises(DuplicateSimplex):
-        cx.insert((0,), 1.0)
+    with pytest.raises(DuplicateSimplex, match=r"\(0,\) already stored at 0.0, got 1.0"):
+        FilteredComplex([((0,), 0.0), ((0,), 1.0)])
 
 
 def test_insert_tolerates_identical_reinsert():
-    cx = FilteredComplex()
-    cx.insert((0,), 0.0)
-    cx.insert((0,), 0.0)
+    cx = FilteredComplex([((0,), 0.0), ((0,), 0.0)])
     assert cx.value((0,)) == 0.0
+    assert len(cx) == 1 and cx.vertex_count == 1
+
+
+def test_constructor_rejects_a_pair_listed_before_its_facet():
+    with pytest.raises(MonotonicityViolation, match=r"face \(0,\) of \(0, 1\) is missing"):
+        FilteredComplex([((1,), 0.0), ((0, 1), 1.0), ((0,), 0.0)])
+
+
+def test_constructor_rejects_negative_values_and_bad_simplices():
+    with pytest.raises(MonotonicityViolation, match="negative filtration value -1.0"):
+        FilteredComplex([((0,), -1.0)])
+    with pytest.raises(ValueError, match="duplicate vertex 1"):
+        FilteredComplex([((1, 1), 0.0)])
+
+
+def test_constructor_canonicalizes_vertex_order():
+    cx = FilteredComplex([((1,), 0.0), ((0,), 0.0), ((1, 0), 0.5)])
+    assert (0, 1) in cx and (1, 0) not in cx
 
 
 def test_membership_and_value():
@@ -115,11 +124,7 @@ def test_membership_and_value():
 
 
 def test_order_sorts_by_value_then_dimension_then_lexicographic():
-    cx = FilteredComplex()
-    cx.insert((1,), 0.0)
-    cx.insert((0,), 0.0)
-    cx.insert((2,), 0.5)
-    cx.insert((0, 1), 0.5)
+    cx = FilteredComplex([((1,), 0.0), ((0,), 0.0), ((2,), 0.5), ((0, 1), 0.5)])
     assert cx.order == [(0,), (1,), (2,), (0, 1)]
 
 
@@ -143,15 +148,6 @@ def test_rows_hold_the_cofaces_in_filtration_order(seed):
     assert [tuple(v for v in row if v >= 0) for row in matrix.tolist()] == cofaces
     assert values.tolist() == [cx.value(s) for s in cofaces]
     assert cx.rows is cx.rows
-
-
-def test_insert_clears_the_rows():
-    cx = FilteredComplex()
-    for v in (0, 1, 2):
-        cx.insert((v,), 0.0)
-    assert cx.rows[0].shape == (0, 1)
-    cx.insert((0, 2), 0.5)
-    assert cx.rows[0].tolist() == [[0, 2]] and cx.rows[1].tolist() == [0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +184,7 @@ def test_closure_of_triangle_has_seven_members():
 
 
 def test_isolated_vertex_has_empty_link():
-    cx = FilteredComplex()
-    cx.insert((0,), 0.0)
+    cx = FilteredComplex([((0,), 0.0)])
     assert cx.link((0,)) == set()
     assert link_via_star(cx, (0,)) == set()
 
@@ -285,6 +280,7 @@ def test_subcomplex_at_zero_is_vertex_skeleton():
     cx = unit_square_complex()
     sub = cx.subcomplex_at(0.0)
     assert set(sub.simplices()) == {(0,), (1,), (2,), (3,)}
+    assert sub.rows[0].shape == (0, 1) and sub.rows[1].shape == (0,)
 
 
 def test_unit_square_at_one_has_sides_but_no_diagonals():
@@ -309,6 +305,19 @@ def test_subcomplex_preserves_values_and_is_face_closed(seed):
         for f in proper_faces(s):
             assert f in sub
     assert sub.order == [s for s in cx.order if cx.value(s) <= cutoff]
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_restrictions_at_stored_values_keep_every_tie(seed):
+    """Thresholds equal to stored values: ties at the cut go in, for prefixes and bands."""
+    cx = random_monotone_complex(np.random.default_rng(seed))
+    levels = sorted({cx.value(s) for s in cx.simplices()})
+    for eps in levels:
+        assert cx.subcomplex_at(eps).order == [s for s in cx.order if cx.value(s) <= eps]
+    for birth, death in itertools.combinations_with_replacement(levels, 2):
+        band = cx.band(birth, death)
+        assert [(s, band.value(s)) for s in band.order] == band_reference(cx, birth, death)
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,7 @@ def betti_from_diagram(diagram: Diagram, epsilon: float, dim: int) -> int:
 
 
 def test_single_point_diagram():
-    cx = FilteredComplex()
-    cx.insert((0,), 0.0)
+    cx = FilteredComplex([((0,), 0.0)])
     diagram = boundary_reduce(cx)
     assert len(diagram.intervals) == 1
     (bar,) = diagram.intervals
@@ -58,12 +57,9 @@ def test_single_point_diagram():
 
 
 def test_two_points_one_edge_pairing():
-    cx = FilteredComplex()
-    cx.insert((0,), 0.0)
-    cx.insert((1,), 0.0)
-    cx.insert((0, 1), 1.0)
+    cx = FilteredComplex([((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)])
     diagram = boundary_reduce(cx)
-    h0 = sorted(diagram.in_dim(0), key=lambda d: d.death)
+    h0 = sorted([d for d in diagram.intervals if d.dim == 0], key=lambda d: d.death)
     assert len(h0) == 2
     assert (h0[0].birth, h0[0].death) == (0.0, 1.0)
     assert h0[1].immortal
@@ -72,14 +68,14 @@ def test_two_points_one_edge_pairing():
 def test_unit_square_golden_diagram():
     cx = unit_square_complex()
     diagram = boundary_reduce(cx)
-    h0 = diagram.in_dim(0)
+    h0 = [d for d in diagram.intervals if d.dim == 0]
     finite_h0 = sorted((d for d in h0 if not d.immortal), key=lambda d: (d.birth, d.death))
     assert len(h0) == 4
     assert len(finite_h0) == 3
     for d in finite_h0:
         assert d.birth == 0.0
         assert d.death == pytest.approx(1.0, abs=1e-9)
-    h1 = [d for d in diagram.in_dim(1) if d.death > d.birth]
+    h1 = [d for d in diagram.intervals if d.dim == 1 and d.death > d.birth]
     assert len(h1) == 1
     assert h1[0].birth == pytest.approx(1.0, abs=1e-9)
     assert h1[0].death == pytest.approx(math.sqrt(2), abs=1e-9)
@@ -90,7 +86,7 @@ def test_circle_has_one_dominant_loop():
     pts = np.column_stack([np.cos(angles), np.sin(angles)])
     cx = build_rips(pairwise_distances(pts), RipsConfig(max_dim=2, max_edge=float("inf")))
     diagram = boundary_reduce(cx)
-    loops = [d for d in diagram.in_dim(1) if d.death > d.birth]
+    loops = [d for d in diagram.intervals if d.dim == 1 and d.death > d.birth]
     assert len(loops) == 1
 
 
@@ -130,10 +126,8 @@ def test_births_never_exceed_deaths(seed):
 
 
 def test_zero_length_intervals_retained_internally():
-    cx = FilteredComplex()
-    cx.insert((0,), 0.0)
-    cx.insert((1,), 0.0)
-    cx.insert((0, 1), 0.0)  # connects immediately: zero-length component bar
+    # The edge connects immediately: a zero-length component bar.
+    cx = FilteredComplex([((0,), 0.0), ((1,), 0.0), ((0, 1), 0.0)])
     diagram = boundary_reduce(cx)
     zero_bars = [d for d in diagram.intervals if d.death == d.birth]
     assert len(zero_bars) == 1

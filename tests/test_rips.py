@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from math import comb
 
 import numpy as np
 import pytest
@@ -12,9 +13,16 @@ from hypothesis import strategies as st
 
 from tdabc.complexes import facets
 from tdabc.errors import CapacityExceeded, DimensionMismatch
-from tdabc.rips import RipsConfig, auto_max_edge, build_rips, pairwise_distances
+from tdabc.rips import (
+    RipsConfig,
+    _simplex_count_bound,
+    auto_max_edge,
+    build_rips,
+    pairwise_distances,
+)
 
 from conftest import UNIT_SQUARE, random_cloud, unit_square_complex
+from oracles import rips_cliques
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +182,56 @@ def test_edge_count_matches_pairs_within_cap(seed):
     assert sum(1 for s in cx.simplices() if len(s) == 2) == expected
 
 
+grid_clouds = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=8
+)
+
+
+@given(
+    grid_clouds,
+    st.sampled_from(["euclidean", "manhattan"]),
+    st.integers(2, 4),
+    st.integers(1, 120),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_build_rips_equals_the_clique_oracle(points, metric, max_dim, budget, data):
+    """Grid points repeat distances and points, so ties meet the cap and each other."""
+    dist = pairwise_distances(np.array(points, dtype=float), metric=metric)
+    cap = data.draw(st.sampled_from(sorted(set(dist.ravel().tolist())) + [math.inf]))
+    expected = rips_cliques(dist, cap, max_dim)
+    config = RipsConfig(max_dim=max_dim, max_edge=cap, budget=budget)
+    if len(expected) > budget:
+        with pytest.raises(CapacityExceeded):
+            build_rips(dist, config)
+        return
+    cx = build_rips(dist, config)
+    assert sorted((s, cx.value(s)) for s in cx.simplices()) == sorted(expected.items())
+
+
 # ---------------------------------------------------------------------------
 # auto_max_edge
 # ---------------------------------------------------------------------------
+
+
+def comb_bound(dist, r, max_dim):
+    """The simplex-count bound written with binomial coefficients."""
+    degrees = [int(d) - 1 for d in (dist <= r).sum(axis=1)]
+    total = float(len(degrees))
+    for q in range(1, max_dim + 1):
+        total += sum(comb(d, q) for d in degrees) / (q + 1.0)
+    return total
+
+
+@given(st.integers(0, 10_000), st.integers(2, 5))
+@settings(max_examples=60, deadline=None)
+def test_simplex_count_bound_is_the_comb_form(seed, max_dim):
+    """Bit-equal at every radius of the cloud; clouds at max_dim 4-5 stay small."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60 if max_dim <= 3 else 15))
+    dist = pairwise_distances(rng.normal(size=(n, 3)))
+    for r in np.unique(dist):
+        assert _simplex_count_bound(dist, float(r), max_dim) == comb_bound(dist, float(r), max_dim)
 
 
 def test_auto_max_edge_within_diameter_and_budget():
