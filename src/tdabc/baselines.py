@@ -36,14 +36,26 @@ def knn_predict_all(
             f"k={config.k} exceeds the {len(train)} training vertices"
         )
     block = dist[np.ix_(tests, train)]
+    k = config.k
+    # Only entries up to each row's k-th smallest distance, ties included,
+    # can be among its k nearest: gather them, in ascending training-id
+    # order, into rows padded with inf.
+    kth = np.partition(block, k - 1, axis=1)[:, [k - 1]]
+    hit_rows, hit_cols = np.nonzero(block <= kth)
+    counts = np.bincount(hit_rows, minlength=len(tests))
+    slot = np.arange(len(hit_cols)) - np.repeat(np.cumsum(counts) - counts, counts)
+    cut = np.zeros((len(tests), counts.max()), dtype=np.intp)
+    cut[hit_rows, slot] = hit_cols
+    dists = np.full(cut.shape, np.inf)
+    dists[hit_rows, slot] = block[hit_rows, hit_cols]
     # Stable, so equal distances keep ascending training-id order.
-    nearest = np.argsort(block, axis=1, kind="stable")[:, : config.k]
+    nearest = np.take_along_axis(cut, np.argsort(dists, axis=1, kind="stable")[:, :k], axis=1)
     labels = np.array([table.training[u] for u in train])[nearest]
     near = np.take_along_axis(block, nearest, axis=1)
     weights = 1.0 / np.maximum(near, EPSILON_FLOOR) if config.weighted else np.ones_like(near)
     votes = np.zeros((len(tests), table.n_classes))
     rows = np.arange(len(tests))
     # Nearest first, one column at a time: each row sums in per-vertex order.
-    for j in range(config.k):
+    for j in range(k):
         votes[rows, labels[:, j]] += weights[:, j]
     return [predict(table, v, row, seed, PROVENANCE_BASELINE) for v, row in zip(tests, votes)]

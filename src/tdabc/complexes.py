@@ -9,6 +9,7 @@ never go stale; a sub-complex at a threshold is a prefix of the order.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from functools import cached_property
 from itertools import chain, combinations
@@ -53,13 +54,16 @@ class FilteredComplex:
 
     def __init__(self, simplices: Iterable[tuple[Iterable[int], float]] = ()) -> None:
         """Complex of ``(simplex, value)`` pairs, each listed after its facets
-        and no cheaper than them; a repeat must carry the same value."""
+        and no cheaper than them; values are non-negative and not NaN, and a
+        repeat must carry the same value."""
         values: dict[Simplex, float] = {}
         for s, value in simplices:
             key = simplex(s)
             value = float(value)
             if value < 0.0:
                 raise MonotonicityViolation(f"negative filtration value {value}")
+            if math.isnan(value):
+                raise MonotonicityViolation(f"filtration value of {key} is NaN")
             stored = values.get(key)
             if stored is not None:
                 if stored != value:

@@ -1,10 +1,20 @@
 """Persistent homology of a filtered complex over the two-element field.
 
-``boundary_reduce`` runs the standard column reduction with the lowest-one
-rule, processing dimensions from the top down so that columns already known
-to be paired are cleared instead of reduced.  Columns are big-int bitsets
-indexed per dimension, which keeps additions at machine speed and memory
-proportional to the rows of one boundary map at a time.
+``boundary_reduce`` finds the persistence pairs by cohomology with clearing,
+the route of Bauer's Ripser; de Silva, Morozov and Vejdemo-Johansson show
+that persistent cohomology has the same pairs as homology.  Dimensions are
+handled lowest first.  The coboundary columns of the q-simplices are reduced
+in reverse filtration order, and a column's pivot is its earliest cofacet.
+A q-simplex that killed a class of dimension q-1 gets no column (clearing),
+a column whose earliest cofacet has no owner yet is paired at once, and only
+the rest are reduced by column additions.  The top dimension has no
+coboundary, so it gets no columns: each top simplex that no column claimed
+is an immortal interval.
+
+Facets are found with numpy, not with tuples: vertices get dense ids, each
+simplex an exact ``int64`` key (the rank of its prefix face, all vertices
+but the last, times the vertex count, plus its last vertex), and the keys of
+one dimension are searched with ``np.searchsorted``.
 """
 
 from __future__ import annotations
@@ -13,11 +23,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, groupby
 from pathlib import Path
 
 import numpy as np
 
-from .complexes import FilteredComplex, facets
+from .complexes import FilteredComplex, Simplex
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,58 +74,124 @@ class Diagram:
         return lifetimes, births, mean
 
 
+def _key_table(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The keys of one dimension sorted, and each sorted key's position.
+    sorter = np.argsort(keys, kind="stable")
+    return keys[sorter], sorter
+
+
+def _locate(tables: list[tuple[np.ndarray, np.ndarray]], rows: np.ndarray) -> np.ndarray:
+    # Positions within their dimension of the simplices whose dense vertex
+    # rows are ``rows``, found one prefix face at a time.
+    nv = len(tables[0][0])
+    pos = rows[:, 0]
+    for q in range(1, rows.shape[1]):
+        keys, sorter = tables[q]
+        pos = sorter[np.searchsorted(keys, pos * nv + rows[:, q])]
+    return pos
+
+
+def _vertex_rows(simplices: list[Simplex], vertices: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    # Equally long simplices as a matrix of dense vertex ids.
+    width = len(simplices[0])
+    raw = np.fromiter(chain.from_iterable(simplices), dtype=np.int64,
+                      count=len(simplices) * width)
+    ids, sorter = vertices
+    return sorter[np.searchsorted(ids, raw)].reshape(len(simplices), width)
+
+
+def _coboundaries(facet_pos: np.ndarray, n_columns: int) -> tuple[list[int], np.ndarray]:
+    # Column pointers and cofacet positions, each column ascending, from the
+    # facet positions of every cofacet in filtration order.
+    flat = facet_pos.ravel()
+    cofacets = np.argsort(flat, kind="stable") // facet_pos.shape[1]
+    starts = np.zeros(n_columns + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=n_columns), out=starts[1:])
+    return starts.tolist(), cofacets
+
+
+def _reduce(
+    births: list[float], deaths: list[float], starts: list[int],
+    cofacets: np.ndarray, cleared: set[int],
+) -> tuple[list[tuple[float, float]], dict[int, object]]:
+    # One dimension's columns, latest first; returns the (birth, death) pairs
+    # and the owner of every pivot.
+    def column(c: int) -> set[int]:
+        return set(cofacets[starts[c]:starts[c + 1]].tolist())
+
+    owners: dict[int, object] = {}  # pivot -> its column: an index, or a reduced set
+    found: list[tuple[float, float]] = []
+    for c in range(len(births) - 1, -1, -1):
+        if c in cleared:
+            continue
+        lo = starts[c]
+        if lo == starts[c + 1]:
+            found.append((births[c], math.inf))
+            continue
+        pivot = int(cofacets[lo])
+        if pivot in owners:
+            col = column(c)
+            while pivot in owners:
+                other = owners[pivot]
+                col ^= other if isinstance(other, set) else column(other)
+                if not col:
+                    break
+                pivot = min(col)
+            if not col:
+                found.append((births[c], math.inf))
+                continue
+            owners[pivot] = col
+        else:
+            owners[pivot] = c
+        found.append((births[c], deaths[pivot]))
+    return found, owners
+
+
 def boundary_reduce(complex_: FilteredComplex) -> Diagram:
     """Birth/death intervals for every homology dimension of the filtration."""
     order = complex_.order
-    m = len(order)
-    if m == 0:
+    if not order:
         return Diagram((), 0.0)
-    values = [complex_.value(s) for s in order]
-    maxf = values[-1]
+    top = complex_.dimension
+    by_dim: list[list[Simplex]] = [[] for _ in range(top + 1)]
+    for s in order:
+        by_dim[len(s) - 1].append(s)
 
-    by_dim: dict[int, list[int]] = {}
-    for idx, s in enumerate(order):
-        by_dim.setdefault(len(s) - 1, []).append(idx)
-    top = max(by_dim)
+    # tables[q] holds the sorted keys of the q-simplices and the position of
+    # each in filtration order among them.  A vertex's key is its id, and its
+    # position is its dense id; the key of a higher simplex is the position
+    # of its prefix face times the vertex count, plus its last dense id.
+    tables = [_key_table(np.fromiter((s[0] for s in by_dim[0]), dtype=np.int64,
+                                     count=len(by_dim[0])))]
+    nv = len(by_dim[0])
+    intervals: list[PersistenceInterval] = []
+    cleared: set[int] = set()  # positions of q-simplices that killed a (q-1)-class
+    births = list(map(complex_.value, by_dim[0]))
+    for q in range(top):
+        deaths = list(map(complex_.value, by_dim[q + 1]))
+        rows = _vertex_rows(by_dim[q + 1], tables[0])
+        facet_pos = np.empty(rows.shape, dtype=np.int64)
+        for i in range(q + 2):
+            facet_pos[:, i] = _locate(tables, np.delete(rows, i, axis=1))
+        if q + 1 < top:
+            tables.append(_key_table(facet_pos[:, -1] * nv + rows[:, -1]))
+        del rows
+        starts, cofacets = _coboundaries(facet_pos, len(births))
+        del facet_pos
 
-    pairs: list[tuple[int, int]] = []
-    cleared: set[int] = set()
-    for q in range(top, 0, -1):
-        if q not in by_dim or (q - 1) not in by_dim:
-            continue
-        rows = by_dim[q - 1]
-        rowpos = {order[g]: i for i, g in enumerate(rows)}
-        lows: dict[int, int] = {}  # local row -> reduced column bitset
-        for j in by_dim[q]:
-            if j in cleared:
-                continue
-            col = 0
-            for f in facets(order[j]):
-                col ^= 1 << rowpos[f]
-            while col:
-                i = col.bit_length() - 1
-                other = lows.get(i)
-                if other is None:
-                    break
-                col ^= other
-            if col:
-                i = col.bit_length() - 1
-                lows[i] = col
-                g = rows[i]
-                pairs.append((g, j))
-                cleared.add(g)
+        found, owners = _reduce(births, deaths, starts, cofacets, cleared)
+        found.sort()
+        intervals.extend(PersistenceInterval(q, b, d) for b, d in found)
+        cleared = set(owners)
+        births = deaths
 
-    deaths = {j for _, j in pairs}
-    killed = {i for i, _ in pairs}
-    intervals = [
-        PersistenceInterval(len(order[i]) - 1, values[i], values[j]) for i, j in pairs
-    ]
-    for j in range(m):
-        if j in deaths or j in killed:
-            continue
-        intervals.append(PersistenceInterval(len(order[j]) - 1, values[j], math.inf))
-    intervals.sort(key=lambda d: (d.dim, d.birth, d.death))
-    return Diagram(tuple(intervals), float(maxf))
+    # Each top simplex no column claimed is immortal.  In filtration order
+    # their births already ascend, and equal intervals share one object.
+    alive = [i not in cleared for i in range(len(births))]
+    for birth, run in groupby(compress(births, alive)):
+        shared = PersistenceInterval(top, birth, math.inf)
+        intervals.extend(shared for _ in run)
+    return Diagram(tuple(intervals), complex_.max_value)
 
 
 def intervals_above_dim_zero(diagram: Diagram) -> tuple[PersistenceInterval, ...]:

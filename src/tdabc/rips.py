@@ -123,6 +123,8 @@ def build_rips(dist: np.ndarray, config: RipsConfig | None = None) -> FilteredCo
     n = dist.shape[0]
     if dist.shape != (n, n):
         raise DimensionMismatch(f"distance matrix must be square, got {dist.shape}")
+    if not (dist >= 0.0).all():
+        raise InvalidConfig("distance entries must be non-negative and not NaN")
     max_edge = config.max_edge
     if max_edge is None:
         max_edge = auto_max_edge(dist, config.max_dim, config.budget)

@@ -1,24 +1,25 @@
 """Second routes to what the package computes, kept only as test references.
 
 Each function here reaches a result the package also reaches, by a route
-that shares no code with the package's own: dense boundary-matrix ranks
-for Betti numbers, vertex-set differences over the open star for links,
-the link-form sum for the label extension, a per-interval scan for
-lifetimes, and every vertex subset for the Rips complex.  Tests compare
-the two routes.
+that shares no code with the package's own: boundary-matrix reduction for
+persistence diagrams, dense boundary-map ranks for Betti numbers,
+vertex-set differences over the open star for links, the link-form sum for
+the label extension, a per-interval scan for lifetimes, and every vertex
+subset for the Rips complex.  Tests compare the two routes.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
 from tdabc.classifier import EPSILON_FLOOR, AssociationTable, associate
-from tdabc.complexes import FilteredComplex, Simplex
+from tdabc.complexes import FilteredComplex, Simplex, facets
 from tdabc.errors import CapacityExceeded, SimplexNotFound
-from tdabc.persistence import PersistenceInterval
+from tdabc.persistence import Diagram, PersistenceInterval
 
 _ORACLE_DIM_CAP = 6000
 
@@ -123,3 +124,59 @@ def betti_oracle(complex_: FilteredComplex, epsilon: float, dim: int) -> int:
     rank_down = _gf2_rank(boundary_matrix(dim)) if dim > 0 else 0
     rank_up = _gf2_rank(boundary_matrix(dim + 1))
     return n_dim - rank_down - rank_up
+
+
+def homology_reduce(complex_: FilteredComplex) -> Diagram:
+    """Persistence by the standard boundary-matrix reduction over Z/2 with the
+    lowest-one rule, top dimension first, clearing columns already paired;
+    columns are big-int bitsets indexed per dimension."""
+    order = complex_.order
+    m = len(order)
+    if m == 0:
+        return Diagram((), 0.0)
+    values = [complex_.value(s) for s in order]
+    maxf = values[-1]
+
+    by_dim: dict[int, list[int]] = {}
+    for idx, s in enumerate(order):
+        by_dim.setdefault(len(s) - 1, []).append(idx)
+    top = max(by_dim)
+
+    pairs: list[tuple[int, int]] = []
+    cleared: set[int] = set()
+    for q in range(top, 0, -1):
+        if q not in by_dim or (q - 1) not in by_dim:
+            continue
+        rows = by_dim[q - 1]
+        rowpos = {order[g]: i for i, g in enumerate(rows)}
+        lows: dict[int, int] = {}  # local row -> reduced column bitset
+        for j in by_dim[q]:
+            if j in cleared:
+                continue
+            col = 0
+            for f in facets(order[j]):
+                col ^= 1 << rowpos[f]
+            while col:
+                i = col.bit_length() - 1
+                other = lows.get(i)
+                if other is None:
+                    break
+                col ^= other
+            if col:
+                i = col.bit_length() - 1
+                lows[i] = col
+                g = rows[i]
+                pairs.append((g, j))
+                cleared.add(g)
+
+    deaths = {j for _, j in pairs}
+    killed = {i for i, _ in pairs}
+    intervals = [
+        PersistenceInterval(len(order[i]) - 1, values[i], values[j]) for i, j in pairs
+    ]
+    for j in range(m):
+        if j in deaths or j in killed:
+            continue
+        intervals.append(PersistenceInterval(len(order[j]) - 1, values[j], math.inf))
+    intervals.sort(key=lambda d: (d.dim, d.birth, d.death))
+    return Diagram(tuple(intervals), float(maxf))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -211,6 +212,25 @@ def test_persistence_circles_has_dominant_loop(tmp_path):
     lengths = sorted((float(b["length"]) for b in bars), reverse=True)
     assert lengths
     assert len(lengths) == 1 or lengths[0] > 2 * lengths[1]
+
+
+# sha256 of the files ``tdabc persistence --dataset circles`` writes, recorded
+# when the diagram came from the boundary-matrix reduction; any route to the
+# diagram must write the same bytes.
+PERSISTENCE_CIRCLES_SHA256 = {
+    "circles.diagram.csv": "fce7216e07c8fb0be06985c9f6428fdb4f9f54b73dcc48ab1478593cc5c4f6f1",
+    "circles.diagram.json": "85cd80c8e17c4eebccd531a9b0a419d805a5065fb8792288e4544f72d505ed08",
+    "circles.barcode.csv": "1324bcc9191fd67fa348b81ec53319b8cb743cad70a4e993e1004b3111d455b9",
+}
+
+
+def test_persistence_circles_output_is_pinned(tmp_path):
+    assert run_cli("persistence", "--dataset", "circles", "--out", str(tmp_path)) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PERSISTENCE_CIRCLES_SHA256
+    }
+    assert digests == PERSISTENCE_CIRCLES_SHA256
 
 
 def test_persistence_rejects_tiny_budget(tmp_path, capsys):

@@ -104,6 +104,16 @@ def test_constructor_rejects_negative_values_and_bad_simplices():
         FilteredComplex([((1, 1), 0.0)])
 
 
+def test_constructor_rejects_nan_values():
+    # A NaN edge would reach the diagram as a NaN death and max_filtration.
+    with pytest.raises(MonotonicityViolation, match=r"value of \(0, 1\) is NaN"):
+        FilteredComplex([((0,), 0.0), ((1,), 0.0), ((0, 1), float("nan"))])
+    # A NaN face passes every comparison with a finite coface; it is refused
+    # where it is listed.
+    with pytest.raises(MonotonicityViolation, match=r"value of \(0,\) is NaN"):
+        FilteredComplex([((0,), float("nan")), ((1,), 0.0), ((0, 1), 1.0)])
+
+
 def test_constructor_canonicalizes_vertex_order():
     cx = FilteredComplex([((1,), 0.0), ((0,), 0.0), ((1, 0), 0.5)])
     assert (0, 1) in cx and (1, 0) not in cx

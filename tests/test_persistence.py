@@ -1,7 +1,9 @@
 """Unit and property tests for persistence computation.
 
-The column-reduction engine and the rank-based Betti oracle are independent
-implementations; their agreement on random complexes is the core safety net.
+``boundary_reduce`` reduces coboundary columns with clearing; two independent
+routes check it.  The homology oracle reduces boundary columns and must give
+the same ``Diagram``, interval order and ``max_filtration`` included, and the
+rank-based Betti oracle must count the same classes alive at every scale.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from tdabc.persistence import (
 from tdabc.rips import RipsConfig, build_rips, pairwise_distances
 
 from conftest import random_cloud, random_monotone_complex, unit_square_complex
-from oracles import betti_oracle
+from oracles import betti_oracle, homology_reduce
 
 
 def betti_from_diagram(diagram: Diagram, epsilon: float, dim: int) -> int:
@@ -151,6 +153,43 @@ def test_reduction_matches_rank_oracle(seed):
             assert betti_from_diagram(diagram, epsilon, dim) == betti_oracle(
                 cx, epsilon, dim
             )
+
+
+def _relabeled(cx: FilteredComplex, scale: int, shift: float) -> FilteredComplex:
+    # Vertex ``v`` becomes ``scale * v`` and every value rises by ``shift``;
+    # the filtration order lists each simplex after its facets.
+    return FilteredComplex(
+        (tuple(scale * v for v in s), cx.value(s) + shift) for s in cx.order
+    )
+
+
+@st.composite
+def complexes_for_the_oracle(draw) -> FilteredComplex:
+    kind = draw(st.sampled_from(["monotone", "rips", "empty", "vertex"]))
+    if kind == "empty":
+        return FilteredComplex()
+    if kind == "vertex":
+        return FilteredComplex([((draw(st.integers(0, 10**6)),), draw(st.floats(0.0, 2.0)))])
+    if kind == "monotone":
+        cx = random_monotone_complex(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    else:
+        # Integer grid points: duplicates give zero-length bars, and equal
+        # distances tie simplices of one value.  A small cap can leave the
+        # complex with no simplex at ``max_dim``.
+        points = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                               min_size=1, max_size=9))
+        dist = pairwise_distances(np.array(points, dtype=float))
+        cap = draw(st.sampled_from([float("inf"), *np.unique(dist).tolist()]))
+        cx = build_rips(dist, RipsConfig(max_dim=draw(st.integers(2, 4)), max_edge=cap))
+    scale = draw(st.sampled_from([1, 1000, 10**12]))
+    shift = draw(st.sampled_from([0.0, 0.25, 3.0]))
+    return _relabeled(cx, scale, shift) if scale != 1 or shift else cx
+
+
+@given(complexes_for_the_oracle())
+@settings(max_examples=300, deadline=None)
+def test_boundary_reduce_equals_the_homology_oracle(cx):
+    assert boundary_reduce(cx) == homology_reduce(cx)
 
 
 def test_oracle_rejects_oversized_input():

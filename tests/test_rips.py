@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdabc.complexes import facets
-from tdabc.errors import CapacityExceeded, DimensionMismatch
+from tdabc.errors import CapacityExceeded, DimensionMismatch, InvalidConfig
 from tdabc.rips import (
     RipsConfig,
     _simplex_count_bound,
@@ -64,6 +64,13 @@ def test_ragged_input_rejected():
 def test_non_finite_input_rejected():
     with pytest.raises(ValueError):
         pairwise_distances(np.array([[0.0, np.nan], [1.0, 2.0]]))
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_build_rips_rejects_negative_or_nan_distances(bad):
+    dist = np.array([[0.0, bad], [bad, 0.0]])
+    with pytest.raises(InvalidConfig, match="non-negative and not NaN"):
+        build_rips(dist, RipsConfig(max_dim=2, max_edge=1.0))
 
 
 # ---------------------------------------------------------------------------
