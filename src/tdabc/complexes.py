@@ -3,14 +3,25 @@
 A simplex is an ascending tuple of vertex ids.  A complex maps simplices to
 filtration values and is face-closed: every face of a stored simplex is
 stored, with a value no larger than its cofaces.  A complex is fixed when it
-is made, so its lazily built order, rows, coface table and sub-complexes
-never go stale; a sub-complex at a threshold is a prefix of the order.
+is made.
+
+It is stored as three arrays in filtration order (by value, then dimension,
+then vertex tuple), sorted once by one ``np.lexsort``: an ``int64`` vertex
+matrix padded with -1, the dimensions and the ``float64`` values.  A
+sub-complex at a threshold is a prefix of these arrays.  ``rows``, ``block``,
+``max_value``, ``vertex_count``, ``dimension`` and ``subcomplex_at`` read the
+arrays and build no tuple.  ``order``, ``simplices``, ``value``, ``in``,
+``star``, ``closure``, ``link`` and ``band`` work on tuples: the first of
+them to run builds the tuple index (every simplex as a tuple, in filtration
+order, with its value) from the arrays, once per complex; a sub-complex
+takes its tuples from its parent's index while the parent lives.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import operator
+import weakref
 from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterable, Iterator
@@ -21,10 +32,17 @@ from .errors import DuplicateSimplex, MonotonicityViolation, SimplexNotFound
 
 Simplex = tuple[int, ...]
 
+# A block is the q-simplices of a complex as a (count, q + 1) int64 matrix of
+# ascending vertex rows, with a float64 array of their values.
+Block = tuple[np.ndarray, np.ndarray]
+
 
 def simplex(vertices: Iterable[int]) -> Simplex:
     """Canonicalize ``vertices`` into an ascending tuple of distinct ids."""
-    out = tuple(sorted(vertices))
+    try:
+        out = tuple(sorted(map(operator.index, vertices)))
+    except TypeError:
+        raise ValueError("vertex ids must be integers") from None
     if not out:
         raise ValueError("a simplex needs at least one vertex")
     for a, b in zip(out, out[1:]):
@@ -49,12 +67,32 @@ def proper_faces(s: Simplex) -> Iterator[Simplex]:
         yield from combinations(s, q)
 
 
+def _filtration_sorted(blocks: list[Block]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The blocks stacked into one -1-padded vertex matrix, dimensions and
+    # values, permuted into filtration order.  lexsort's last key is its
+    # primary one: value, then dimension, then the vertex columns left to
+    # right (equal dimensions pad alike, so rows compare as tuples do).
+    width = max((matrix.shape[1] for matrix, _ in blocks), default=1)
+    total = sum(len(values) for _, values in blocks)
+    vertices = np.full((total, width), -1, dtype=np.int64)
+    dims = np.empty(total, dtype=np.int64)
+    at = 0
+    for matrix, values in blocks:
+        count, size = matrix.shape
+        vertices[at : at + count, :size] = matrix
+        dims[at : at + count] = size - 1
+        at += count
+    values = np.concatenate([v for _, v in blocks]) if blocks else np.empty(0)
+    perm = np.lexsort((*vertices.T[::-1], dims, values))
+    return vertices[perm], dims[perm], values[perm]
+
+
 class FilteredComplex:
     """Simplices with filtration values, ordered by (value, dim, lex)."""
 
     def __init__(self, simplices: Iterable[tuple[Iterable[int], float]] = ()) -> None:
         """Complex of ``(simplex, value)`` pairs, each listed after its facets
-        and no cheaper than them; values are non-negative and not NaN, and a
+        and no cheaper than them; values are finite and non-negative, and a
         repeat must carry the same value."""
         values: dict[Simplex, float] = {}
         for s, value in simplices:
@@ -64,6 +102,8 @@ class FilteredComplex:
                 raise MonotonicityViolation(f"negative filtration value {value}")
             if math.isnan(value):
                 raise MonotonicityViolation(f"filtration value of {key} is NaN")
+            if math.isinf(value):
+                raise MonotonicityViolation(f"filtration value of {key} is infinite")
             stored = values.get(key)
             if stored is not None:
                 if stored != value:
@@ -76,84 +116,117 @@ class FilteredComplex:
                 if fv > value:
                     raise MonotonicityViolation(f"face {f} at {fv} exceeds {key} at {value}")
             values[key] = value
+        by_size: dict[int, list[Simplex]] = {}
+        for s in values:
+            by_size.setdefault(len(s), []).append(s)
+        blocks = [
+            (np.array(group, dtype=np.int64),
+             np.fromiter(map(values.__getitem__, group), dtype=np.float64, count=len(group)))
+            for _, group in sorted(by_size.items())
+        ]
+        self._store(*_filtration_sorted(blocks))
+
+    def _store(self, vertices: np.ndarray, dims: np.ndarray, values: np.ndarray,
+               parent: FilteredComplex | None = None, at: slice | np.ndarray | None = None) -> None:
+        self._vertices = vertices
+        self._dims = dims
         self._values = values
         # Restrictions already built, keyed by epsilon or (birth, death).
         self._restrictions: dict[object, FilteredComplex] = {}
+        # A restriction's positions in its parent, whose tuples it shares
+        # while the parent lives.  The reference is weak, so a complex and
+        # its memoized restrictions form no cycle.
+        self._parent = weakref.ref(parent) if parent is not None else None
+        self._at = at
 
     @classmethod
-    def _from_values(cls, values: dict[Simplex, float]) -> "FilteredComplex":
+    def _from_blocks(cls, blocks: list[Block]) -> "FilteredComplex":
         # Bulk load for builders that guarantee closure and monotonicity.
-        out = cls()
-        out._values = values
+        out = cls.__new__(cls)
+        out._store(*_filtration_sorted(blocks))
         return out
 
-    # -- basic queries -----------------------------------------------------
+    # -- array queries -------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._values)
 
-    def __contains__(self, s: object) -> bool:
-        return s in self._values
-
-    def __iter__(self) -> Iterator[Simplex]:
-        return iter(self.order)
-
     @cached_property
     def vertex_count(self) -> int:
-        return sum(1 for s in self._values if len(s) == 1)
+        return int(np.count_nonzero(self._dims == 0))
 
     @property
     def dimension(self) -> int:
-        if not self._values:
-            return -1
-        return max(len(s) for s in self._values) - 1
+        return int(self._dims.max(initial=-1))
 
     @property
     def max_value(self) -> float:
-        if not self._values:
-            return 0.0
-        return self._values[self.order[-1]]
+        return float(self._values[-1]) if len(self._values) else 0.0
 
-    def value(self, s: Iterable[int]) -> float:
-        key = tuple(s)
-        try:
-            return self._values[key]
-        except KeyError:
-            raise SimplexNotFound(f"simplex {key} is not in the complex") from None
+    def block(self, q: int) -> Block:
+        """The q-simplices in filtration order: an ``int64`` matrix of their
+        vertex rows and their values."""
+        mask = self._dims == q
+        return self._vertices[mask, : q + 1], self._values[mask]
 
-    def simplices(self) -> Iterator[Simplex]:
-        """Stored simplices in insertion order (cheaper than ``order``)."""
-        return iter(self._values)
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Simplices of dimension one and up, in filtration order, as an
+        ``int32`` matrix of vertex rows padded with -1, and their values."""
+        cofaces = self._dims > 0
+        width = int(self._dims.max(initial=0)) + 1
+        matrix = self._vertices[cofaces, :width]
+        largest = int(matrix.max(initial=-1))
+        if largest > np.iinfo(np.int32).max:
+            raise OverflowError(f"vertex id {largest} out of bounds for int32")
+        return matrix.astype(np.int32), self._values[cofaces]
+
+    # -- tuple index -----------------------------------------------------------
 
     @cached_property
     def _order(self) -> list[Simplex]:
         # Cached apart from ``order``, a plain property so perfbench can wrap it.
-        return sorted(self._values, key=lambda s: (self._values[s], len(s), s))
+        parent = self._parent() if self._parent is not None else None
+        if parent is not None:
+            order = parent._order
+            if isinstance(self._at, slice):
+                return order[self._at]
+            return [order[i] for i in self._at.tolist()]
+        rows = self._vertices.tolist()
+        return [tuple(row[: q + 1]) for row, q in zip(rows, self._dims.tolist())]
+
+    @cached_property
+    def _index(self) -> dict[Simplex, float]:
+        return dict(zip(self._order, self._values.tolist()))
+
+    def __contains__(self, s: object) -> bool:
+        return s in self._index
+
+    def __iter__(self) -> Iterator[Simplex]:
+        return iter(self.order)
+
+    def value(self, s: Iterable[int]) -> float:
+        key = tuple(s)
+        try:
+            return self._index[key]
+        except KeyError:
+            raise SimplexNotFound(f"simplex {key} is not in the complex") from None
+
+    def simplices(self) -> Iterator[Simplex]:
+        """Stored simplices in filtration order."""
+        return iter(self._order)
 
     @property
     def order(self) -> list[Simplex]:
         """Filtration order: by value, then dimension, then vertex tuple."""
         return self._order
 
-    @cached_property
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Simplices of dimension one and up, in filtration order, as an
-        ``int32`` matrix of vertex rows padded with -1, and their values."""
-        cofaces = [s for s in self.order if len(s) > 1]
-        width = max(map(len, cofaces), default=1)
-        pad = (-1,) * width
-        flat = chain.from_iterable((s + pad)[:width] for s in cofaces)
-        matrix = np.fromiter(flat, dtype=np.int32, count=len(cofaces) * width)
-        values = np.fromiter(map(self._values.__getitem__, cofaces),
-                             dtype=np.float64, count=len(cofaces))
-        return matrix.reshape(len(cofaces), width), values
-
     # -- neighborhood operators --------------------------------------------
 
     @cached_property
     def _cofaces(self) -> dict[int, list[Simplex]]:
         table: dict[int, list[Simplex]] = {}
-        for s in self.order:
+        for s in self._order:
             for v in s:
                 table.setdefault(v, []).append(s)
         return table
@@ -161,7 +234,7 @@ class FilteredComplex:
     def star(self, s: Iterable[int]) -> list[Simplex]:
         """Cofaces of ``s`` including ``s`` itself, in filtration order."""
         key = tuple(s)
-        if key not in self._values:
+        if key not in self._index:
             raise SimplexNotFound(f"simplex {key} is not in the complex")
         table = self._cofaces
         if len(key) == 1:
@@ -175,7 +248,7 @@ class FilteredComplex:
         out: set[Simplex] = set()
         for raw in subset:
             key = tuple(raw)
-            if key not in self._values:
+            if key not in self._index:
                 raise SimplexNotFound(f"simplex {key} is not in the complex")
             out.add(key)
             out.update(proper_faces(key))
@@ -191,32 +264,32 @@ class FilteredComplex:
     # -- restriction ---------------------------------------------------------
 
     def _prefix_length(self, epsilon: float) -> int:
-        return bisect_right(self.order, epsilon, key=self._values.__getitem__)
+        return int(np.searchsorted(self._values, epsilon, side="right"))
 
-    def _restricted(self, key: object, members) -> "FilteredComplex":
-        # Built once per key from ``members()``, a list in filtration order,
-        # so that the sub-complex's own order needs no sort.
+    def _restricted(self, key: object, positions) -> "FilteredComplex":
+        # Built once per key from ``positions()``, ascending positions in the
+        # filtration order, so that the sub-complex's arrays need no sort.
         if key not in self._restrictions:
-            order = members()
-            sub = FilteredComplex._from_values({s: self._values[s] for s in order})
-            sub._order = order
+            at = positions()
+            sub = FilteredComplex.__new__(FilteredComplex)
+            sub._store(self._vertices[at], self._dims[at], self._values[at], self, at)
             self._restrictions[key] = sub
         return self._restrictions[key]
 
     def subcomplex_at(self, epsilon: float) -> "FilteredComplex":
         """Sub-complex of simplices with value at most ``epsilon``, a prefix of
-        the order; the complex itself from ``max_value`` up."""
+        the arrays; the complex itself from ``max_value`` up."""
         eps = float(epsilon)
         if eps >= self.max_value:
             return self
-        return self._restricted(eps, lambda: self.order[: self._prefix_length(eps)])
+        return self._restricted(eps, lambda: slice(0, self._prefix_length(eps)))
 
     def band(self, birth: float, death: float) -> "FilteredComplex":
         """Simplices with value in ``(birth, death]`` and all their faces."""
-        def members() -> list[Simplex]:
+        def positions() -> np.ndarray:
             lo, hi = self._prefix_length(birth), self._prefix_length(death)
-            inside = self.order[lo:hi]
             # Faces valued at most ``birth`` lie before ``lo``.
-            faces = set(chain.from_iterable(map(proper_faces, inside)))
-            return [s for s in self.order[:lo] if s in faces] + inside
-        return self._restricted((birth, death), members)
+            faces = set(chain.from_iterable(map(proper_faces, self._order[lo:hi])))
+            before = [i for i, s in enumerate(self._order[:lo]) if s in faces]
+            return np.concatenate([np.array(before, dtype=np.intp), np.arange(lo, hi)])
+        return self._restricted((birth, death), positions)

@@ -11,10 +11,13 @@ the rest are reduced by column additions.  The top dimension has no
 coboundary, so it gets no columns: each top simplex that no column claimed
 is an immortal interval.
 
-Facets are found with numpy, not with tuples: vertices get dense ids, each
-simplex an exact ``int64`` key (the rank of its prefix face, all vertices
-but the last, times the vertex count, plus its last vertex), and the keys of
-one dimension are searched with ``np.searchsorted``.
+Everything is read from the complex's arrays, never from tuples: each
+dimension's vertex matrix and values come from ``FilteredComplex.block`` in
+filtration order, so births and deaths are those values.  Facets are found
+with numpy: vertices get dense ids, each simplex an exact ``int64`` key (the
+rank of its prefix face, all vertices but the last, times the vertex count,
+plus its last vertex), and the keys of one dimension are searched with
+``np.searchsorted``.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, groupby
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
-from .complexes import FilteredComplex, Simplex
+from .complexes import FilteredComplex
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,13 +94,10 @@ def _locate(tables: list[tuple[np.ndarray, np.ndarray]], rows: np.ndarray) -> np
     return pos
 
 
-def _vertex_rows(simplices: list[Simplex], vertices: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    # Equally long simplices as a matrix of dense vertex ids.
-    width = len(simplices[0])
-    raw = np.fromiter(chain.from_iterable(simplices), dtype=np.int64,
-                      count=len(simplices) * width)
+def _dense(matrix: np.ndarray, vertices: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    # A vertex matrix with every vertex id replaced by its dense id.
     ids, sorter = vertices
-    return sorter[np.searchsorted(ids, raw)].reshape(len(simplices), width)
+    return sorter[np.searchsorted(ids, matrix)]
 
 
 def _coboundaries(facet_pos: np.ndarray, n_columns: int) -> tuple[list[int], np.ndarray]:
@@ -149,27 +149,25 @@ def _reduce(
 
 def boundary_reduce(complex_: FilteredComplex) -> Diagram:
     """Birth/death intervals for every homology dimension of the filtration."""
-    order = complex_.order
-    if not order:
+    if not len(complex_):
         return Diagram((), 0.0)
     top = complex_.dimension
-    by_dim: list[list[Simplex]] = [[] for _ in range(top + 1)]
-    for s in order:
-        by_dim[len(s) - 1].append(s)
 
     # tables[q] holds the sorted keys of the q-simplices and the position of
     # each in filtration order among them.  A vertex's key is its id, and its
     # position is its dense id; the key of a higher simplex is the position
     # of its prefix face times the vertex count, plus its last dense id.
-    tables = [_key_table(np.fromiter((s[0] for s in by_dim[0]), dtype=np.int64,
-                                     count=len(by_dim[0])))]
-    nv = len(by_dim[0])
+    vertices, values = complex_.block(0)
+    tables = [_key_table(vertices[:, 0])]
+    nv = len(vertices)
     intervals: list[PersistenceInterval] = []
     cleared: set[int] = set()  # positions of q-simplices that killed a (q-1)-class
-    births = list(map(complex_.value, by_dim[0]))
+    births = values.tolist()
     for q in range(top):
-        deaths = list(map(complex_.value, by_dim[q + 1]))
-        rows = _vertex_rows(by_dim[q + 1], tables[0])
+        simplices, values = complex_.block(q + 1)
+        deaths = values.tolist()
+        rows = _dense(simplices, tables[0])
+        del simplices
         facet_pos = np.empty(rows.shape, dtype=np.int64)
         for i in range(q + 2):
             facet_pos[:, i] = _locate(tables, np.delete(rows, i, axis=1))
@@ -187,8 +185,9 @@ def boundary_reduce(complex_: FilteredComplex) -> Diagram:
 
     # Each top simplex no column claimed is immortal.  In filtration order
     # their births already ascend, and equal intervals share one object.
-    alive = [i not in cleared for i in range(len(births))]
-    for birth, run in groupby(compress(births, alive)):
+    alive = np.ones(len(values), dtype=bool)
+    alive[np.fromiter(cleared, dtype=np.intp, count=len(cleared))] = False
+    for birth, run in groupby(values[alive].tolist()):
         shared = PersistenceInterval(top, birth, math.inf)
         intervals.extend(shared for _ in run)
     return Diagram(tuple(intervals), complex_.max_value)

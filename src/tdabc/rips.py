@@ -2,19 +2,26 @@
 
 Vertices enter at value 0, every other simplex at the maximum pairwise
 distance among its vertices, so faces never appear after their cofaces.
+``build_rips`` grows each dimension as an ``int64`` vertex matrix with a
+``float64`` values array, one block of frontier rows at a time, and hands the
+blocks to ``FilteredComplex``, which sorts them into filtration order once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .complexes import FilteredComplex, Simplex
+from .complexes import FilteredComplex
 from .errors import CapacityExceeded, DimensionMismatch, InvalidConfig
 
 METRICS = {"euclidean": "euclidean", "manhattan": "cityblock", "cosine": "cosine"}
+
+# Mask cells (frontier rows times vertices) that build_rips grows at once.
+_CHUNK_CELLS = 1 << 18
 
 
 def pairwise_distances(points, metric: str = "euclidean") -> np.ndarray:
@@ -123,13 +130,13 @@ def build_rips(dist: np.ndarray, config: RipsConfig | None = None) -> FilteredCo
     n = dist.shape[0]
     if dist.shape != (n, n):
         raise DimensionMismatch(f"distance matrix must be square, got {dist.shape}")
-    if not (dist >= 0.0).all():
-        raise InvalidConfig("distance entries must be non-negative and not NaN")
+    # A NaN entry makes both comparisons false.
+    if dist.size and not (dist.min() >= 0.0 and dist.max() < math.inf):
+        raise InvalidConfig("distance entries must be non-negative and not NaN or infinite")
     max_edge = config.max_edge
     if max_edge is None:
         max_edge = auto_max_edge(dist, config.max_dim, config.budget)
 
-    values: dict[Simplex, float] = {}
     budget = config.budget
 
     def check(count: int) -> None:
@@ -139,32 +146,42 @@ def build_rips(dist: np.ndarray, config: RipsConfig | None = None) -> FilteredCo
                 f"tighten max_edge or max_dim (current cap {max_edge})"
             )
 
-    adjacent = dist <= max_edge
-    np.fill_diagonal(adjacent, False)
-    up = np.triu(adjacent)
+    up = np.triu(dist <= max_edge, k=1)
 
     # Each dimension grows from the one below: a simplex gains every later
-    # vertex adjacent to all of its vertices.
-    frontier: list[tuple[Simplex, float]] = [((i,), 0.0) for i in range(n)]
-    values.update(frontier)
-    check(len(values))
+    # vertex adjacent to all of its vertices.  The frontier is read in chunks
+    # of about _CHUNK_CELLS mask cells; np.nonzero lists a chunk's new
+    # simplices by frontier row, then by added vertex, and they are counted
+    # against the budget before they are stored.
+    step = max(1, _CHUNK_CELLS // max(n, 1))
+    frontier = np.arange(n, dtype=np.int64)[:, None]
+    frontier_values = np.zeros(n)
+    blocks = [(frontier, frontier_values)]
+    count = n
+    check(count)
     for _dim in range(1, config.max_dim + 1):
-        grown: list[tuple[Simplex, float]] = []
-        for s, val in frontier:
-            mask = up[s[0]]
-            for v in s[1:]:
-                mask = mask & up[v]
-            ks = np.flatnonzero(mask)
-            if len(ks) == 0:
+        grown: list[np.ndarray] = []
+        grown_values: list[np.ndarray] = []
+        for lo in range(0, len(frontier), step):
+            rows = frontier[lo : lo + step]
+            mask = up[rows[:, 0]]
+            for j in range(1, rows.shape[1]):
+                mask &= up[rows[:, j]]
+            at, added = np.nonzero(mask)
+            if not len(added):
                 continue
-            check(len(values) + len(ks))
-            ext_val = np.maximum(dist[list(s)][:, ks].max(axis=0), val)
-            for k, v in zip(ks, ext_val):
-                t = s + (int(k),)
-                grown.append((t, float(v)))
-                values[t] = float(v)
+            count += len(added)
+            check(count)
+            parents = rows[at]
+            values = frontier_values[lo : lo + step][at]
+            for j in range(parents.shape[1]):
+                np.maximum(values, dist[parents[:, j], added], out=values)
+            grown.append(np.column_stack((parents, added)))
+            grown_values.append(values)
         if not grown:
             break
-        frontier = grown
+        frontier = np.concatenate(grown)
+        frontier_values = np.concatenate(grown_values)
+        blocks.append((frontier, frontier_values))
 
-    return FilteredComplex._from_values(values)
+    return FilteredComplex._from_blocks(blocks)

@@ -90,8 +90,9 @@ def random_rips(rng: np.random.Generator, max_points: int = 8, max_dim: int = 3)
     return build_rips(dist, RipsConfig(max_dim=max_dim, max_edge=float("inf")))
 
 
-def random_monotone_complex(rng: np.random.Generator, max_vertices: int = 8, max_dim: int = 3) -> FilteredComplex:
-    """Arbitrary (non-geometric) filtered complex with monotone values.
+def random_monotone_values(rng: np.random.Generator, max_vertices: int = 8, max_dim: int = 3) -> dict[tuple[int, ...], float]:
+    """Arbitrary (non-geometric) filtration with monotone values, as a dict
+    from simplex to value listing each simplex after its facets.
 
     Draws a handful of maximal simplices, closes them under faces, and
     assigns each simplex a value at least as large as all its facets.
@@ -115,7 +116,12 @@ def random_monotone_complex(rng: np.random.Generator, max_vertices: int = 8, max
             base = max(values[f] for f in proper_faces(s) if len(f) == len(s) - 1)
             bump = float(rng.choice([0.0, rng.uniform(0.0, 0.5)]))
             values[s] = base + bump
-    return FilteredComplex((s, values[s]) for s in sorted(values, key=lambda t: (len(t), t)))
+    return values
+
+
+def random_monotone_complex(rng: np.random.Generator, max_vertices: int = 8, max_dim: int = 3) -> FilteredComplex:
+    """The complex of ``random_monotone_values``."""
+    return FilteredComplex(random_monotone_values(rng, max_vertices, max_dim).items())
 
 
 def random_association(

@@ -4,14 +4,15 @@ Each function here reaches a result the package also reaches, by a route
 that shares no code with the package's own: boundary-matrix reduction for
 persistence diagrams, dense boundary-map ranks for Betti numbers,
 vertex-set differences over the open star for links, the link-form sum for
-the label extension, a per-interval scan for lifetimes, and every vertex
-subset for the Rips complex.  Tests compare the two routes.
+the label extension, a per-interval scan for lifetimes, every vertex
+subset for the Rips complex, and sorted tuples for the filtration order and
+its vertex rows.  Tests compare the two routes.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable
 
 import numpy as np
@@ -40,6 +41,25 @@ def rips_cliques(dist: np.ndarray, cap: float, max_dim: int) -> dict[Simplex, fl
             if all(d <= cap for d in pairs):
                 out[s] = max(pairs, default=0.0)
     return out
+
+
+def tuple_order(values: dict[Simplex, float]) -> list[Simplex]:
+    """Filtration order of a simplex-to-value map: by value, then dimension,
+    then vertex tuple, by sorting the tuples."""
+    return sorted(values, key=lambda s: (values[s], len(s), s))
+
+
+def tuple_rows(values: dict[Simplex, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Simplices of dimension one and up in ``tuple_order``, as an ``int32``
+    matrix of vertex rows padded with -1 and packed by ``np.fromiter``, and
+    their values."""
+    cofaces = [s for s in tuple_order(values) if len(s) > 1]
+    width = max(map(len, cofaces), default=1)
+    pad = (-1,) * width
+    flat = chain.from_iterable((s + pad)[:width] for s in cofaces)
+    matrix = np.fromiter(flat, dtype=np.int32, count=len(cofaces) * width)
+    vals = np.fromiter(map(values.__getitem__, cofaces), dtype=np.float64, count=len(cofaces))
+    return matrix.reshape(len(cofaces), width), vals
 
 
 def link_via_star(complex_: FilteredComplex, s: Iterable[int]) -> set[Simplex]:

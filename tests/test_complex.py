@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,15 +12,18 @@ from hypothesis import strategies as st
 
 from tdabc.complexes import FilteredComplex, facets, proper_faces, simplex
 from tdabc.errors import DuplicateSimplex, MonotonicityViolation, SimplexNotFound
+from tdabc.persistence import boundary_reduce
+from tdabc.rips import RipsConfig, build_rips, pairwise_distances
 
 from conftest import (
     random_monotone_complex,
+    random_monotone_values,
     random_rips,
     tetrahedron_complex,
     two_triangles_complex,
     unit_square_complex,
 )
-from oracles import link_via_star
+from oracles import link_via_star, rips_cliques, tuple_order, tuple_rows
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +48,13 @@ def test_simplex_rejects_empty():
 def test_simplex_rejects_negative_ids():
     with pytest.raises(ValueError):
         simplex([-1, 2])
+
+
+def test_simplex_rejects_non_integer_ids():
+    # The vertex matrix is int64: a float id would be truncated silently.
+    with pytest.raises(ValueError, match="vertex ids must be integers"):
+        FilteredComplex([((1.5,), 0.0)])
+    assert simplex(np.array([3, 1])) == (1, 3)
 
 
 def test_facets_of_triangle():
@@ -114,6 +125,16 @@ def test_constructor_rejects_nan_values():
         FilteredComplex([((0,), float("nan")), ((1,), 0.0), ((0, 1), 1.0)])
 
 
+def test_constructor_rejects_infinite_values():
+    # An edge killing a class at inf would read as an immortal interval:
+    # boundary_reduce of this complex used to give two immortal dim-0
+    # intervals and max_filtration inf.
+    with pytest.raises(MonotonicityViolation, match=r"value of \(0, 1\) is infinite"):
+        boundary_reduce(FilteredComplex([((0,), 0.0), ((1,), 0.0), ((0, 1), math.inf)]))
+    with pytest.raises(MonotonicityViolation, match="negative filtration value -inf"):
+        FilteredComplex([((0,), -math.inf)])
+
+
 def test_constructor_canonicalizes_vertex_order():
     cx = FilteredComplex([((1,), 0.0), ((0,), 0.0), ((1, 0), 0.5)])
     assert (0, 1) in cx and (1, 0) not in cx
@@ -158,6 +179,62 @@ def test_rows_hold_the_cofaces_in_filtration_order(seed):
     assert [tuple(v for v in row if v >= 0) for row in matrix.tolist()] == cofaces
     assert values.tolist() == [cx.value(s) for s in cofaces]
     assert cx.rows is cx.rows
+
+
+@st.composite
+def filtrations(draw) -> tuple[FilteredComplex, dict]:
+    """A complex and the simplex-to-value map it was made from."""
+    kind = draw(st.sampled_from(["monotone", "rips", "wide", "empty"]))
+    if kind == "empty":
+        return FilteredComplex(), {}
+    if kind == "rips":
+        # Integer grid points repeat distances and points, so many simplices
+        # tie on value; the cap may be any stored distance.
+        points = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                               min_size=1, max_size=8))
+        dist = pairwise_distances(np.array(points, dtype=float))
+        cap = draw(st.sampled_from([math.inf, *np.unique(dist).tolist()]))
+        max_dim = draw(st.integers(2, 4))
+        values = rips_cliques(dist, cap, max_dim)
+        return build_rips(dist, RipsConfig(max_dim=max_dim, max_edge=cap)), values
+    values = random_monotone_values(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    if kind == "wide":
+        # Vertex ids from 2^31 up, past int32 and in an order-preserving map.
+        scale = draw(st.sampled_from([1, 3, 10**12]))
+        values = {tuple(2**31 + scale * v for v in s): x for s, x in values.items()}
+    return FilteredComplex(values.items()), values
+
+
+@given(filtrations())
+@settings(max_examples=150, deadline=None)
+def test_arrays_equal_the_tuple_oracle(made):
+    """Order, rows, counts and restrictions read from the arrays equal the
+    tuple route's: sorted tuples, and rows packed by ``np.fromiter``."""
+    cx, values = made
+    order = tuple_order(values)
+    assert cx.order == order
+    assert [cx.value(s) for s in order] == [values[s] for s in order]
+    assert cx.vertex_count == sum(len(s) == 1 for s in values)
+    assert cx.dimension == max(map(len, values), default=0) - 1
+    assert cx.max_value == max(values.values(), default=0.0)
+    try:
+        expected_rows = tuple_rows(values)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            cx.rows
+    else:
+        for got, want in zip(cx.rows, expected_rows):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    levels = sorted(set(values.values()))
+    for eps in levels:
+        assert cx.subcomplex_at(eps).order == [s for s in order if values[s] <= eps]
+    for birth, death in itertools.combinations_with_replacement(levels[:6], 2):
+        members = {f: values[f] for s in values if birth < values[s] <= death
+                   for f in itertools.chain((s,), proper_faces(s))}
+        band = cx.band(birth, death)
+        assert band.order == tuple_order(members)
+        assert [band.value(s) for s in band.order] == [members[s] for s in band.order]
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +340,16 @@ def test_repeated_restrictions_return_the_same_object():
     assert cx.subcomplex_at(1.0) is cx.subcomplex_at(1.0)
     assert cx.band(0.0, 1.0) is cx.band(0.0, 1.0)
     assert cx.band(0.0, 1.0) is not cx.subcomplex_at(1.0)
+
+
+def test_restrictions_share_their_parents_tuples():
+    cx = unit_square_complex()
+    sub, band = cx.subcomplex_at(1.0), cx.band(0.0, 1.0)
+    assert all(a is b for a, b in zip(sub.order, cx.order))
+    assert {id(s) for s in band.order} <= {id(s) for s in cx.order}
+    # A restriction whose parent is gone builds its own tuples.
+    orphan = unit_square_complex().subcomplex_at(1.0)
+    assert orphan.order == sub.order and orphan.value((0, 1)) == 1.0
 
 
 def band_reference(cx, birth, death):

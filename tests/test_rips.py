@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -73,6 +74,14 @@ def test_build_rips_rejects_negative_or_nan_distances(bad):
         build_rips(dist, RipsConfig(max_dim=2, max_edge=1.0))
 
 
+def test_build_rips_rejects_infinite_distances():
+    # With the automatic cap an infinite entry used to become the cap itself,
+    # and the edge was stored at inf.
+    dist = np.array([[0.0, math.inf], [math.inf, 0.0]])
+    with pytest.raises(InvalidConfig, match="non-negative and not NaN or infinite"):
+        build_rips(dist, RipsConfig(max_dim=2))
+
+
 # ---------------------------------------------------------------------------
 # build_rips on known geometry
 # ---------------------------------------------------------------------------
@@ -130,6 +139,22 @@ def test_budget_guard_raises():
     dist = pairwise_distances(rng.normal(size=(30, 2)))
     with pytest.raises(CapacityExceeded):
         build_rips(dist, RipsConfig(max_dim=3, max_edge=float("inf"), budget=50))
+
+
+def test_budget_stops_growth_within_a_few_adjacency_matrices():
+    """Growth is chunked over the frontier and each chunk is counted before it
+    is stored, so passing the budget on 1,500 points with no edge cap holds
+    a few n-by-n boolean masks at most, never every edge at once."""
+    n = 1500
+    dist = pairwise_distances(np.random.default_rng(0).normal(size=(n, 3)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityExceeded):
+            build_rips(dist, RipsConfig(max_dim=2, max_edge=math.inf, budget=5_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * n
 
 
 # ---------------------------------------------------------------------------
