@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -243,7 +244,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         steps = list(range(1, 17))
         payloads = [(step, args) for step in steps]
         if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            # Spawned, not forked: the parent's BLAS may already run threads.
+            spawn = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
                 results = dict(pool.map(_ramp_worker, payloads))
         else:
             results = dict(map(_ramp_worker, payloads))
@@ -286,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-dim", dest="max_dim", type=int, default=_RIPS.max_dim)
         p.add_argument("--max-edge", dest="max_edge", default=_RIPS.max_edge,
                        help="edge cap, a number or 'inf' (default: data-driven)")
-        p.add_argument("--metric", choices=tuple(METRICS), default=_RIPS.metric)
+        p.add_argument("--metric", choices=METRICS, default=_RIPS.metric)
         p.add_argument("--budget", type=int, default=_RIPS.budget, help="simplex budget")
 
     def policy_flags(p: argparse.ArgumentParser) -> None:

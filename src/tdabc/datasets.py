@@ -228,6 +228,8 @@ def load_csv(path: str | Path, label_column: str = "label") -> LabeledDataset:
                 feats.append(value)
             rows.append(feats)
             raw_labels.append(row[label_idx].strip())
+    if not rows:
+        raise ParseError("no data rows")
     classes = sorted(set(raw_labels))
     index = {c: i for i, c in enumerate(classes)}
     return LabeledDataset(

@@ -56,6 +56,12 @@ def stratified_splits(
     if counts.min() < 2:
         small = classes[np.argmin(counts)]
         raise DegenerateClass(f"class {small} has {counts.min()} member(s)")
+    if counts.max() < plan.folds:
+        # Each class is dealt from fold 0 on, so the last folds would be empty.
+        raise InvalidConfig(
+            f"folds is {plan.folds} but the largest class has {counts.max()} members, "
+            "so some test folds would be empty"
+        )
     if counts.min() < plan.folds:
         warnings.warn(
             f"smallest class has {counts.min()} members for {plan.folds} folds; "

@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .complexes import FilteredComplex
 from .errors import CapacityExceeded, DimensionMismatch, InvalidConfig
 
-METRICS = {"euclidean": "euclidean", "manhattan": "cityblock", "cosine": "cosine"}
+METRICS = ("euclidean", "manhattan", "cosine")
 
 # Mask cells (frontier rows times vertices) that build_rips grows at once.
 _CHUNK_CELLS = 1 << 18
@@ -39,10 +38,23 @@ def pairwise_distances(points, metric: str = "euclidean") -> np.ndarray:
         raise DimensionMismatch(f"expected a 2-d cloud, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise ValueError("point coordinates must be finite")
-    d = cdist(pts, pts, metric=METRICS[metric])
+    # Summed one coordinate at a time, as SciPy's cdist sums: euclidean and manhattan
+    # equal it bit for bit, cosine up to the last bits.  Every term is symmetric, so d is.
+    d = np.zeros((len(pts), len(pts)))
+    with np.errstate(all="ignore"):  # overflow and 0/0 fail the check below
+        for x in pts.T:
+            if metric == "cosine":
+                d += np.multiply.outer(x, x)
+            else:
+                diff = np.abs(np.subtract.outer(x, x))
+                d += diff if metric == "manhattan" else diff * diff
+        if metric == "euclidean":
+            d = np.sqrt(d)
+        elif metric == "cosine":
+            norms = np.sqrt(np.diag(d))
+            d = 1.0 - np.clip(d / np.multiply.outer(norms, norms), -1.0, 1.0)
     if not np.isfinite(d).all():
         raise ValueError(f"{metric} distance is undefined for some input rows")
-    d = np.minimum(d, d.T)
     np.fill_diagonal(d, 0.0)
     return d
 

@@ -81,6 +81,9 @@ def test_unknown_dataset_exits_two(tmp_path, capsys):
         ("classify", "--dataset", "circles", "--test-fraction", "-1"),
         ("classify", "--dataset", "circles", "--test-fraction", "1.5"),
         ("evaluate", "--ramp", "--jobs", "0"),
+        # circles has 25 points per class
+        ("evaluate", "--dataset", "circles", "--folds", "30", "--repeats", "1",
+         "--classifiers", "knn"),
     ],
 )
 def test_invalid_values_exit_two_with_one_error_line(tmp_path, capsys, argv):
@@ -108,6 +111,8 @@ def test_invalid_values_exit_two_with_one_error_line(tmp_path, capsys, argv):
           for key in ("selector", "epsilon_mode", "recovery", "baseline")),
         (("persistence", "--dataset", "circles", "--config", "FILE"),
          '{"max_edge": "wide"}', "FILE: 'max_edge' must be a number or 'inf', got 'wide'"),
+        *(((command, "--dataset", "FILE"), "f0,label\n", "no data rows")
+          for command in ("generate", "persistence", "classify", "evaluate")),
     ],
 )
 def test_bad_input_files_exit_two_with_one_error_line(tmp_path, capsys, argv, content, reason):

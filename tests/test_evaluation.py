@@ -79,6 +79,13 @@ def test_tiny_class_warns_when_smaller_than_folds():
         stratified_splits(labels, FoldPlan(folds=5, repeats=1, seed=0))
 
 
+def test_more_folds_than_the_largest_class_rejected():
+    labels = np.array([0] * 4 + [1] * 4)
+    assert all(len(test) for *_, test in stratified_splits(labels, FoldPlan(folds=4, repeats=1)))
+    with pytest.raises(InvalidConfig, match=r"folds is 5 .* largest class has 4 members"):
+        stratified_splits(labels, FoldPlan(folds=5, repeats=1, seed=0))
+
+
 def test_splits_are_seed_deterministic():
     labels = np.array([0] * 12 + [1] * 8)
     a = stratified_splits(labels, FoldPlan(folds=4, repeats=2, seed=7))

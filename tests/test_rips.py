@@ -9,12 +9,14 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from tdabc.complexes import facets
 from tdabc.errors import CapacityExceeded, DimensionMismatch, InvalidConfig
 from tdabc.rips import (
+    METRICS,
     RipsConfig,
     _simplex_count_bound,
     auto_max_edge,
@@ -65,6 +67,40 @@ def test_ragged_input_rejected():
 def test_non_finite_input_rejected():
     with pytest.raises(ValueError):
         pairwise_distances(np.array([[0.0, np.nan], [1.0, 2.0]]))
+
+
+@st.composite
+def point_clouds(draw):
+    """Up to 12 points in 1-6 dimensions at scales 1e-6 to 1e6, with integer
+    grid coordinates mixed in and rows repeated."""
+    k = draw(st.integers(1, 6))
+    cell = st.one_of(st.integers(-3, 3).map(float), st.floats(-1.0, 1.0))
+    rows = draw(st.lists(st.lists(cell, min_size=k, max_size=k), min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=12))
+    scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]))
+    return np.array([rows[i] for i in picks]) * scale
+
+
+@given(point_clouds(), st.sampled_from(METRICS))
+@example(np.array([[0.0, 0.0], [1.0, 2.0]]), "cosine")  # a zero row has no angle
+@settings(max_examples=200, deadline=None)
+def test_distances_equal_scipys_cdist(points, metric):
+    """SciPy's cdist, symmetrised and with a zero diagonal, is the oracle: equal
+    bit for bit for euclidean and manhattan, within 1e-12 for cosine, whose
+    sums SciPy orders differently; where it is undefined a ValueError."""
+    want = cdist(points, points, metric="cityblock" if metric == "manhattan" else metric)
+    if not np.isfinite(want).all():
+        with pytest.raises(ValueError):
+            pairwise_distances(points, metric)
+        return
+    want = np.minimum(want, want.T)
+    np.fill_diagonal(want, 0.0)
+    got = pairwise_distances(points, metric)
+    assert np.array_equal(got, got.T)
+    if metric == "cosine":
+        assert np.abs(got - want).max() <= 1e-12
+    else:
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("bad", [-1.0, float("nan")])
