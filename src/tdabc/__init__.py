@@ -5,7 +5,6 @@ from .classifier import (
     AssociationTable,
     Prediction,
     associate,
-    choose_label,
     classify_all,
     extend,
     extend_all,
@@ -57,7 +56,6 @@ __all__ = [
     "binary_rates",
     "boundary_reduce",
     "build_rips",
-    "choose_label",
     "classify_all",
     "default_classifiers",
     "extend",

@@ -58,4 +58,4 @@ def knn_predict_all(
     # Nearest first, one column at a time: each row sums in per-vertex order.
     for j in range(k):
         votes[rows, labels[:, j]] += weights[:, j]
-    return [predict(table, v, row, seed, PROVENANCE_BASELINE) for v, row in zip(tests, votes)]
+    return predict(table, tests, votes, seed, [PROVENANCE_BASELINE] * len(tests))

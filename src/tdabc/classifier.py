@@ -4,8 +4,10 @@ Training vertices carry one-hot label vectors.  A test vertex collects, for
 every coface of its vertex in the selected sub-complex, the labels of the
 other vertices weighted by the inverse filtration value of that coface.
 Vertices the propagation cannot reach fall back to distance-ball voting,
-then to a shortest-reach walk through unlabeled neighborhoods, then to the
-majority training class.
+then to a shortest-reach walk through unlabeled neighborhoods.  One call of
+``predict`` then labels all test vertices from their score matrix: a row's
+largest score wins, a tie is drawn per vertex, and a row still without a
+positive score takes the majority training class.
 """
 
 from __future__ import annotations
@@ -70,17 +72,11 @@ def _extension(
     then vertex within the coface.  ``np.bincount`` adds weights in input
     order, so every sum equals the per-vertex star loop's bit for bit.
     """
-    queried, back = np.unique(np.asarray(vertices, dtype=np.int32), return_inverse=True)
-    matrix, values = complex_.rows
-    top = max(int(matrix.max(initial=-1)), int(queried.max(initial=-1)),
-              max(table.training, default=-1))
-    # Lookups by vertex id; the padding id -1 reads the last, unused entry.
-    slot = np.full(top + 2, -1, dtype=np.int32)
-    slot[queried] = np.arange(queried.size, dtype=np.int32)
-    label = np.full(top + 2, -1, dtype=np.int32)
-    label[np.fromiter(table.training, dtype=np.int32)] = np.fromiter(
-        table.training.values(), dtype=np.int32
-    )
+    queried, back = np.unique(np.asarray(vertices, dtype=np.int64), return_inverse=True)
+    matrix, values, ids = complex_.rows
+    slot = _by_rank(ids, queried, np.arange(queried.size))
+    label = _by_rank(ids, np.fromiter(table.training, dtype=np.int64),
+                     np.fromiter(table.training.values(), dtype=np.int64))
     hit_row, hit_col = np.nonzero((slot >= 0)[matrix])
     owner = slot[matrix[hit_row, hit_col]]
     others = label[matrix[hit_row]]
@@ -94,6 +90,17 @@ def _extension(
     ).reshape(queried.size, table.n_classes)
     cofaces = np.bincount(owner, minlength=queried.size)
     return scores[back], cofaces[back]
+
+
+def _by_rank(ids: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Lookup by rank among the ascending ``ids``: each key's value where the key
+    is found, else -1; the padding rank -1 reads the last, unused entry."""
+    out = np.full(ids.size + 1, -1, dtype=np.int32)
+    at = np.searchsorted(ids, keys)
+    found = at < ids.size
+    found[found] = ids[at[found]] == keys[found]
+    out[at[found]] = values[found]
+    return out
 
 
 def extend_all(
@@ -112,25 +119,8 @@ def extend(complex_: FilteredComplex, table: AssociationTable, v: int) -> np.nda
     return extend_all(complex_, table, [v])[0]
 
 
-def choose_label(scores: np.ndarray, seed) -> int | None:
-    """Index of the largest score; None when all zero; ties drawn uniformly
-    from ``np.random.default_rng(seed)``, which is built only on a tie."""
-    top = scores.max() if scores.size else 0.0
-    if top <= 0.0:
-        return None
-    ties = np.flatnonzero(scores == top)
-    if len(ties) == 1:
-        return int(ties[0])
-    return int(ties[np.random.default_rng(seed).integers(len(ties))])
-
-
-def handle_isolated(
-    table: AssociationTable,
-    v: int,
-    epsilon_death: float,
-    dist: np.ndarray,
-    extensions: Mapping[int, np.ndarray],
-) -> np.ndarray:
+def handle_isolated(table: AssociationTable, v: int, epsilon_death: float, dist: np.ndarray,
+                    extensions: Mapping[int, np.ndarray]) -> np.ndarray:
     """Distance-ball vote for a vertex with an empty link.
 
     Every vertex within twice ``epsilon_death`` contributes at inverse
@@ -165,13 +155,16 @@ def handle_unlabeled_link(
     scores = np.zeros(table.n_classes)
     if (v,) not in complex_:
         return scores
-    counter = 0
     heap: list[tuple[float, int, Simplex]] = []
     visited: set[Simplex] = set()
-    for s in complex_.star((v,)):
-        heapq.heappush(heap, (complex_.value(s), counter, s))
-        counter += 1
+
+    def push(priority: float, s: Simplex) -> None:
+        # Every push visits a new simplex, so ``len(visited)`` numbers the pushes.
+        heapq.heappush(heap, (priority, len(visited), s))
         visited.add(s)
+
+    for s in complex_.star((v,)):
+        push(complex_.value(s), s)
     while heap:
         rho, _, tau = heapq.heappop(heap)
         for mu in complex_.star(tau):
@@ -180,16 +173,12 @@ def handle_unlabeled_link(
             if phi.any():
                 scores += phi * weight
             elif mu not in visited and all(u in table.test_vertices for u in mu):
-                heapq.heappush(heap, (rho + complex_.value(mu), counter, mu))
-                counter += 1
-                visited.add(mu)
+                push(rho + complex_.value(mu), mu)
         for f in facets(tau):
             if f in visited or f not in complex_:
                 continue
             if all(u in table.test_vertices for u in f):
-                heapq.heappush(heap, (rho + complex_.value(f), counter, f))
-                counter += 1
-                visited.add(f)
+                push(rho + complex_.value(f), f)
     return scores
 
 
@@ -207,19 +196,30 @@ def majority_class(table: AssociationTable) -> int:
     return int(np.argmax(np.bincount(labels, minlength=table.n_classes)))
 
 
-def predict(
-    table: AssociationTable, v: int, scores: np.ndarray, seed: int, provenance: str
-) -> Prediction:
-    """Every classifier's rule from scores to label: ties seeded by ``[seed, v]``,
-    all-zero scores fall back to the majority class at uniform probability."""
-    label = choose_label(scores, [seed, v])
-    if label is None:
-        label, provenance = majority_class(table), PROVENANCE_FALLBACK
-        probability = np.full(table.n_classes, 1.0 / table.n_classes)
-    else:
-        probability = scores / scores.sum()
-    return Prediction(v, label, tuple(float(x) for x in scores),
-                      tuple(float(x) for x in probability), provenance)
+def predict(table: AssociationTable, vertices: Sequence[int], scores: np.ndarray,
+            seed: int, provenance: Sequence[str]) -> list[Prediction]:
+    """Every classifier's rule from a score row per vertex to its prediction:
+    the largest score wins, a tie drawn from ``np.random.default_rng([seed, v])``
+    built only for a tied row.  A row with no positive score falls back to the
+    majority class at uniform probability; other rows normalize their scores."""
+    # In C order each row sums as its own 1-d sum does, bit for bit.
+    scores = np.ascontiguousarray(scores, dtype=np.float64)
+    top = scores.max(axis=1)
+    at_top = scores == top[:, None]
+    labels = at_top.argmax(axis=1)
+    fallback = top <= 0.0
+    for i in np.flatnonzero(~fallback & (at_top.sum(axis=1) > 1)).tolist():
+        ties = np.flatnonzero(at_top[i])
+        labels[i] = ties[np.random.default_rng([seed, vertices[i]]).integers(len(ties))]
+    labels[fallback] = majority_class(table)
+    probability = np.divide(
+        scores, scores.sum(axis=1, keepdims=True), where=~fallback[:, None],
+        out=np.full_like(scores, 1.0 / table.n_classes),
+    )
+    rows = zip(vertices, labels.tolist(), scores.tolist(), probability.tolist(),
+               provenance, fallback.tolist())
+    return [Prediction(v, label, tuple(row), tuple(prob), PROVENANCE_FALLBACK if f else kind)
+            for v, label, row, prob, kind, f in rows]
 
 
 def classify_all(
@@ -250,17 +250,14 @@ def classify_all(
 
     tests = sorted(table.test_vertices)
     rows, cofaces = _extension(sub, table, tests)
-    extensions = dict(zip(tests, rows))
-
-    predictions: list[Prediction] = []
-    for v, scores, n_cofaces in zip(tests, rows, cofaces):
-        provenance = PROVENANCE_LINK
-        if not scores.any():
-            if n_cofaces == 0:
-                scores = handle_isolated(table, v, epsilon_death, dist, extensions)
-                provenance = PROVENANCE_ISOLATED
-            else:
-                scores = handle_unlabeled_link(sub, table, v)
-                provenance = PROVENANCE_UNLABELED
-        predictions.append(predict(table, v, scores, policy.rng_seed, provenance))
-    return predictions
+    extensions = dict(zip(tests, rows))  # views: the isolated vote reads them unchanged
+    scores = rows.copy()
+    provenance = [PROVENANCE_LINK] * len(tests)
+    for i in np.flatnonzero(~rows.any(axis=1)).tolist():
+        if cofaces[i] == 0:
+            scores[i] = handle_isolated(table, tests[i], epsilon_death, dist, extensions)
+            provenance[i] = PROVENANCE_ISOLATED
+        else:
+            scores[i] = handle_unlabeled_link(sub, table, tests[i])
+            provenance[i] = PROVENANCE_UNLABELED
+    return predict(table, tests, scores, policy.rng_seed, provenance)

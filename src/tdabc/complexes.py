@@ -170,16 +170,17 @@ class FilteredComplex:
         return self._vertices[mask, : q + 1], self._values[mask]
 
     @cached_property
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Simplices of dimension one and up, in filtration order, as an
-        ``int32`` matrix of vertex rows padded with -1, and their values."""
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Simplices of dimension one and up, in filtration order: an ``int32``
+        matrix of their vertex rows, each vertex given by its rank among the
+        complex's vertex ids and padded with -1; their values; and the
+        ascending vertex ids that the ranks index."""
+        ids = np.sort(self._vertices[self._dims == 0, 0])
         cofaces = self._dims > 0
-        width = int(self._dims.max(initial=0)) + 1
-        matrix = self._vertices[cofaces, :width]
-        largest = int(matrix.max(initial=-1))
-        if largest > np.iinfo(np.int32).max:
-            raise OverflowError(f"vertex id {largest} out of bounds for int32")
-        return matrix.astype(np.int32), self._values[cofaces]
+        matrix = self._vertices[cofaces, : int(self._dims.max(initial=0)) + 1]
+        if ids.size and ids[-1] != ids.size - 1:  # ids 0..n-1 are their own ranks
+            matrix = np.where(matrix < 0, -1, np.searchsorted(ids, matrix))
+        return matrix.astype(np.int32), self._values[cofaces], ids
 
     # -- tuple index -----------------------------------------------------------
 

@@ -37,7 +37,7 @@ def pairwise_distances(points, metric: str = "euclidean") -> np.ndarray:
     if pts.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d cloud, got shape {pts.shape}")
     if not np.isfinite(pts).all():
-        raise ValueError("point coordinates must be finite")
+        raise InvalidConfig("point coordinates must be finite")
     # Summed one coordinate at a time, as SciPy's cdist sums: euclidean and manhattan
     # equal it bit for bit, cosine up to the last bits.  Every term is symmetric, so d is.
     d = np.zeros((len(pts), len(pts)))
@@ -54,7 +54,7 @@ def pairwise_distances(points, metric: str = "euclidean") -> np.ndarray:
             norms = np.sqrt(np.diag(d))
             d = 1.0 - np.clip(d / np.multiply.outer(norms, norms), -1.0, 1.0)
     if not np.isfinite(d).all():
-        raise ValueError(f"{metric} distance is undefined for some input rows")
+        raise InvalidConfig(f"{metric} distance is undefined for some input rows")
     np.fill_diagonal(d, 0.0)
     return d
 

@@ -4,9 +4,10 @@ Each function here reaches a result the package also reaches, by a route
 that shares no code with the package's own: boundary-matrix reduction for
 persistence diagrams, dense boundary-map ranks for Betti numbers,
 vertex-set differences over the open star for links, the link-form sum for
-the label extension, a per-interval scan for lifetimes, every vertex
-subset for the Rips complex, and sorted tuples for the filtration order and
-its vertex rows.  Tests compare the two routes.
+the label extension, one vertex at a time for the prediction rule, a
+per-interval scan for lifetimes, every vertex subset for the Rips complex,
+and sorted tuples for the filtration order and its vertex rows.  Tests
+compare the two routes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from typing import Iterable
 
 import numpy as np
 
-from tdabc.classifier import EPSILON_FLOOR, AssociationTable, associate
+from tdabc.classifier import (
+    EPSILON_FLOOR,
+    PROVENANCE_FALLBACK,
+    AssociationTable,
+    Prediction,
+    associate,
+    majority_class,
+)
 from tdabc.complexes import FilteredComplex, Simplex, facets
 from tdabc.errors import CapacityExceeded, SimplexNotFound
 from tdabc.persistence import Diagram, PersistenceInterval
@@ -50,14 +58,14 @@ def tuple_order(values: dict[Simplex, float]) -> list[Simplex]:
 
 
 def tuple_rows(values: dict[Simplex, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Simplices of dimension one and up in ``tuple_order``, as an ``int32``
+    """Simplices of dimension one and up in ``tuple_order``, as an ``int64``
     matrix of vertex rows padded with -1 and packed by ``np.fromiter``, and
     their values."""
     cofaces = [s for s in tuple_order(values) if len(s) > 1]
     width = max(map(len, cofaces), default=1)
     pad = (-1,) * width
     flat = chain.from_iterable((s + pad)[:width] for s in cofaces)
-    matrix = np.fromiter(flat, dtype=np.int32, count=len(cofaces) * width)
+    matrix = np.fromiter(flat, dtype=np.int64, count=len(cofaces) * width)
     vals = np.fromiter(map(values.__getitem__, cofaces), dtype=np.float64, count=len(cofaces))
     return matrix.reshape(len(cofaces), width), vals
 
@@ -88,6 +96,33 @@ def extend_link_form(
         joined = tuple(sorted(sigma + (v,)))
         scores += phi / max(complex_.value(joined), EPSILON_FLOOR)
     return scores
+
+
+def choose_label(scores: np.ndarray, seed) -> int | None:
+    """Index of the largest score; None when all zero; ties drawn uniformly
+    from ``np.random.default_rng(seed)``, which is built only on a tie."""
+    top = scores.max() if scores.size else 0.0
+    if top <= 0.0:
+        return None
+    ties = np.flatnonzero(scores == top)
+    if len(ties) == 1:
+        return int(ties[0])
+    return int(ties[np.random.default_rng(seed).integers(len(ties))])
+
+
+def predict(
+    table: AssociationTable, v: int, scores: np.ndarray, seed: int, provenance: str
+) -> Prediction:
+    """Every classifier's rule from scores to label: ties seeded by ``[seed, v]``,
+    all-zero scores fall back to the majority class at uniform probability."""
+    label = choose_label(scores, [seed, v])
+    if label is None:
+        label, provenance = majority_class(table), PROVENANCE_FALLBACK
+        probability = np.full(table.n_classes, 1.0 / table.n_classes)
+    else:
+        probability = scores / scores.sum()
+    return Prediction(v, label, tuple(float(x) for x in scores),
+                      tuple(float(x) for x in probability), provenance)
 
 
 def _gf2_rank(mat: np.ndarray) -> int:

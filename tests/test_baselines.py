@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdabc.baselines import KnnConfig, knn_predict_all
-from tdabc.classifier import EPSILON_FLOOR, AssociationTable, choose_label
+from tdabc.classifier import EPSILON_FLOOR, AssociationTable
 from tdabc.errors import InsufficientTraining
 from tdabc.rips import pairwise_distances
+
+from oracles import choose_label
 
 
 def knn_reference(dist, table, config, seed=0):

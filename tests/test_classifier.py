@@ -2,23 +2,27 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tdabc.baselines as baselines
+import tdabc.classifier as classifier
 from tdabc.classifier import (
     EPSILON_FLOOR,
     AssociationTable,
     _extension,
     associate,
-    choose_label,
     classify_all,
     extend,
     extend_all,
     handle_isolated,
     handle_unlabeled_link,
     majority_class,
+    predict,
 )
 from tdabc.complexes import FilteredComplex
 from tdabc.errors import InvalidAssociation, NoLabeledData, SimplexNotFound
@@ -27,6 +31,7 @@ from tdabc.rips import RipsConfig, build_rips, pairwise_distances
 from tdabc.selection import SelectionPolicy
 
 from conftest import random_association, random_rips
+import oracles
 from oracles import extend_link_form
 
 
@@ -196,42 +201,115 @@ def test_extension_scores_are_non_negative(seed):
         assert (extend(cx, t, v) >= 0.0).all()
 
 
+def test_extension_lookups_are_sized_by_the_vertex_count():
+    """Three vertices, one with id 2e7: the lookups span three entries, not
+    the id range, and the scores still equal the star loop's."""
+    big = 20_000_000
+    cx = FilteredComplex(
+        [((0,), 0.0), ((1,), 0.0), ((big,), 0.0), ((0, 1), 0.5), ((1, big), 1.0)]
+    )
+    table = table_for({0: 0, big: 1}, {1})
+    queried = [1, 0, big, 7]
+    tracemalloc.start()
+    try:
+        rows = extend_all(cx, table, queried)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    for v, got in zip(queried[:3], rows):
+        assert np.array_equal(got, star_loop_extension(cx, table, v))
+    assert rows[0].tolist() == [2.0, 1.0] and not rows[3].any()
+
+
 # ---------------------------------------------------------------------------
-# choose_label
+# predict: the label rule over a block of score rows
 # ---------------------------------------------------------------------------
+
+
+def predict_rows(rows, seed):
+    """The block rule on ``rows``, for test vertices 5, 6, ..."""
+    scores = np.array(rows, dtype=float)
+    vertices = list(range(5, 5 + len(scores)))
+    table = table_for({0: 1, 1: 1, 2: 0}, vertices, n_classes=scores.shape[1])
+    return predict(table, vertices, scores, seed, ["link"] * len(vertices))
 
 
 def test_choose_label_unique_max():
-    assert choose_label(np.array([2.0, 1.0]), np.random.default_rng(0)) == 0
+    (p,) = predict_rows([[2.0, 1.0]], 0)
+    assert (p.label, p.provenance) == (0, "link")
 
 
 def test_choose_label_zero_scores_is_none():
-    assert choose_label(np.array([0.0, 0.0]), np.random.default_rng(0)) is None
+    """No positive score: the majority class, at uniform probability."""
+    (p,) = predict_rows([[0.0, 0.0, 0.0]], 0)
+    assert (p.label, p.probability, p.provenance) == (1, (1 / 3,) * 3, "global_fallback")
 
 
 def test_choose_label_tie_is_seed_deterministic():
-    scores = np.array([1.0, 1.0])
-    picks = {choose_label(scores, np.random.default_rng(7)) for _ in range(5)}
+    picks = {predict_rows([[1.0, 1.0]], 7)[0].label for _ in range(5)}
     assert len(picks) == 1
     assert picks.pop() in (0, 1)
 
 
 def test_choose_label_tie_covers_both_classes_across_seeds():
-    scores = np.array([1.0, 1.0])
-    picks = {choose_label(scores, np.random.default_rng(s)) for s in range(32)}
+    picks = {predict_rows([[1.0, 1.0]], s)[0].label for s in range(32)}
     assert picks == {0, 1}
 
 
 def test_choose_label_seeds_a_generator_only_on_a_tie(monkeypatch):
-    tie = np.array([1.0, 0.5, 1.0, 1.0])
-    expected = [choose_label(tie, np.random.default_rng([s, 5])) for s in range(16)]
-    assert [choose_label(tie, [s, 5]) for s in range(16)] == expected
+    tie = [1.0, 0.5, 1.0, 1.0]
+    expected = [[0, 2, 3][np.random.default_rng([s, 5]).integers(3)] for s in range(16)]
+    assert [predict_rows([tie], s)[0].label for s in range(16)] == expected
 
     def no_generator(seed=None):
         raise AssertionError("a generator was built without a tie")
 
     monkeypatch.setattr(np.random, "default_rng", no_generator)
-    assert choose_label(np.array([0.5, 2.0, 1.0]), [0, 5]) == 1
+    got = predict_rows([[0.5, 2.0, 1.0], [0.0, 0.0, 0.0], [3.0, 0.0, 0.0]], 0)
+    assert [p.label for p in got] == [1, 1, 0]
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=300, deadline=None)
+def test_block_predict_equals_the_per_vertex_rule(seed):
+    """Row for row, the block rule gives the per-vertex oracle's prediction,
+    on integer and float scores with ties, all-zero rows and empty blocks."""
+    rng = np.random.default_rng(seed)
+    n_classes = int(rng.integers(2, 13))
+    n_rows = int(rng.integers(0, 9))
+    kind = rng.integers(3)
+    if kind == 0:  # small integers: ties are common
+        scores = rng.integers(0, 3, size=(n_rows, n_classes)).astype(float)
+    elif kind == 1:  # a few float values shared across cells
+        pool = np.append(rng.exponential(size=3) * 10.0 ** rng.integers(-6, 6), 0.0)
+        scores = rng.choice(pool, size=(n_rows, n_classes))
+    else:
+        scores = rng.exponential(size=(n_rows, n_classes))
+    scores[rng.random(n_rows) < 0.25] = 0.0
+    vertices = sorted(rng.choice(1000, size=n_rows, replace=False).tolist())
+    training = {v: int(rng.integers(n_classes)) for v in range(1000, 1000 + n_classes)}
+    table = AssociationTable(training, frozenset(vertices), n_classes)
+    kinds = rng.choice(["link", "isolated", "unlabeled_link", "baseline"], size=n_rows).tolist()
+    want = [
+        oracles.predict(table, v, row, seed, k) for v, row, k in zip(vertices, scores, kinds)
+    ]
+    assert predict(table, vertices, scores, seed, kinds) == want
+
+
+def test_each_classifier_labels_in_one_call(monkeypatch):
+    calls = []
+
+    def counted(table, vertices, *rest):
+        calls.append(len(vertices))
+        return predict(table, vertices, *rest)
+
+    monkeypatch.setattr(classifier, "predict", counted)
+    monkeypatch.setattr(baselines, "predict", counted)
+    cx, diagram, table, dist = blob_fixture()
+    classify_all(cx, diagram, table, SelectionPolicy(), dist)
+    baselines.knn_predict_all(dist, table, baselines.KnnConfig(k=3))
+    assert calls == [len(table.test_vertices)] * 2
 
 
 # ---------------------------------------------------------------------------

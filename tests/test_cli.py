@@ -113,6 +113,8 @@ def test_invalid_values_exit_two_with_one_error_line(tmp_path, capsys, argv):
          '{"max_edge": "wide"}', "FILE: 'max_edge' must be a number or 'inf', got 'wide'"),
         *(((command, "--dataset", "FILE"), "f0,label\n", "no data rows")
           for command in ("generate", "persistence", "classify", "evaluate")),
+        (("persistence", "--dataset", "FILE", "--metric", "cosine"),
+         "f0,f1,label\n0,0,a\n1,0,a\n0,1,b\n1,1,b\n", "cosine distance is undefined"),
     ],
 )
 def test_bad_input_files_exit_two_with_one_error_line(tmp_path, capsys, argv, content, reason):
@@ -236,6 +238,50 @@ def test_persistence_circles_output_is_pinned(tmp_path):
         for name in PERSISTENCE_CIRCLES_SHA256
     }
     assert digests == PERSISTENCE_CIRCLES_SHA256
+
+
+# sha256 of the files ``tdabc classify`` writes on the generated ramp step 16,
+# recorded when each vertex's label came from its own per-vertex rule; any
+# route from scores to predictions must write the same bytes.
+RAMP_CLASSIFY_SHA256 = {
+    "tdabc": {
+        "ramp16.predictions.csv": "f9a2acda2c2fb80e11f52267a958335615ea9045652c42deb2b6f0cfc52314ed",
+        "ramp16.predictions.json": "e1fa4dd868fa6acb76faff7f4e3c5d0e39075d751ffe3de81750d870888898a1",
+    },
+    "knn": {
+        "ramp16.predictions.csv": "24fe3b68495a70b1e0bade264a4875efb253e1bbfc45c5997dff25d9bddae515",
+        "ramp16.predictions.json": "4a4d0d895bfcdf7853514865a8ddcc14d7e82a7ed727f8600bad543eba40f791",
+    },
+}
+
+
+def classify_ramp16(tmp_path, *options: str) -> list[dict]:
+    """Rows of ``predictions.csv`` from ``tdabc classify`` on ramp step 16,
+    after checking both written files against ``RAMP_CLASSIFY_SHA256``."""
+    assert run_cli("generate", "--dataset", "ramp", "--step", "16", "--out", str(tmp_path)) == 0
+    out = tmp_path / "out"
+    data = str(tmp_path / "ramp16.csv")
+    assert run_cli("classify", "--dataset", data, *options, "--out", str(out)) == 0
+    pinned = RAMP_CLASSIFY_SHA256["knn" if "--baseline" in options else "tdabc"]
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}
+    assert digests == pinned
+    with (out / "ramp16.predictions.csv").open() as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_classify_ramp_output_is_pinned(tmp_path):
+    rows = classify_ramp16(tmp_path, "--max-dim", "2", "--max-edge", "0.3", "--budget", "400000")
+    kinds = [r["provenance"] for r in rows]
+    # The pin covers the fallback rows as well as the ordinary ones.
+    assert (kinds.count("global_fallback"), kinds.count("isolated"), kinds.count("link")) == (
+        11, 14, 145
+    )
+
+
+def test_classify_knn_ramp_output_is_pinned(tmp_path):
+    rows = classify_ramp16(tmp_path, "--baseline", "knn", "--k", "4")
+    # The pin covers vertices whose vote tied, so their label was drawn.
+    assert sum(1 for r in rows if (r["p_0"], r["p_1"]) == ("0.5", "0.5")) == 7
 
 
 def test_persistence_rejects_tiny_budget(tmp_path, capsys):

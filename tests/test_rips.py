@@ -65,7 +65,7 @@ def test_ragged_input_rejected():
 
 
 def test_non_finite_input_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         pairwise_distances(np.array([[0.0, np.nan], [1.0, 2.0]]))
 
 
@@ -87,10 +87,10 @@ def point_clouds(draw):
 def test_distances_equal_scipys_cdist(points, metric):
     """SciPy's cdist, symmetrised and with a zero diagonal, is the oracle: equal
     bit for bit for euclidean and manhattan, within 1e-12 for cosine, whose
-    sums SciPy orders differently; where it is undefined a ValueError."""
+    sums SciPy orders differently; where it is undefined an InvalidConfig."""
     want = cdist(points, points, metric="cityblock" if metric == "manhattan" else metric)
     if not np.isfinite(want).all():
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             pairwise_distances(points, metric)
         return
     want = np.minimum(want, want.T)
