@@ -7,7 +7,6 @@ from .classifier import (
     associate,
     classify_all,
     extend,
-    extend_all,
     handle_isolated,
     handle_unlabeled_link,
 )
@@ -22,7 +21,6 @@ from .evaluation import (
     f1,
     gmean,
     pr_auc,
-    roc_auc_ovr_macro,
     run_experiment,
     stratified_splits,
 )
@@ -59,7 +57,6 @@ __all__ = [
     "classify_all",
     "default_classifiers",
     "extend",
-    "extend_all",
     "f1",
     "gmean",
     "handle_isolated",
@@ -69,7 +66,6 @@ __all__ = [
     "pairwise_distances",
     "pr_auc",
     "recover",
-    "roc_auc_ovr_macro",
     "run_experiment",
     "simplex",
     "stratified_splits",

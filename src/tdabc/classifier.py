@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .complexes import FilteredComplex, Simplex, facets
-from .errors import InvalidAssociation, NoLabeledData, SimplexNotFound
+from .errors import InvalidAssociation, NoLabeledData
 from .persistence import Diagram, intervals_above_dim_zero
 from .selection import SelectionPolicy, recover, select
 
@@ -61,10 +61,11 @@ def associate(table: AssociationTable, s: Simplex) -> np.ndarray:
     return out
 
 
-def _extension(
+def extend(
     complex_: FilteredComplex, table: AssociationTable, vertices: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Star-form score rows of ``vertices`` and their proper-coface counts.
+    """Star-form score rows of ``vertices`` and their proper-coface counts; a
+    vertex outside the complex gets a zero row and no coface.
 
     Each row of ``complex_.rows`` holding a queried vertex adds the labels of
     its other vertices over its value.  Hits are visited row by row, then
@@ -101,22 +102,6 @@ def _by_rank(ids: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarra
     found[found] = ids[at[found]] == keys[found]
     out[at[found]] = values[found]
     return out
-
-
-def extend_all(
-    complex_: FilteredComplex, table: AssociationTable, vertices: Sequence[int]
-) -> np.ndarray:
-    """Star-form extension of every vertex in ``vertices``, one score row each:
-    each coface of the vertex adds the labels of its other vertices over the
-    coface's value.  A vertex outside the complex gets a zero row."""
-    return _extension(complex_, table, vertices)[0]
-
-
-def extend(complex_: FilteredComplex, table: AssociationTable, v: int) -> np.ndarray:
-    """Star-form extension of one vertex of the complex."""
-    if (v,) not in complex_:
-        raise SimplexNotFound(f"vertex {v} is not in the complex")
-    return extend_all(complex_, table, [v])[0]
 
 
 def handle_isolated(table: AssociationTable, v: int, epsilon_death: float, dist: np.ndarray,
@@ -175,9 +160,7 @@ def handle_unlabeled_link(
             elif mu not in visited and all(u in table.test_vertices for u in mu):
                 push(rho + complex_.value(mu), mu)
         for f in facets(tau):
-            if f in visited or f not in complex_:
-                continue
-            if all(u in table.test_vertices for u in f):
+            if f not in visited and all(u in table.test_vertices for u in f):
                 push(rho + complex_.value(f), f)
     return scores
 
@@ -249,7 +232,7 @@ def classify_all(
         epsilon_death = diagram.max_filtration
 
     tests = sorted(table.test_vertices)
-    rows, cofaces = _extension(sub, table, tests)
+    rows, cofaces = extend(sub, table, tests)
     extensions = dict(zip(tests, rows))  # views: the isolated vote reads them unchanged
     scores = rows.copy()
     provenance = [PROVENANCE_LINK] * len(tests)

@@ -10,18 +10,17 @@ then vertex tuple), sorted once by one ``np.lexsort``: an ``int64`` vertex
 matrix padded with -1, the dimensions and the ``float64`` values.  A
 sub-complex at a threshold is a prefix of these arrays.  ``rows``, ``block``,
 ``max_value``, ``vertex_count``, ``dimension`` and ``subcomplex_at`` read the
-arrays and build no tuple.  ``order``, ``simplices``, ``value``, ``in``,
-``star``, ``closure``, ``link`` and ``band`` work on tuples: the first of
-them to run builds the tuple index (every simplex as a tuple, in filtration
-order, with its value) from the arrays, once per complex; a sub-complex
-takes its tuples from its parent's index while the parent lives.
+arrays and build no tuple.  ``order``, ``value``, ``in``, ``star``,
+``closure``, ``link`` and ``band`` work on tuples: the first of them to run
+builds the tuple index (every simplex as a tuple, in filtration order, with
+its value) from the complex's own arrays, once per complex, sub-complexes
+included.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import weakref
 from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterable, Iterator
@@ -126,18 +125,12 @@ class FilteredComplex:
         ]
         self._store(*_filtration_sorted(blocks))
 
-    def _store(self, vertices: np.ndarray, dims: np.ndarray, values: np.ndarray,
-               parent: FilteredComplex | None = None, at: slice | np.ndarray | None = None) -> None:
+    def _store(self, vertices: np.ndarray, dims: np.ndarray, values: np.ndarray) -> None:
         self._vertices = vertices
         self._dims = dims
         self._values = values
         # Restrictions already built, keyed by epsilon or (birth, death).
         self._restrictions: dict[object, FilteredComplex] = {}
-        # A restriction's positions in its parent, whose tuples it shares
-        # while the parent lives.  The reference is weak, so a complex and
-        # its memoized restrictions form no cycle.
-        self._parent = weakref.ref(parent) if parent is not None else None
-        self._at = at
 
     @classmethod
     def _from_blocks(cls, blocks: list[Block]) -> "FilteredComplex":
@@ -187,12 +180,6 @@ class FilteredComplex:
     @cached_property
     def _order(self) -> list[Simplex]:
         # Cached apart from ``order``, a plain property so perfbench can wrap it.
-        parent = self._parent() if self._parent is not None else None
-        if parent is not None:
-            order = parent._order
-            if isinstance(self._at, slice):
-                return order[self._at]
-            return [order[i] for i in self._at.tolist()]
         rows = self._vertices.tolist()
         return [tuple(row[: q + 1]) for row, q in zip(rows, self._dims.tolist())]
 
@@ -203,19 +190,12 @@ class FilteredComplex:
     def __contains__(self, s: object) -> bool:
         return s in self._index
 
-    def __iter__(self) -> Iterator[Simplex]:
-        return iter(self.order)
-
     def value(self, s: Iterable[int]) -> float:
         key = tuple(s)
         try:
             return self._index[key]
         except KeyError:
             raise SimplexNotFound(f"simplex {key} is not in the complex") from None
-
-    def simplices(self) -> Iterator[Simplex]:
-        """Stored simplices in filtration order."""
-        return iter(self._order)
 
     @property
     def order(self) -> list[Simplex]:
@@ -273,7 +253,7 @@ class FilteredComplex:
         if key not in self._restrictions:
             at = positions()
             sub = FilteredComplex.__new__(FilteredComplex)
-            sub._store(self._vertices[at], self._dims[at], self._values[at], self, at)
+            sub._store(self._vertices[at], self._dims[at], self._values[at])
             self._restrictions[key] = sub
         return self._restrictions[key]
 

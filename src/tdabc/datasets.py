@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -297,12 +297,20 @@ def _ramp(seed: int, step: int | None) -> LabeledDataset:
     return make_imbalance_ramp(int(step), seed=seed)
 
 
+def _shells(seed: int, step: int | None) -> LabeledDataset:
+    # The 326-point entangled shells of the stress case, named so that their
+    # files and spec name resolve back to them.
+    data = make_sphere(sizes=(250, 50, 12, 8, 6), seed=seed)
+    return replace(data, name="shells", spec={**data.spec, "name": "shells"})
+
+
 _GENERATORS = {
     "circles": lambda seed, step: make_circles(seed=seed),
     "moons": lambda seed, step: make_moons(seed=seed),
     "swissroll": lambda seed, step: make_swissroll(seed=seed),
     "normal": lambda seed, step: make_gaussian_classes(seed=seed),
     "sphere": lambda seed, step: make_sphere(seed=seed),
+    "shells": _shells,
     "ramp": _ramp,
 }
 BUNDLED = ("iris", "wine", "cancer")

@@ -72,9 +72,5 @@ class DegenerateClass(TdabcError):
     """A class has too few members to split."""
 
 
-class UndefinedAUC(TdabcError):
-    """No class had both positive and negative examples."""
-
-
 class NoClassifiers(TdabcError):
     """An experiment needs at least one classifier."""

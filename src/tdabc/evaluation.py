@@ -25,7 +25,7 @@ import numpy as np
 from .baselines import KnnConfig, knn_predict_all
 from .classifier import AssociationTable, Prediction, classify_all
 from .datasets import LabeledDataset
-from .errors import DegenerateClass, InvalidConfig, NoClassifiers, TdabcError, UndefinedAUC
+from .errors import DegenerateClass, InvalidConfig, NoClassifiers, TdabcError
 from .persistence import boundary_reduce
 from .rips import RipsConfig, build_rips, pairwise_distances
 from .selection import SelectionPolicy
@@ -156,14 +156,6 @@ def roc_auc_per_class(probabilities: np.ndarray, truth: np.ndarray) -> list[floa
     ]
 
 
-def roc_auc_ovr_macro(probabilities: np.ndarray, truth: np.ndarray) -> float:
-    per_class = roc_auc_per_class(probabilities, truth)
-    usable = [v for v in per_class if not math.isnan(v)]
-    if not usable:
-        raise UndefinedAUC("every class lacks positives or negatives")
-    return sum(usable) / len(usable)
-
-
 def pr_auc(probabilities: np.ndarray, truth: np.ndarray, positive: int) -> float:
     """Average precision of the one-vs-rest ranking for ``positive``."""
     truth = np.asarray(truth)
@@ -257,11 +249,15 @@ class FoldFailure:
 
 
 def _finite_mean(values) -> float:
-    """Mean of the values that are not nan, summed left to right; nan if none."""
-    finite = [v for v in values if not math.isnan(v)]
-    if not finite:
-        return math.nan
-    return sum(finite) / len(finite)
+    """Mean of the values that are not nan, added left to right from 0.0; nan
+    if none.  The built-in ``sum`` compensates its float sums from Python 3.12
+    on, so it would make the reports depend on the interpreter."""
+    total, count = 0.0, 0
+    for v in values:
+        if not math.isnan(v):
+            total += v
+            count += 1
+    return total / count if count else math.nan
 
 
 @dataclass
@@ -424,10 +420,7 @@ def _fold_records(
                 minority=(c == minority), degenerate=bool(rates.degenerate), **row,
             )
         )
-    macro = {}
-    for m in METRIC_FIELDS:
-        vals = [row[m] for row in per_class_values if not math.isnan(row[m])]
-        macro[m] = sum(vals) / len(vals) if vals else math.nan
+    macro = {m: _finite_mean(row[m] for row in per_class_values) for m in METRIC_FIELDS}
     records.append(
         MetricRecord(
             classifier=name, repeat=repeat, fold=fold, scope="macro",

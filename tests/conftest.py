@@ -128,7 +128,7 @@ def random_association(
     rng: np.random.Generator, complex_: FilteredComplex, n_classes: int = 3
 ) -> AssociationTable:
     """Random train/test split over the complex's vertices, at least one of each."""
-    vertices = sorted({s[0] for s in complex_.simplices() if len(s) == 1})
+    vertices = sorted({s[0] for s in complex_.order if len(s) == 1})
     n = len(vertices)
     n_test = int(rng.integers(1, max(2, n // 2) + 1))
     test = set(rng.choice(vertices, size=n_test, replace=False).tolist())

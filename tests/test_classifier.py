@@ -14,18 +14,16 @@ import tdabc.classifier as classifier
 from tdabc.classifier import (
     EPSILON_FLOOR,
     AssociationTable,
-    _extension,
     associate,
     classify_all,
     extend,
-    extend_all,
     handle_isolated,
     handle_unlabeled_link,
     majority_class,
     predict,
 )
 from tdabc.complexes import FilteredComplex
-from tdabc.errors import InvalidAssociation, NoLabeledData, SimplexNotFound
+from tdabc.errors import InvalidAssociation, NoLabeledData
 from tdabc.persistence import boundary_reduce
 from tdabc.rips import RipsConfig, build_rips, pairwise_distances
 from tdabc.selection import SelectionPolicy
@@ -102,21 +100,14 @@ def test_associate_all_test_vertices_is_zero():
 def test_extend_weights_by_inverse_filtration():
     cx = star_complex()
     t = table_for({1: 0, 2: 1}, {0})
-    got = extend(cx, t, 0)
+    got = extend(cx, t, [0])[0][0]
     assert got == pytest.approx([2.0, 1.0])
 
 
 def test_extend_isolated_vertex_is_zero():
     cx = FilteredComplex([((0,), 0.0), ((1,), 0.0)])
     t = table_for({1: 0}, {0})
-    assert extend(cx, t, 0).tolist() == [0.0, 0.0]
-
-
-def test_extend_missing_vertex_raises():
-    cx = star_complex()
-    t = table_for({1: 0, 2: 1}, {0})
-    with pytest.raises(SimplexNotFound):
-        extend(cx, t, 9)
+    assert extend(cx, t, [0])[0][0].tolist() == [0.0, 0.0]
 
 
 def test_inverse_weights_break_raw_count_ties():
@@ -126,7 +117,7 @@ def test_inverse_weights_break_raw_count_ties():
         + [((0, 1), 0.25), ((0, 2), 2.0)]  # nearby green, distant red
     )
     t = table_for({1: 0, 2: 1}, {0})
-    scores = extend(cx, t, 0)
+    scores = extend(cx, t, [0])[0][0]
     assert scores[0] > scores[1]
 
 
@@ -137,7 +128,7 @@ def test_extension_forms_agree(seed):
     cx = random_rips(rng, max_points=10)
     t = random_association(rng, cx)
     for v in sorted(t.test_vertices):
-        a = extend(cx, t, v)
+        a = extend(cx, t, [v])[0][0]
         b = extend_link_form(cx, t, v)
         assert np.max(np.abs(a - b)) <= 1e-12
 
@@ -175,12 +166,11 @@ def test_batched_extension_equals_the_star_loop(seed):
     queried = rng.permutation(cx.vertex_count + 2).tolist()  # two ids in no complex
     queried.append(queried[0])
     for sub in subs:
-        rows, cofaces = _extension(sub, table, queried)
-        assert np.array_equal(extend_all(sub, table, queried), rows)
+        rows, cofaces = extend(sub, table, queried)
         for v, got, count in zip(queried, rows, cofaces):
             if (v,) in sub:
                 assert np.array_equal(got, star_loop_extension(sub, table, v))
-                assert np.array_equal(extend(sub, table, v), got)
+                assert np.array_equal(extend(sub, table, [v])[0][0], got)
                 assert count == len(sub.star((v,))) - 1
             else:
                 assert not got.any() and count == 0
@@ -188,7 +178,8 @@ def test_batched_extension_equals_the_star_loop(seed):
 
 def test_extend_all_of_no_vertices_is_empty():
     t = table_for({1: 0, 2: 1}, {0})
-    assert extend_all(star_complex(), t, []).shape == (0, 2)
+    rows, cofaces = extend(star_complex(), t, [])
+    assert rows.shape == (0, 2) and cofaces.shape == (0,)
 
 
 @given(st.integers(0, 10_000))
@@ -198,7 +189,7 @@ def test_extension_scores_are_non_negative(seed):
     cx = random_rips(rng, max_points=10)
     t = random_association(rng, cx)
     for v in sorted(t.test_vertices):
-        assert (extend(cx, t, v) >= 0.0).all()
+        assert (extend(cx, t, [v])[0][0] >= 0.0).all()
 
 
 def test_extension_lookups_are_sized_by_the_vertex_count():
@@ -212,7 +203,7 @@ def test_extension_lookups_are_sized_by_the_vertex_count():
     queried = [1, 0, big, 7]
     tracemalloc.start()
     try:
-        rows = extend_all(cx, table, queried)
+        rows, _ = extend(cx, table, queried)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -350,7 +341,7 @@ def test_isolated_test_neighbor_contributes_its_extension():
         [[0.0, 1.0, 9.0], [1.0, 0.0, 0.5], [9.0, 0.5, 0.0]]
     )
     got = handle_isolated(
-        t, 0, epsilon_death=0.6, dist=dist, extensions={1: extend(cx, t, 1)}
+        t, 0, epsilon_death=0.6, dist=dist, extensions={1: extend(cx, t, [1])[0][0]}
     )
     # vertex 1's extension is (1/0.5) = 2 toward green; passed on at 1/f(0,1) = 1
     assert got == pytest.approx([2.0, 0.0])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from tdabc.cli import _parse_args, _parse_roster, build_parser, main
+from tdabc.datasets import make_sphere, save_csv
 from tdabc.evaluation import TdabcSpec, default_classifiers
 
 
@@ -42,6 +43,16 @@ def test_generate_sphere_row_count(tmp_path):
     assert rc == 0
     rows = (tmp_path / "sphere.csv").read_text().strip().splitlines()
     assert len(rows) == 654  # header + 653 points
+
+
+def test_generate_shells_writes_the_326_point_shells(tmp_path):
+    assert run_cli("generate", "--dataset", "shells", "--seed", "4", "--out", str(tmp_path)) == 0
+    written = (tmp_path / "shells.csv").read_text()
+    assert len(written.splitlines()) == 327  # header + 326 points
+    # The file the shells benchmark writes for the same seed.
+    save_csv(make_sphere(sizes=(250, 50, 12, 8, 6), seed=4), tmp_path / "reference.csv")
+    assert written == (tmp_path / "reference.csv").read_text()
+    assert json.loads((tmp_path / "shells.spec.json").read_text())["name"] == "shells"
 
 
 def test_generate_is_deterministic(tmp_path):
@@ -386,6 +397,27 @@ def test_evaluate_writes_report_and_summary(tmp_path):
     assert {r["classifier"] for r in rows} == {"tdabc-m", "knn"}
     payload = json.loads(summary.read_text())
     assert payload["dataset"] == "circles"
+
+
+# sha256 of the files ``tdabc evaluate`` writes on iris, recorded when each
+# mean was the built-in ``sum`` of a float list on Python 3.11; the means must
+# stay left-to-right sums on every interpreter.
+EVALUATE_IRIS_SHA256 = {
+    "iris_report.csv": "d5ff73cf82f50531f54803a4c0d6e3446095425dfc83936c14ab6a1d0ff8fab5",
+    "iris_summary.json": "47e5a345149998678ac3f8e63e9c36f0f9089afba3c9958df04d342be4b5c1b9",
+}
+
+
+def test_evaluate_iris_output_is_pinned(tmp_path):
+    assert run_cli(
+        "evaluate", "--dataset", "iris", "--max-dim", "3", "--budget", "150000",
+        "--folds", "3", "--repeats", "1", "--out", str(tmp_path),
+    ) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in EVALUATE_IRIS_SHA256
+    }
+    assert digests == EVALUATE_IRIS_SHA256
 
 
 def test_evaluate_requires_dataset_or_ramp(capsys):

@@ -164,7 +164,7 @@ def test_order_sorts_by_value_then_dimension_then_lexicographic():
 def test_order_places_faces_before_cofaces(seed):
     cx = random_monotone_complex(np.random.default_rng(seed))
     position = {s: i for i, s in enumerate(cx.order)}
-    for s in cx.simplices():
+    for s in cx.order:
         for f in facets(s):
             assert position[f] < position[s]
 
@@ -281,7 +281,7 @@ def test_shared_edge_link_is_the_two_opposite_vertices():
 
 def test_link_members_are_disjoint_from_the_simplex():
     cx = tetrahedron_complex()
-    for s in cx.simplices():
+    for s in cx.order:
         for member in cx.link(s):
             assert not set(member) & set(s)
 
@@ -308,7 +308,7 @@ def test_subtraction_form_matches_vertex_links_only():
 def test_link_equals_star_difference_form(seed):
     rng = np.random.default_rng(seed)
     cx = random_monotone_complex(rng) if seed % 2 else random_rips(rng)
-    for s in cx.simplices():
+    for s in cx.order:
         assert cx.link(s) == link_via_star(cx, s)
 
 
@@ -316,7 +316,7 @@ def test_link_equals_star_difference_form(seed):
 @settings(max_examples=40, deadline=None)
 def test_complex_is_face_closed(seed):
     cx = random_monotone_complex(np.random.default_rng(seed))
-    for s in cx.simplices():
+    for s in cx.order:
         for f in proper_faces(s):
             assert f in cx
 
@@ -329,7 +329,7 @@ def test_complex_is_face_closed(seed):
 def test_subcomplex_at_max_value_is_whole_complex():
     cx = unit_square_complex()
     sub = cx.subcomplex_at(cx.max_value)
-    assert set(sub.simplices()) == set(cx.simplices())
+    assert set(sub.order) == set(cx.order)
     assert sub is cx
 
 
@@ -338,16 +338,6 @@ def test_repeated_restrictions_return_the_same_object():
     assert cx.subcomplex_at(1.0) is cx.subcomplex_at(1.0)
     assert cx.band(0.0, 1.0) is cx.band(0.0, 1.0)
     assert cx.band(0.0, 1.0) is not cx.subcomplex_at(1.0)
-
-
-def test_restrictions_share_their_parents_tuples():
-    cx = unit_square_complex()
-    sub, band = cx.subcomplex_at(1.0), cx.band(0.0, 1.0)
-    assert all(a is b for a, b in zip(sub.order, cx.order))
-    assert {id(s) for s in band.order} <= {id(s) for s in cx.order}
-    # A restriction whose parent is gone builds its own tuples.
-    orphan = unit_square_complex().subcomplex_at(1.0)
-    assert orphan.order == sub.order and orphan.value((0, 1)) == 1.0
 
 
 def band_reference(cx, birth, death):
@@ -374,14 +364,14 @@ def test_band_matches_the_explicit_construction(seed):
 def test_subcomplex_at_zero_is_vertex_skeleton():
     cx = unit_square_complex()
     sub = cx.subcomplex_at(0.0)
-    assert set(sub.simplices()) == {(0,), (1,), (2,), (3,)}
+    assert set(sub.order) == {(0,), (1,), (2,), (3,)}
     assert sub.rows[0].shape == (0, 1) and sub.rows[1].shape == (0,)
 
 
 def test_unit_square_at_one_has_sides_but_no_diagonals():
     cx = unit_square_complex()
     sub = cx.subcomplex_at(1.0)
-    edges = {s for s in sub.simplices() if len(s) == 2}
+    edges = {s for s in sub.order if len(s) == 2}
     assert edges == {(0, 1), (1, 2), (2, 3), (0, 3)}
     assert sub.vertex_count == 4
     assert sub.dimension == 1
@@ -394,7 +384,7 @@ def test_subcomplex_preserves_values_and_is_face_closed(seed):
     cx = random_monotone_complex(rng)
     cutoff = float(rng.uniform(0.0, max(cx.max_value, 0.1)))
     sub = cx.subcomplex_at(cutoff)
-    for s in sub.simplices():
+    for s in sub.order:
         assert sub.value(s) == cx.value(s)
         assert sub.value(s) <= cutoff
         for f in proper_faces(s):
@@ -407,7 +397,7 @@ def test_subcomplex_preserves_values_and_is_face_closed(seed):
 def test_restrictions_at_stored_values_keep_every_tie(seed):
     """Thresholds equal to stored values: ties at the cut go in, for prefixes and bands."""
     cx = random_monotone_complex(np.random.default_rng(seed))
-    levels = sorted({cx.value(s) for s in cx.simplices()})
+    levels = sorted({cx.value(s) for s in cx.order})
     for eps in levels:
         assert cx.subcomplex_at(eps).order == [s for s in cx.order if cx.value(s) <= eps]
     for birth, death in itertools.combinations_with_replacement(levels, 2):
@@ -430,4 +420,4 @@ def test_vertex_count_dimension_max_value():
 def test_empty_complex_properties():
     cx = FilteredComplex()
     assert cx.vertex_count == 0
-    assert list(cx.simplices()) == []
+    assert cx.order == []

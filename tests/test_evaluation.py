@@ -14,7 +14,7 @@ from scipy.stats import rankdata
 
 from tdabc import evaluation
 from tdabc.datasets import make_gaussian_classes
-from tdabc.errors import DegenerateClass, InvalidConfig, NoClassifiers, UndefinedAUC
+from tdabc.errors import DegenerateClass, InvalidConfig, NoClassifiers
 from tdabc.evaluation import (
     EvaluationReport,
     FoldPlan,
@@ -26,7 +26,6 @@ from tdabc.evaluation import (
     f1,
     gmean,
     pr_auc,
-    roc_auc_ovr_macro,
     roc_auc_per_class,
     run_experiment,
     stratified_splits,
@@ -155,26 +154,19 @@ def test_f1_zero_when_both_zero():
 def test_perfect_separation_auc_is_one():
     probs = np.array([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.1, 0.9]])
     truth = np.array([0, 0, 1, 1])
-    assert roc_auc_ovr_macro(probs, truth) == pytest.approx(1.0)
+    assert roc_auc_per_class(probs, truth) == pytest.approx([1.0, 1.0])
 
 
 def test_reversed_scores_auc_is_zero():
     probs = np.array([[0.1, 0.9], [0.2, 0.8], [0.8, 0.2], [0.9, 0.1]])
     truth = np.array([0, 0, 1, 1])
-    assert roc_auc_ovr_macro(probs, truth) == pytest.approx(0.0)
+    assert roc_auc_per_class(probs, truth) == pytest.approx([0.0, 0.0])
 
 
 def test_ties_give_half_credit():
     probs = np.array([[0.5, 0.5], [0.5, 0.5]])
     truth = np.array([0, 1])
-    assert roc_auc_ovr_macro(probs, truth) == pytest.approx(0.5)
-
-
-def test_single_class_auc_undefined():
-    probs = np.array([[0.9, 0.1], [0.8, 0.2]])
-    truth = np.array([0, 0])
-    with pytest.raises(UndefinedAUC):
-        roc_auc_ovr_macro(probs, truth)
+    assert roc_auc_per_class(probs, truth) == pytest.approx([0.5, 0.5])
 
 
 def test_per_class_skips_one_sided_classes():
@@ -197,9 +189,9 @@ def test_auc_inversion_symmetry(seed):
     scores = rng.random(n)
     probs = np.column_stack([1 - scores, scores])
     flipped = np.column_stack([scores, 1 - scores])
-    a = roc_auc_ovr_macro(probs, truth)
-    b = roc_auc_ovr_macro(flipped, truth)
-    assert a + b == pytest.approx(1.0)
+    a = roc_auc_per_class(probs, truth)
+    b = roc_auc_per_class(flipped, truth)
+    assert np.add(a, b) == pytest.approx([1.0, 1.0])
 
 
 def rank_auc(scores: np.ndarray, positive_mask: np.ndarray) -> float:
@@ -283,6 +275,25 @@ def test_macro_row_is_mean_of_class_rows():
         assert len(macro) == 1
         class_f1 = [r.f1 for r in classes if not math.isnan(r.f1)]
         assert macro[0].f1 == pytest.approx(float(np.mean(class_f1)))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1e16, 1.0, -1e16], [0.1] * 10, [1.0, math.nan, 1e-16, 1e-16], [math.nan], []],
+)
+def test_finite_mean_adds_left_to_right(values):
+    """The report means equal a plain loop's on every Python: a compensated sum,
+    as the built-in ``sum`` is from 3.12 on, gives 1/3 and 0.1 on the first two."""
+    total, count = 0.0, 0
+    for v in values:
+        if not math.isnan(v):
+            total += v
+            count += 1
+    got = evaluation._finite_mean(values)
+    if count:
+        assert got == total / count
+    else:
+        assert math.isnan(got)
 
 
 def test_separable_data_scores_perfectly():

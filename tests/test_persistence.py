@@ -114,7 +114,7 @@ def test_euler_characteristic_consistency(seed):
     """Alternating simplex counts equal alternating immortal-interval counts."""
     cx = random_monotone_complex(np.random.default_rng(seed))
     diagram = boundary_reduce(cx)
-    euler_simplices = sum((-1) ** (len(s) - 1) for s in cx.simplices())
+    euler_simplices = sum((-1) ** (len(s) - 1) for s in cx.order)
     euler_bars = sum((-1) ** d.dim for d in diagram.intervals if d.immortal)
     assert euler_simplices == euler_bars
 
@@ -147,7 +147,7 @@ def test_reduction_matches_rank_oracle(seed):
     dist = pairwise_distances(random_cloud(rng, max_points=7))
     cx = build_rips(dist, RipsConfig(max_dim=3, max_edge=float("inf")))
     diagram = boundary_reduce(cx)
-    values = sorted({cx.value(s) for s in cx.simplices()})
+    values = sorted({cx.value(s) for s in cx.order})
     for epsilon in values:
         for dim in range(4):
             assert betti_from_diagram(diagram, epsilon, dim) == betti_oracle(

@@ -131,7 +131,7 @@ def test_unit_square_complex_contents():
         assert cx.value(e) == pytest.approx(1.0)
     for e in diagonals:
         assert cx.value(e) == pytest.approx(math.sqrt(2))
-    triangles = [s for s in cx.simplices() if len(s) == 3]
+    triangles = [s for s in cx.order if len(s) == 3]
     assert len(triangles) == 4
     for t in triangles:
         assert cx.value(t) == pytest.approx(math.sqrt(2))
@@ -147,12 +147,12 @@ def test_max_edge_filters_long_pairs():
     pts = np.array([[0.0, 0.0], [5.0, 0.0]])
     dist = pairwise_distances(pts)
     cx = build_rips(dist, RipsConfig(max_dim=2, max_edge=1.0))
-    assert set(cx.simplices()) == {(0,), (1,)}
+    assert set(cx.order) == {(0,), (1,)}
 
 
 def test_single_point():
     cx = build_rips(np.zeros((1, 1)), RipsConfig(max_dim=2, max_edge=float("inf")))
-    assert set(cx.simplices()) == {(0,)}
+    assert set(cx.order) == {(0,)}
     assert cx.value((0,)) == 0.0
 
 
@@ -205,7 +205,7 @@ def test_diameter_rule(seed):
     points = random_cloud(rng)
     dist = pairwise_distances(points)
     cx = build_rips(dist, RipsConfig(max_dim=3, max_edge=float("inf")))
-    for s in cx.simplices():
+    for s in cx.order:
         if len(s) == 1:
             assert cx.value(s) == 0.0
         else:
@@ -219,7 +219,7 @@ def test_filtration_monotone_on_built_complexes(seed):
     rng = np.random.default_rng(seed)
     dist = pairwise_distances(random_cloud(rng))
     cx = build_rips(dist, RipsConfig(max_dim=3, max_edge=float("inf")))
-    for s in cx.simplices():
+    for s in cx.order:
         for f in facets(s):
             assert cx.value(f) <= cx.value(s)
 
@@ -233,7 +233,7 @@ def test_restriction_consistency(seed):
     full = build_rips(dist, RipsConfig(max_dim=3, max_edge=float("inf")))
     cap = float(rng.uniform(0.1, dist.max() + 0.1))
     capped = build_rips(dist, RipsConfig(max_dim=3, max_edge=cap))
-    assert set(capped.simplices()) == set(full.subcomplex_at(cap).simplices())
+    assert set(capped.order) == set(full.subcomplex_at(cap).order)
 
 
 @given(st.integers(0, 10_000))
@@ -247,7 +247,7 @@ def test_edge_count_matches_pairs_within_cap(seed):
     expected = sum(
         1 for a, b in itertools.combinations(range(n), 2) if dist[a, b] <= cap
     )
-    assert sum(1 for s in cx.simplices() if len(s) == 2) == expected
+    assert sum(1 for s in cx.order if len(s) == 2) == expected
 
 
 grid_clouds = st.lists(
@@ -274,7 +274,7 @@ def test_build_rips_equals_the_clique_oracle(points, metric, max_dim, budget, da
             build_rips(dist, config)
         return
     cx = build_rips(dist, config)
-    assert sorted((s, cx.value(s)) for s in cx.simplices()) == sorted(expected.items())
+    assert sorted((s, cx.value(s)) for s in cx.order) == sorted(expected.items())
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +328,7 @@ def test_auto_cap_keeps_small_clouds_connected():
             a = parent[a]
         return a
 
-    for s in cx.simplices():
+    for s in cx.order:
         if len(s) == 2:
             parent[find(s[0])] = find(s[1])
     assert len({find(v) for v in range(12)}) == 1

@@ -232,7 +232,7 @@ def test_sublevel_recovery_equals_value_cutoff():
     d = bar(1, 1.0, math.sqrt(2))
     policy = SelectionPolicy(recovery="sublevel", epsilon_mode="birth")
     sub = recover(cx, d, policy)
-    assert set(sub.simplices()) == set(cx.subcomplex_at(1.0).simplices())
+    assert set(sub.order) == set(cx.subcomplex_at(1.0).order)
 
 
 def test_sublevel_death_recovery_of_dominant_bar_is_whole_square():
@@ -240,7 +240,7 @@ def test_sublevel_death_recovery_of_dominant_bar_is_whole_square():
     diagram = boundary_reduce(cx)
     d = intervals_above_dim_zero(diagram)[0]
     sub = recover(cx, d, SelectionPolicy())
-    assert set(sub.simplices()) == set(cx.simplices())
+    assert set(sub.order) == set(cx.order)
 
 
 def test_lifespan_recovery_keeps_strict_band_plus_faces():
@@ -251,12 +251,12 @@ def test_lifespan_recovery_keeps_strict_band_plus_faces():
     # in all vertices and the four side edges.
     assert (0, 2) in sub and (1, 3) in sub
     assert all((v,) in sub for v in range(4))
-    for s in sub.simplices():
+    for s in sub.order:
         value = sub.value(s)
         in_band = d.birth < value <= d.death
         is_face_of_band = any(
             s in set(proper_faces(m))
-            for m in sub.simplices()
+            for m in sub.order
             if d.birth < sub.value(m) <= d.death
         )
         assert in_band or is_face_of_band
@@ -275,7 +275,7 @@ def test_recovered_complexes_are_face_closed(seed):
     for recovery in ("sublevel", "lifespan"):
         for mode in ("birth", "death", "mid"):
             sub = recover(cx, d, SelectionPolicy(recovery=recovery, epsilon_mode=mode))
-            for s in sub.simplices():
+            for s in sub.order:
                 for f in proper_faces(s):
                     assert f in sub
                 assert sub.value(s) == cx.value(s)
@@ -285,7 +285,7 @@ def test_lifespan_ignores_epsilon_mode():
     cx = unit_square_complex()
     d = bar(1, 1.0, math.sqrt(2))
     subs = [
-        set(recover(cx, d, SelectionPolicy(recovery="lifespan", epsilon_mode=m)).simplices())
+        set(recover(cx, d, SelectionPolicy(recovery="lifespan", epsilon_mode=m)).order)
         for m in ("birth", "death", "mid")
     ]
     assert subs[0] == subs[1] == subs[2]
