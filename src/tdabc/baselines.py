@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import EPSILON_FLOOR, AssociationTable, Prediction, predict
+from .classifier import EPSILON_FLOOR, AssociationTable, Prediction, predict, tally
 from .errors import InsufficientTraining, InvalidConfig
 
 PROVENANCE_BASELINE = "baseline"
@@ -53,9 +53,7 @@ def knn_predict_all(
     labels = np.array([table.training[u] for u in train])[nearest]
     near = np.take_along_axis(block, nearest, axis=1)
     weights = 1.0 / np.maximum(near, EPSILON_FLOOR) if config.weighted else np.ones_like(near)
-    votes = np.zeros((len(tests), table.n_classes))
-    rows = np.arange(len(tests))
-    # Nearest first, one column at a time: each row sums in per-vertex order.
-    for j in range(k):
-        votes[rows, labels[:, j]] += weights[:, j]
+    # Row by row, nearest first: each row sums in per-vertex order.
+    votes = tally(np.repeat(np.arange(len(tests)), k), labels.ravel(), weights.ravel(),
+                  len(tests), table.n_classes)
     return predict(table, tests, votes, seed, [PROVENANCE_BASELINE] * len(tests))

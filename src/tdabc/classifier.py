@@ -3,11 +3,13 @@
 Training vertices carry one-hot label vectors.  A test vertex collects, for
 every coface of its vertex in the selected sub-complex, the labels of the
 other vertices weighted by the inverse filtration value of that coface.
-Vertices the propagation cannot reach fall back to distance-ball voting,
-then to a shortest-reach walk through unlabeled neighborhoods.  One call of
-``predict`` then labels all test vertices from their score matrix: a row's
-largest score wins, a tie is drawn per vertex, and a row still without a
-positive score takes the majority training class.
+Test vertices without a coface take one distance-ball vote as a block; a
+test vertex whose cofaces carry no label walks through its unlabeled
+neighborhood.  The extension, the ball vote and the KNN baseline all sum
+their votes through ``tally``.  One call of ``predict`` then labels all
+test vertices from their score matrix: a row's largest score wins, a tie is
+drawn per vertex, and a row still without a positive score takes the
+majority training class.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ def extend(
     Each row of ``complex_.rows`` holding a queried vertex adds the labels of
     its other vertices over its value.  Hits are visited row by row, then
     column by column, which is the star's order: coface by filtration order,
-    then vertex within the coface.  ``np.bincount`` adds weights in input
-    order, so every sum equals the per-vertex star loop's bit for bit.
+    then vertex within the coface, so ``tally`` sums them as the per-vertex
+    star loop does.
     """
     queried, back = np.unique(np.asarray(vertices, dtype=np.int64), return_inverse=True)
     matrix, values, ids = complex_.rows
@@ -82,15 +84,24 @@ def extend(
     owner = slot[matrix[hit_row, hit_col]]
     others = label[matrix[hit_row]]
     others[np.arange(hit_row.size), hit_col] = -1  # the vertex's own column
-    hit, col = np.nonzero(others >= 0)
-    weights = 1.0 / np.maximum(values[hit_row[hit]], EPSILON_FLOOR)
-    scores = np.bincount(
-        owner[hit] * table.n_classes + others[hit, col],
-        weights=weights,
-        minlength=queried.size * table.n_classes,
-    ).reshape(queried.size, table.n_classes)
+    labeled = others >= 0
+    per_row = np.count_nonzero(labeled, axis=1)
+    weights = np.repeat(1.0 / np.maximum(values[hit_row], EPSILON_FLOOR), per_row)
+    scores = tally(np.repeat(owner, per_row), others[labeled], weights,
+                   queried.size, table.n_classes)
     cofaces = np.bincount(owner, minlength=queried.size)
     return scores[back], cofaces[back]
+
+
+def tally(rows: np.ndarray, classes: np.ndarray, weights: np.ndarray,
+          n_rows: int, n_classes: int) -> np.ndarray:
+    """The ``(n_rows, n_classes)`` sums of ``weights`` by (row, class) cell.
+    ``np.bincount`` adds the weights in input order, so each cell equals a
+    loop's running sum over the same votes bit for bit."""
+    cells = rows * n_classes
+    cells += classes  # in place: no third index-sized array
+    return np.bincount(cells, weights=weights,
+                       minlength=n_rows * n_classes).reshape(n_rows, n_classes)
 
 
 def _by_rank(ids: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -104,27 +115,22 @@ def _by_rank(ids: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarra
     return out
 
 
-def handle_isolated(table: AssociationTable, v: int, epsilon_death: float, dist: np.ndarray,
-                    extensions: Mapping[int, np.ndarray]) -> np.ndarray:
-    """Distance-ball vote for a vertex with an empty link.
+def handle_isolated(vertices: Sequence[int], epsilon_death: float, dist: np.ndarray,
+                    votes: np.ndarray) -> np.ndarray:
+    """Distance-ball score rows of ``vertices``, which have no coface.
 
-    Every vertex within twice ``epsilon_death`` contributes at inverse
-    distance: training vertices their one-hot label, test vertices the
-    extension vector they received themselves (their row of ``extensions``).
+    Every other vertex ``u`` within twice ``epsilon_death`` of a vertex adds
+    its vote row ``votes[u]`` at inverse distance: a training vertex its
+    one-hot label, a test vertex the extension row it received itself.
     """
-    scores = np.zeros(table.n_classes)
-    row = dist[v]
-    for u in np.flatnonzero(row <= 2.0 * epsilon_death):
-        u = int(u)
-        if u == v:
-            continue
-        w = 1.0 / max(float(row[u]), EPSILON_FLOOR)
-        lab = table.training.get(u)
-        if lab is not None:
-            scores[lab] += w
-        elif u in extensions:
-            scores += w * extensions[u]
-    return scores
+    vertices = np.asarray(vertices, dtype=np.intp)
+    near = dist[vertices] <= 2.0 * epsilon_death
+    near[np.arange(vertices.size), vertices] = False
+    row, u = np.nonzero(near)
+    weights = 1.0 / np.maximum(dist[vertices[row], u], EPSILON_FLOOR)
+    n_classes = votes.shape[1]
+    return tally(np.repeat(row, n_classes), np.tile(np.arange(n_classes), row.size),
+                 (weights[:, None] * votes[u]).ravel(), vertices.size, n_classes)
 
 
 def handle_unlabeled_link(
@@ -157,7 +163,7 @@ def handle_unlabeled_link(
             phi = associate(table, mu)
             if phi.any():
                 scores += phi * weight
-            elif mu not in visited and all(u in table.test_vertices for u in mu):
+            elif mu not in visited:  # every vertex of ``mu`` is a test vertex
                 push(rho + complex_.value(mu), mu)
         for f in facets(tau):
             if f not in visited and all(u in table.test_vertices for u in f):
@@ -215,11 +221,8 @@ def classify_all(
     """Predictions for every test vertex, in vertex order."""
     if not table.training:
         raise NoLabeledData("classification needs at least one labeled vertex")
-    covered = len(table.training) + len(table.test_vertices)
-    if covered != complex_.vertex_count:
-        raise ValueError(
-            f"table covers {covered} vertices, complex has {complex_.vertex_count}"
-        )
+    if set(table.training) | table.test_vertices != set(complex_.vertex_ids.tolist()):
+        raise InvalidAssociation("the table's vertex ids are not the complex's")
 
     if intervals_above_dim_zero(diagram):
         rng = np.random.default_rng(policy.rng_seed)
@@ -232,15 +235,17 @@ def classify_all(
         epsilon_death = diagram.max_filtration
 
     tests = sorted(table.test_vertices)
-    rows, cofaces = extend(sub, table, tests)
-    extensions = dict(zip(tests, rows))  # views: the isolated vote reads them unchanged
-    scores = rows.copy()
-    provenance = [PROVENANCE_LINK] * len(tests)
-    for i in np.flatnonzero(~rows.any(axis=1)).tolist():
-        if cofaces[i] == 0:
-            scores[i] = handle_isolated(table, tests[i], epsilon_death, dist, extensions)
-            provenance[i] = PROVENANCE_ISOLATED
-        else:
-            scores[i] = handle_unlabeled_link(sub, table, tests[i])
-            provenance[i] = PROVENANCE_UNLABELED
+    scores, cofaces = extend(sub, table, tests)
+    votes = np.zeros((len(dist), table.n_classes))
+    votes[tests] = scores
+    votes[list(table.training), list(table.training.values())] = 1.0
+    empty = ~scores.any(axis=1)
+    isolated = empty & (cofaces == 0)
+    scores[isolated] = handle_isolated(np.array(tests)[isolated], epsilon_death, dist, votes)
+    for i in np.flatnonzero(empty & ~isolated).tolist():
+        scores[i] = handle_unlabeled_link(sub, table, tests[i])
+    # empty + isolated: 0 link, 1 unlabeled link, 2 isolated.  Each prediction
+    # gets the shared constant, not a new string of its own.
+    kinds = np.array([PROVENANCE_LINK, PROVENANCE_UNLABELED, PROVENANCE_ISOLATED], dtype=object)
+    provenance = kinds[empty.astype(np.intp) + isolated]
     return predict(table, tests, scores, policy.rng_seed, provenance)

@@ -9,12 +9,12 @@ It is stored as three arrays in filtration order (by value, then dimension,
 then vertex tuple), sorted once by one ``np.lexsort``: an ``int64`` vertex
 matrix padded with -1, the dimensions and the ``float64`` values.  A
 sub-complex at a threshold is a prefix of these arrays.  ``rows``, ``block``,
-``max_value``, ``vertex_count``, ``dimension`` and ``subcomplex_at`` read the
-arrays and build no tuple.  ``order``, ``value``, ``in``, ``star``,
-``closure``, ``link`` and ``band`` work on tuples: the first of them to run
-builds the tuple index (every simplex as a tuple, in filtration order, with
-its value) from the complex's own arrays, once per complex, sub-complexes
-included.
+``max_value``, ``vertex_ids``, ``vertex_count``, ``dimension`` and
+``subcomplex_at`` read the arrays and build no tuple.  ``order``, ``value``,
+``in``, ``star``, ``closure``, ``link`` and ``band`` work on tuples: the
+first of them to run builds the tuple index (every simplex as a tuple, in
+filtration order, with its value) from the complex's own arrays, once per
+complex, sub-complexes included.
 """
 
 from __future__ import annotations
@@ -145,8 +145,12 @@ class FilteredComplex:
         return len(self._values)
 
     @cached_property
+    def vertex_ids(self) -> np.ndarray:
+        return np.sort(self._vertices[self._dims == 0, 0])
+
+    @property
     def vertex_count(self) -> int:
-        return int(np.count_nonzero(self._dims == 0))
+        return self.vertex_ids.size
 
     @property
     def dimension(self) -> int:
@@ -168,7 +172,7 @@ class FilteredComplex:
         matrix of their vertex rows, each vertex given by its rank among the
         complex's vertex ids and padded with -1; their values; and the
         ascending vertex ids that the ranks index."""
-        ids = np.sort(self._vertices[self._dims == 0, 0])
+        ids = self.vertex_ids
         cofaces = self._dims > 0
         matrix = self._vertices[cofaces, : int(self._dims.max(initial=0)) + 1]
         if ids.size and ids[-1] != ids.size - 1:  # ids 0..n-1 are their own ranks

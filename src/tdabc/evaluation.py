@@ -99,18 +99,12 @@ def binary_rates(
     truth: Sequence[int], predicted: Sequence[int], positive: int
 ) -> BinaryRates:
     """One-vs-rest confusion rates; empty denominators give 0 and a flag."""
-    tp = fp = tn = fn = 0
-    for t, p in zip(truth, predicted):
-        if p == positive:
-            if t == positive:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if t == positive:
-                fn += 1
-            else:
-                tn += 1
+    actual = np.asarray(truth) == positive
+    called = np.asarray(predicted) == positive
+    tp = int(np.count_nonzero(actual & called))
+    fp = int(np.count_nonzero(~actual & called))
+    fn = int(np.count_nonzero(actual & ~called))
+    tn = int(np.count_nonzero(~actual & ~called))
     flags = []
 
     def ratio(num: int, den: int, name: str) -> float:
@@ -279,10 +273,8 @@ class EvaluationReport:
             for m, values in cell.items():
                 arr = np.asarray(values, dtype=float)
                 finite = arr[~np.isnan(arr)]
-                if len(finite) == 0:
-                    slot[m] = {"mean": math.nan, "std": math.nan}
-                else:
-                    slot[m] = {"mean": float(finite.mean()), "std": float(finite.std())}
+                std = float(finite.std()) if finite.size else math.nan
+                slot[m] = {"mean": _finite_mean(values), "std": std}
         return out
 
     def mean_metric(self, classifier: str, scope: str, metric: str) -> float:

@@ -4,17 +4,17 @@ Each function here reaches a result the package also reaches, by a route
 that shares no code with the package's own: boundary-matrix reduction for
 persistence diagrams, dense boundary-map ranks for Betti numbers,
 vertex-set differences over the open star for links, the link-form sum for
-the label extension, one vertex at a time for the prediction rule, a
-per-interval scan for lifetimes, every vertex subset for the Rips complex,
-and sorted tuples for the filtration order and its vertex rows.  Tests
-compare the two routes.
+the label extension, one vertex at a time for the distance-ball vote and
+the prediction rule, a per-interval scan for lifetimes, every vertex subset
+for the Rips complex, and sorted tuples for the filtration order and its
+vertex rows.  Tests compare the two routes.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain, combinations
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -95,6 +95,29 @@ def extend_link_form(
             continue
         joined = tuple(sorted(sigma + (v,)))
         scores += phi / max(complex_.value(joined), EPSILON_FLOOR)
+    return scores
+
+
+def handle_isolated(table: AssociationTable, v: int, epsilon_death: float, dist: np.ndarray,
+                    extensions: Mapping[int, np.ndarray]) -> np.ndarray:
+    """Distance-ball vote for a vertex with an empty link.
+
+    Every vertex within twice ``epsilon_death`` contributes at inverse
+    distance: training vertices their one-hot label, test vertices the
+    extension vector they received themselves (their row of ``extensions``).
+    """
+    scores = np.zeros(table.n_classes)
+    row = dist[v]
+    for u in np.flatnonzero(row <= 2.0 * epsilon_death):
+        u = int(u)
+        if u == v:
+            continue
+        w = 1.0 / max(float(row[u]), EPSILON_FLOOR)
+        lab = table.training.get(u)
+        if lab is not None:
+            scores[lab] += w
+        elif u in extensions:
+            scores += w * extensions[u]
     return scores
 
 

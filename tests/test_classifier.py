@@ -308,17 +308,29 @@ def test_each_classifier_labels_in_one_call(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def votes_for(table, n, extensions=None):
+    """Vote rows of ``n`` vertices: a one-hot label per training vertex, the
+    given extension row per test vertex, zeros elsewhere."""
+    votes = np.zeros((n, table.n_classes))
+    for v, lab in table.training.items():
+        votes[v, lab] = 1.0
+    for v, row in (extensions or {}).items():
+        votes[v] = row
+    return votes
+
+
 def test_isolated_ball_vote_single_green_neighbor():
     t = table_for({1: 0}, {0})
     dist = np.array([[0.0, 1.0], [1.0, 0.0]])
-    got = handle_isolated(t, 0, epsilon_death=0.75, dist=dist, extensions={})  # ball radius 1.5
+    # ball radius 1.5
+    (got,) = handle_isolated([0], epsilon_death=0.75, dist=dist, votes=votes_for(t, 2))
     assert got == pytest.approx([1.0, 0.0])
 
 
 def test_isolated_empty_ball_is_zero_vector():
     t = table_for({1: 0}, {0})
     dist = np.array([[0.0, 9.0], [9.0, 0.0]])
-    got = handle_isolated(t, 0, epsilon_death=0.75, dist=dist, extensions={})
+    (got,) = handle_isolated([0], epsilon_death=0.75, dist=dist, votes=votes_for(t, 2))
     assert got.tolist() == [0.0, 0.0]
 
 
@@ -327,7 +339,7 @@ def test_isolated_equidistant_training_ties():
     dist = np.array(
         [[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]]
     )
-    got = handle_isolated(t, 0, epsilon_death=1.0, dist=dist, extensions={})
+    (got,) = handle_isolated([0], epsilon_death=1.0, dist=dist, votes=votes_for(t, 3))
     assert got[0] == pytest.approx(got[1])
     assert got[0] > 0
 
@@ -340,11 +352,48 @@ def test_isolated_test_neighbor_contributes_its_extension():
     dist = np.array(
         [[0.0, 1.0, 9.0], [1.0, 0.0, 0.5], [9.0, 0.5, 0.0]]
     )
-    got = handle_isolated(
-        t, 0, epsilon_death=0.6, dist=dist, extensions={1: extend(cx, t, [1])[0][0]}
-    )
+    votes = votes_for(t, 3, {1: extend(cx, t, [1])[0][0]})
+    (got,) = handle_isolated([0], epsilon_death=0.6, dist=dist, votes=votes)
     # vertex 1's extension is (1/0.5) = 2 toward green; passed on at 1/f(0,1) = 1
     assert got == pytest.approx([2.0, 0.0])
+
+
+@st.composite
+def ball_votes(draw):
+    """An integer-grid cloud (so distances tie often), a training/test split
+    with at least one training vertex, test extension rows that are often
+    zero, and an epsilon."""
+    n = draw(st.integers(2, 9))
+    dim = draw(st.integers(1, 2))
+    points = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
+                                    min_size=n, max_size=n)), dtype=float)
+    n_classes = draw(st.integers(2, 4))
+    labels = draw(st.lists(st.one_of(st.none(), st.integers(0, n_classes - 1)),
+                           min_size=n, max_size=n))
+    labels[draw(st.integers(0, n - 1))] = draw(st.integers(0, n_classes - 1))
+    table = AssociationTable({v: lab for v, lab in enumerate(labels) if lab is not None},
+                             frozenset(v for v, lab in enumerate(labels) if lab is None),
+                             n_classes)
+    cell = st.one_of(st.just(0.0), st.integers(1, 4).map(float),
+                     st.floats(0.01, 5.0, allow_nan=False))
+    extensions = {}
+    for v in sorted(table.test_vertices):
+        zero = draw(st.booleans())
+        row = [0.0] * n_classes if zero else draw(
+            st.lists(cell, min_size=n_classes, max_size=n_classes))
+        extensions[v] = np.array(row)
+    epsilon = draw(st.sampled_from([0.0, 0.5, 0.7071067811865476, 1.0, 1.5]) | st.floats(0.0, 3.0))
+    return table, pairwise_distances(points), extensions, epsilon
+
+
+@given(ball_votes())
+@settings(max_examples=200, deadline=None)
+def test_block_isolated_vote_equals_the_per_vertex_loop(case):
+    table, dist, extensions, epsilon = case
+    block = sorted(table.test_vertices)
+    got = handle_isolated(block, epsilon, dist, votes_for(table, len(dist), extensions))
+    want = np.array([oracles.handle_isolated(table, v, epsilon, dist, extensions) for v in block])
+    assert np.array_equal(got, want.reshape(len(block), table.n_classes))
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +461,22 @@ def test_provenances_are_known_kinds():
     kinds = {"link", "isolated", "unlabeled_link", "global_fallback"}
     for p in classify_all(cx, diagram, table, SelectionPolicy(), dist):
         assert p.provenance in kinds
+
+
+def test_classify_rejects_a_table_of_another_vertex_count():
+    cx, diagram, table, dist = blob_fixture()
+    short = AssociationTable(table.training, table.test_vertices - {0}, 2)
+    with pytest.raises(InvalidAssociation):
+        classify_all(cx, diagram, short, SelectionPolicy(), dist)
+
+
+def test_classify_rejects_a_table_of_other_vertex_ids():
+    """Same count, different ids: vertex 7 is not in the complex."""
+    cx = FilteredComplex([((v,), 0.0) for v in (0, 1, 2)] + [((0, 1), 0.5)])
+    table = AssociationTable({0: 0, 1: 1}, frozenset({7}), 2)
+    dist = np.ones((8, 8)) - np.eye(8)
+    with pytest.raises(InvalidAssociation):
+        classify_all(cx, boundary_reduce(cx), table, SelectionPolicy(), dist)
 
 
 def test_classify_requires_training_data():

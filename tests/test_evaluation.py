@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from tdabc import evaluation
-from tdabc.datasets import make_gaussian_classes
+from tdabc.datasets import load_bundled, make_gaussian_classes
 from tdabc.errors import DegenerateClass, InvalidConfig, NoClassifiers
 from tdabc.evaluation import (
     EvaluationReport,
@@ -125,6 +125,23 @@ def test_binary_rates_hand_example():
     assert abs(r.precision - 0.75) <= 1e-12
     assert abs(r.recall - 0.6) <= 1e-12
     assert not r.degenerate
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=30),
+       st.integers(0, 2))
+def test_binary_rates_count_each_pair_once(pairs, positive):
+    truth = [t for t, _ in pairs]
+    pred = [p for _, p in pairs]
+    tp = sum(t == positive and p == positive for t, p in pairs)
+    fp = sum(t != positive and p == positive for t, p in pairs)
+    fn = sum(t == positive and p != positive for t, p in pairs)
+    tn = len(pairs) - tp - fp - fn
+    r = binary_rates(np.array(truth), np.array(pred), positive)
+    assert all(type(x) is float for x in (r.recall, r.precision, r.tnr, r.fpr))  # repr in CSVs
+    assert r.recall == (tp / (tp + fn) if tp + fn else 0.0)
+    assert r.precision == (tp / (tp + fp) if tp + fp else 0.0)
+    assert r.tnr == (tn / (tn + fp) if tn + fp else 0.0)
+    assert r.fpr_conventional == (fp / (fp + tn) if fp + tn else 0.0)
 
 
 def test_f1_hand_example():
@@ -394,6 +411,21 @@ def test_report_json_summary(tmp_path):
     text = path.read_text()
     canonical = json.dumps(json.loads(text), indent=2, sort_keys=True, allow_nan=True)
     assert text.rstrip("\n") == canonical
+
+
+def test_summary_means_are_the_report_means():
+    """Ten values per cell: a pairwise ``np.mean`` would differ from the
+    left-to-right ``mean_metric`` in the last bits of some cells."""
+    roster = (KnnSpec("knn"), KnnSpec("wknn", weighted=True))
+    report = run_experiment(load_bundled("iris"), roster, FoldPlan(folds=5, repeats=2))
+    got, want = [], []
+    for classifier, scopes in report.summary().items():
+        for scope, cells in scopes.items():
+            for metric, cell in cells.items():
+                got.append(cell["mean"])
+                want.append(report.mean_metric(classifier, scope, metric))
+    assert len(got) == 72
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_experiment_is_deterministic():
