@@ -123,14 +123,13 @@ def _cmd_persistence(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     write_diagram_csv(diagram, out / f"{data.name}.diagram.csv")
     write_diagram_json(diagram, out / f"{data.name}.diagram.json")
-    bars = ["dim,birth,death,length"]
     maxf = diagram.max_filtration
-    for iv in diagram.intervals:
-        death = min(iv.death, maxf)
-        bars.append(f"{iv.dim},{iv.birth!r},{death!r},{death - iv.birth!r}")
+    rows = zip(diagram.dims.tolist(), diagram.births.tolist(),
+               np.minimum(diagram.deaths, maxf).tolist())
+    bars = ["dim,birth,death,length", *(f"{q},{b!r},{d!r},{d - b!r}" for q, b, d in rows)]
     (out / f"{data.name}.barcode.csv").write_text("\n".join(bars) + "\n")
     print(
-        f"{len(complex_)} simplices, {len(diagram.intervals)} intervals, "
+        f"{len(complex_)} simplices, {len(diagram)} intervals, "
         f"max filtration {maxf!r}"
     )
     return 0

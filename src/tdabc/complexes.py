@@ -6,8 +6,10 @@ stored, with a value no larger than its cofaces.  A complex is fixed when it
 is made.
 
 It is stored as three arrays in filtration order (by value, then dimension,
-then vertex tuple), sorted once by one ``np.lexsort``: an ``int64`` vertex
-matrix padded with -1, the dimensions and the ``float64`` values.  A
+then vertex tuple): an ``int64`` vertex matrix padded with -1, the dimensions
+and the ``float64`` values.  Builders hand over their simplices by dimension,
+lowest first, each dimension's rows in ascending order, so one stable
+``np.argsort`` of the values puts them in filtration order.  A
 sub-complex at a threshold is a prefix of these arrays.  ``rows``, ``block``,
 ``max_value``, ``vertex_ids``, ``vertex_count``, ``dimension`` and
 ``subcomplex_at`` read the arrays and build no tuple.  ``order``, ``value``,
@@ -27,7 +29,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DuplicateSimplex, MonotonicityViolation, SimplexNotFound
+from .errors import DuplicateSimplex, InvalidConfig, MonotonicityViolation, SimplexNotFound
 
 Simplex = tuple[int, ...]
 
@@ -66,11 +68,20 @@ def proper_faces(s: Simplex) -> Iterator[Simplex]:
         yield from combinations(s, q)
 
 
+def vertex_ranks(matrix: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``matrix`` with each vertex id replaced by its rank among the ascending
+    ``ids``, and -1 padding kept; ids 0..n-1 are their own ranks."""
+    if ids.size and ids[-1] != ids.size - 1:
+        return np.where(matrix < 0, -1, np.searchsorted(ids, matrix))
+    return matrix
+
+
 def _filtration_sorted(blocks: list[Block]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # The blocks stacked into one -1-padded vertex matrix, dimensions and
-    # values, permuted into filtration order.  lexsort's last key is its
-    # primary one: value, then dimension, then the vertex columns left to
-    # right (equal dimensions pad alike, so rows compare as tuples do).
+    # values, permuted into filtration order.  The blocks come by dimension,
+    # lowest first, each with its rows ascending, so stacked they are in
+    # (dimension, vertex tuple) order, and a stable sort by value completes
+    # the filtration order.
     width = max((matrix.shape[1] for matrix, _ in blocks), default=1)
     total = sum(len(values) for _, values in blocks)
     vertices = np.full((total, width), -1, dtype=np.int64)
@@ -82,7 +93,7 @@ def _filtration_sorted(blocks: list[Block]) -> tuple[np.ndarray, np.ndarray, np.
         dims[at : at + count] = size - 1
         at += count
     values = np.concatenate([v for _, v in blocks]) if blocks else np.empty(0)
-    perm = np.lexsort((*vertices.T[::-1], dims, values))
+    perm = np.argsort(values, kind="stable")
     return vertices[perm], dims[perm], values[perm]
 
 
@@ -116,7 +127,7 @@ class FilteredComplex:
                     raise MonotonicityViolation(f"face {f} at {fv} exceeds {key} at {value}")
             values[key] = value
         by_size: dict[int, list[Simplex]] = {}
-        for s in values:
+        for s in sorted(values):
             by_size.setdefault(len(s), []).append(s)
         blocks = [
             (np.array(group, dtype=np.int64),
@@ -134,7 +145,8 @@ class FilteredComplex:
 
     @classmethod
     def _from_blocks(cls, blocks: list[Block]) -> "FilteredComplex":
-        # Bulk load for builders that guarantee closure and monotonicity.
+        # Bulk load for builders that guarantee closure and monotonicity and
+        # hand over their blocks by dimension, each with its rows ascending.
         out = cls.__new__(cls)
         out._store(*_filtration_sorted(blocks))
         return out
@@ -175,9 +187,7 @@ class FilteredComplex:
         ids = self.vertex_ids
         cofaces = self._dims > 0
         matrix = self._vertices[cofaces, : int(self._dims.max(initial=0)) + 1]
-        if ids.size and ids[-1] != ids.size - 1:  # ids 0..n-1 are their own ranks
-            matrix = np.where(matrix < 0, -1, np.searchsorted(ids, matrix))
-        return matrix.astype(np.int32), self._values[cofaces], ids
+        return vertex_ranks(matrix, ids).astype(np.int32), self._values[cofaces], ids
 
     # -- tuple index -----------------------------------------------------------
 
@@ -251,6 +261,13 @@ class FilteredComplex:
     def _prefix_length(self, epsilon: float) -> int:
         return int(np.searchsorted(self._values, epsilon, side="right"))
 
+    @staticmethod
+    def _threshold(value: float) -> float:
+        out = float(value)
+        if math.isnan(out):
+            raise InvalidConfig("a restriction threshold must not be NaN")
+        return out
+
     def _restricted(self, key: object, positions) -> "FilteredComplex":
         # Built once per key from ``positions()``, ascending positions in the
         # filtration order, so that the sub-complex's arrays need no sort.
@@ -264,13 +281,15 @@ class FilteredComplex:
     def subcomplex_at(self, epsilon: float) -> "FilteredComplex":
         """Sub-complex of simplices with value at most ``epsilon``, a prefix of
         the arrays; the complex itself from ``max_value`` up."""
-        eps = float(epsilon)
+        eps = self._threshold(epsilon)
         if eps >= self.max_value:
             return self
         return self._restricted(eps, lambda: slice(0, self._prefix_length(eps)))
 
     def band(self, birth: float, death: float) -> "FilteredComplex":
         """Simplices with value in ``(birth, death]`` and all their faces."""
+        birth, death = self._threshold(birth), self._threshold(death)
+
         def positions() -> np.ndarray:
             lo, hi = self._prefix_length(birth), self._prefix_length(death)
             # Faces valued at most ``birth`` lie before ``lo``.

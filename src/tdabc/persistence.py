@@ -14,24 +14,30 @@ is an immortal interval.
 Everything is read from the complex's arrays, never from tuples: each
 dimension's vertex matrix and values come from ``FilteredComplex.block`` in
 filtration order, so births and deaths are those values.  Facets are found
-with numpy: vertices get dense ids, each simplex an exact ``int64`` key (the
-rank of its prefix face, all vertices but the last, times the vertex count,
-plus its last vertex), and the keys of one dimension are searched with
-``np.searchsorted``.
+with numpy: each vertex gets a dense id (its position among the vertices),
+gathered by the rank of its id; each simplex an exact ``int64`` key (the
+position of its prefix face, all vertices but the last, times the vertex
+count, plus its last dense id); and the keys of one dimension are searched
+with ``np.searchsorted``.
+
+The result is a ``Diagram`` of three arrays in (dim, birth, death) order.
+Selection reads the arrays; a ``PersistenceInterval`` object is made only
+for an interval that is read through ``Diagram.intervals`` or
+``Diagram.candidates``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
-from .complexes import FilteredComplex
+from .complexes import FilteredComplex, vertex_ranks
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,41 +51,98 @@ class PersistenceInterval:
         return math.isinf(self.death)
 
 
-@dataclass(frozen=True)
-class Diagram:
-    """All intervals of a filtration plus its largest filtration value."""
+class Intervals(Sequence[PersistenceInterval]):
+    """Some of a diagram's intervals, by position, each made as a
+    ``PersistenceInterval`` only when it is read."""
 
-    intervals: tuple[PersistenceInterval, ...]
-    max_filtration: float
+    __slots__ = ("_diagram", "positions")
+
+    def __init__(self, diagram: Diagram, positions: np.ndarray) -> None:
+        self._diagram = diagram
+        self.positions = positions
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, i: int) -> PersistenceInterval:
+        j = self.positions[i]
+        d = self._diagram
+        return PersistenceInterval(int(d.dims[j]), float(d.births[j]), float(d.deaths[j]))
+
+    def __iter__(self) -> Iterator[PersistenceInterval]:
+        d, at = self._diagram, self.positions
+        return map(PersistenceInterval,
+                   d.dims[at].tolist(), d.births[at].tolist(), d.deaths[at].tolist())
+
+
+class Diagram:
+    """All intervals of a filtration as three arrays, ``dims``, ``births`` and
+    ``deaths`` (``math.inf`` for a class that never dies), plus the largest
+    filtration value.  Two diagrams are equal when their arrays and largest
+    values are."""
+
+    def __init__(self, intervals: Iterable[PersistenceInterval], max_filtration: float) -> None:
+        """A diagram of interval objects, kept in the order given."""
+        rows = [(d.dim, d.birth, d.death) for d in intervals]
+        dims, births, deaths = zip(*rows) if rows else ((), (), ())
+        self._store(np.array(dims, dtype=np.int64), np.array(births, dtype=np.float64),
+                    np.array(deaths, dtype=np.float64), max_filtration)
+
+    def _store(self, dims: np.ndarray, births: np.ndarray, deaths: np.ndarray,
+               max_filtration: float) -> None:
+        for array in (dims, births, deaths):
+            array.flags.writeable = False
+        self.dims, self.births, self.deaths = dims, births, deaths
+        self.max_filtration = float(max_filtration)
+
+    @classmethod
+    def _from_arrays(cls, dims: np.ndarray, births: np.ndarray, deaths: np.ndarray,
+                     max_filtration: float) -> Diagram:
+        out = cls.__new__(cls)
+        out._store(dims, births, deaths, max_filtration)
+        return out
+
+    def __len__(self) -> int:
+        return len(self.dims)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Diagram):
+            return NotImplemented
+        return (self.max_filtration == other.max_filtration
+                and np.array_equal(self.dims, other.dims)
+                and np.array_equal(self.births, other.births)
+                and np.array_equal(self.deaths, other.deaths))
+
+    def __repr__(self) -> str:
+        return (f"Diagram(dims={self.dims.tolist()}, births={self.births.tolist()}, "
+                f"deaths={self.deaths.tolist()}, max_filtration={self.max_filtration!r})")
 
     @cached_property
-    def candidates(self) -> tuple[PersistenceInterval, ...]:
+    def intervals(self) -> Intervals:
+        return Intervals(self, np.arange(len(self)))
+
+    @cached_property
+    def candidates(self) -> Intervals:
         """Dim >= 1 intervals with a positive span once truncated at ``max_filtration``."""
-        maxf = self.max_filtration
-        return tuple(
-            d
-            for d in self.intervals
-            if d.dim >= 1 and min(d.death, maxf) - d.birth > 0.0
-        )
+        spans = np.minimum(self.deaths, self.max_filtration) - self.births
+        return Intervals(self, np.flatnonzero((self.dims >= 1) & (spans > 0.0)))
 
     @cached_property
     def spans(self) -> tuple[np.ndarray, np.ndarray, float]:
         """The candidates' lifetimes (death clamped at ``max_filtration``, minus
         birth) and births as arrays, and the lifetimes' mean, summed left to
         right as the built-in ``sum`` of a list of floats does up to Python 3.11."""
-        intervals = self.candidates
-        n = len(intervals)
-        births = np.fromiter((d.birth for d in intervals), dtype=np.float64, count=n)
-        lifetimes = np.fromiter((d.death for d in intervals), dtype=np.float64, count=n)
-        np.minimum(lifetimes, self.max_filtration, out=lifetimes)
-        lifetimes -= births
-        mean = float(np.add.accumulate(lifetimes)[-1]) / n if n else math.nan
+        at = self.candidates.positions
+        births = self.births[at]
+        lifetimes = np.minimum(self.deaths[at], self.max_filtration) - births
+        mean = float(np.add.accumulate(lifetimes)[-1]) / at.size if at.size else math.nan
         return lifetimes, births, mean
 
 
 def _key_table(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The keys of one dimension sorted, and each sorted key's position.
-    sorter = np.argsort(keys, kind="stable")
+    # The keys of one dimension sorted, and each sorted key's position; the
+    # keys are distinct, so any sort gives the same order.
+    sorter = np.argsort(keys)
     return keys[sorter], sorter
 
 
@@ -94,39 +157,40 @@ def _locate(tables: list[tuple[np.ndarray, np.ndarray]], rows: np.ndarray) -> np
     return pos
 
 
-def _dense(matrix: np.ndarray, vertices: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    # A vertex matrix with every vertex id replaced by its dense id.
-    ids, sorter = vertices
-    return sorter[np.searchsorted(ids, matrix)]
-
-
 def _coboundaries(facet_pos: np.ndarray, n_columns: int) -> tuple[list[int], np.ndarray]:
     # Column pointers and cofacet positions, each column ascending, from the
-    # facet positions of every cofacet in filtration order.
-    flat = facet_pos.ravel()
-    cofacets = np.argsort(flat, kind="stable") // facet_pos.shape[1]
+    # facet positions of every cofacet in filtration order.  A cofacet lists
+    # a facet once, so the key facet * cofacet count + cofacet is distinct
+    # (and far below 2**63 for any complex that fits in memory); sorting the
+    # keys lists each column's cofacets in ascending order, as a stable
+    # argsort of the facet positions would, but faster.
+    count = len(facet_pos)
+    keys = facet_pos * count + np.arange(count)[:, None]
+    cofacets = np.sort(keys, axis=None) % count
     starts = np.zeros(n_columns + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=n_columns), out=starts[1:])
+    np.cumsum(np.bincount(facet_pos.ravel(), minlength=n_columns), out=starts[1:])
     return starts.tolist(), cofacets
 
 
 def _reduce(
     births: list[float], deaths: list[float], starts: list[int],
     cofacets: np.ndarray, cleared: set[int],
-) -> tuple[list[tuple[float, float]], dict[int, object]]:
-    # One dimension's columns, latest first; returns the (birth, death) pairs
-    # and the owner of every pivot.
+) -> tuple[list[float], list[float], dict[int, object]]:
+    # One dimension's columns, latest first; returns the births and deaths of
+    # the intervals found and the owner of every pivot.
     def column(c: int) -> set[int]:
         return set(cofacets[starts[c]:starts[c + 1]].tolist())
 
     owners: dict[int, object] = {}  # pivot -> its column: an index, or a reduced set
-    found: list[tuple[float, float]] = []
+    born: list[float] = []
+    died: list[float] = []
     for c in range(len(births) - 1, -1, -1):
         if c in cleared:
             continue
+        born.append(births[c])
         lo = starts[c]
         if lo == starts[c + 1]:
-            found.append((births[c], math.inf))
+            died.append(math.inf)
             continue
         pivot = int(cofacets[lo])
         if pivot in owners:
@@ -138,17 +202,18 @@ def _reduce(
                     break
                 pivot = min(col)
             if not col:
-                found.append((births[c], math.inf))
+                died.append(math.inf)
                 continue
             owners[pivot] = col
         else:
             owners[pivot] = c
-        found.append((births[c], deaths[pivot]))
-    return found, owners
+        died.append(deaths[pivot])
+    return born, died, owners
 
 
 def boundary_reduce(complex_: FilteredComplex) -> Diagram:
-    """Birth/death intervals for every homology dimension of the filtration."""
+    """Birth/death intervals for every homology dimension of the filtration,
+    ordered by (dim, birth, death)."""
     if not len(complex_):
         return Diagram((), 0.0)
     top = complex_.dimension
@@ -159,14 +224,15 @@ def boundary_reduce(complex_: FilteredComplex) -> Diagram:
     # of its prefix face times the vertex count, plus its last dense id.
     vertices, values = complex_.block(0)
     tables = [_key_table(vertices[:, 0])]
+    ids, dense = tables[0]  # a vertex's dense id, by the rank of its id
     nv = len(vertices)
-    intervals: list[PersistenceInterval] = []
+    found: list[tuple[int, np.ndarray, np.ndarray]] = []  # (dim, births, deaths)
     cleared: set[int] = set()  # positions of q-simplices that killed a (q-1)-class
     births = values.tolist()
     for q in range(top):
         simplices, values = complex_.block(q + 1)
         deaths = values.tolist()
-        rows = _dense(simplices, tables[0])
+        rows = dense[vertex_ranks(simplices, ids)]
         del simplices
         facet_pos = np.empty(rows.shape, dtype=np.int64)
         for i in range(q + 2):
@@ -177,44 +243,45 @@ def boundary_reduce(complex_: FilteredComplex) -> Diagram:
         starts, cofacets = _coboundaries(facet_pos, len(births))
         del facet_pos
 
-        found, owners = _reduce(births, deaths, starts, cofacets, cleared)
-        found.sort()
-        intervals.extend(PersistenceInterval(q, b, d) for b, d in found)
+        born, died, owners = _reduce(births, deaths, starts, cofacets, cleared)
+        born, died = np.array(born, dtype=np.float64), np.array(died, dtype=np.float64)
+        by_pair = np.lexsort((died, born))
+        found.append((q, born[by_pair], died[by_pair]))
         cleared = set(owners)
         births = deaths
 
     # Each top simplex no column claimed is immortal.  In filtration order
-    # their births already ascend, and equal intervals share one object.
+    # their births already ascend.
     alive = np.ones(len(values), dtype=bool)
     alive[np.fromiter(cleared, dtype=np.intp, count=len(cleared))] = False
-    for birth, run in groupby(values[alive].tolist()):
-        shared = PersistenceInterval(top, birth, math.inf)
-        intervals.extend(shared for _ in run)
-    return Diagram(tuple(intervals), complex_.max_value)
+    born = values[alive]
+    found.append((top, born, np.full(len(born), math.inf)))
+    return Diagram._from_arrays(
+        np.concatenate([np.full(len(b), q, dtype=np.int64) for q, b, _ in found]),
+        np.concatenate([b for _, b, _ in found]),
+        np.concatenate([d for _, _, d in found]),
+        complex_.max_value,
+    )
 
 
-def intervals_above_dim_zero(diagram: Diagram) -> tuple[PersistenceInterval, ...]:
+def intervals_above_dim_zero(diagram: Diagram) -> Intervals:
     """Candidates for scale selection, computed once per diagram."""
     return diagram.candidates
 
 
 def write_diagram_csv(diagram: Diagram, path: str | Path) -> None:
     """dim,birth,death rows; immortal deaths written as ``inf``."""
-    lines = ["dim,birth,death"]
-    for d in diagram.intervals:
-        death = "inf" if d.immortal else repr(d.death)
-        lines.append(f"{d.dim},{d.birth!r},{death}")
+    rows = zip(diagram.dims.tolist(), diagram.births.tolist(), diagram.deaths.tolist())
+    lines = ["dim,birth,death", *(f"{q},{b!r},{d!r}" for q, b, d in rows)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_diagram_json(diagram: Diagram, path: str | Path) -> None:
+    rows = zip(diagram.dims.tolist(), diagram.births.tolist(), diagram.deaths.tolist())
     payload = {
         "max_filtration": diagram.max_filtration,
         "intervals": [
-            {"dim": d.dim, "birth": d.birth, "death": "inf" if d.immortal else d.death}
-            for d in diagram.intervals
+            {"dim": q, "birth": b, "death": "inf" if math.isinf(d) else d} for q, b, d in rows
         ],
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-

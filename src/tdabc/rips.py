@@ -3,8 +3,10 @@
 Vertices enter at value 0, every other simplex at the maximum pairwise
 distance among its vertices, so faces never appear after their cofaces.
 ``build_rips`` grows each dimension as an ``int64`` vertex matrix with a
-``float64`` values array, one block of frontier rows at a time, and hands the
-blocks to ``FilteredComplex``, which sorts them into filtration order once.
+``float64`` values array, one block of frontier rows at a time.  A row gains
+its later neighbours in ascending order, so each dimension's rows ascend as
+tuples do, and ``FilteredComplex`` puts the blocks into filtration order by
+one stable sort of their values.
 """
 
 from __future__ import annotations

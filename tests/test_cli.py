@@ -251,6 +251,26 @@ def test_persistence_circles_output_is_pinned(tmp_path):
     assert digests == PERSISTENCE_CIRCLES_SHA256
 
 
+# sha256 of the files ``tdabc persistence --dataset shells --max-dim 2 --budget
+# 400000`` writes, recorded when every interval was a ``PersistenceInterval``;
+# unlike the circles, its top dimension holds 236,435 immortal triangles.
+PERSISTENCE_SHELLS_SHA256 = {
+    "shells.diagram.csv": "788845dc1beefc8e21493d9c3134747da1d75349852c3528b51f6f7109e6eb51",
+    "shells.diagram.json": "2e6a65e55eef27f92d82fa631d716e9014cb663edc709102ef0c7ae3df003755",
+    "shells.barcode.csv": "f90b2bf7d588baeb7889380fe79dbf6f2bd8c9a3f8c2ac8a48caa2a65d1b9535",
+}
+
+
+def test_persistence_shells_output_is_pinned(tmp_path):
+    assert run_cli("persistence", "--dataset", "shells", "--max-dim", "2",
+                   "--budget", "400000", "--out", str(tmp_path)) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PERSISTENCE_SHELLS_SHA256
+    }
+    assert digests == PERSISTENCE_SHELLS_SHA256
+
+
 # sha256 of the files ``tdabc classify`` writes on the generated ramp step 16,
 # recorded when each vertex's label came from its own per-vertex rule; any
 # route from scores to predictions must write the same bytes.

@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdabc.complexes import FilteredComplex, facets, proper_faces, simplex
-from tdabc.errors import DuplicateSimplex, MonotonicityViolation, SimplexNotFound
+from tdabc.errors import (
+    DuplicateSimplex,
+    InvalidConfig,
+    MonotonicityViolation,
+    SimplexNotFound,
+)
 from tdabc.persistence import boundary_reduce
 from tdabc.rips import RipsConfig, build_rips, pairwise_distances
 
@@ -338,6 +343,16 @@ def test_repeated_restrictions_return_the_same_object():
     assert cx.subcomplex_at(1.0) is cx.subcomplex_at(1.0)
     assert cx.band(0.0, 1.0) is cx.band(0.0, 1.0)
     assert cx.band(0.0, 1.0) is not cx.subcomplex_at(1.0)
+
+
+def test_nan_thresholds_are_refused_and_store_nothing():
+    cx = unit_square_complex()
+    with pytest.raises(InvalidConfig):
+        cx.subcomplex_at(math.nan)
+    for birth, death in ((math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(InvalidConfig):
+            cx.band(birth, death)
+    assert cx._restrictions == {}
 
 
 def band_reference(cx, birth, death):

@@ -218,7 +218,7 @@ def test_candidates_exclude_dim_zero_and_zero_length():
         maxf,
     )
     got = intervals_above_dim_zero(diagram)
-    assert got == (
+    assert tuple(got) == (
         PersistenceInterval(1, 0.5, 1.5),
         PersistenceInterval(2, 1.0, float("inf")),
     )
