@@ -3,7 +3,6 @@
 from .baselines import KnnConfig, knn_predict_all
 from .classifier import (
     AssociationTable,
-    Prediction,
     associate,
     classify_all,
     extend,
@@ -44,7 +43,6 @@ __all__ = [
     "KnnSpec",
     "MetricRecord",
     "PersistenceInterval",
-    "Prediction",
     "RipsConfig",
     "SelectionPolicy",
     "Simplex",

@@ -1,4 +1,4 @@
-"""k-nearest-neighbor baselines sharing the classifier's prediction type."""
+"""k-nearest-neighbor baselines sharing the classifier's prediction records."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import EPSILON_FLOOR, AssociationTable, Prediction, predict, tally
+from .classifier import EPSILON_FLOOR, AssociationTable, predict, tally
 from .errors import InsufficientTraining, InvalidConfig
 
 PROVENANCE_BASELINE = "baseline"
@@ -24,12 +24,13 @@ class KnnConfig:
 
 def knn_predict_all(
     dist: np.ndarray, table: AssociationTable, config: KnnConfig, seed: int = 0
-) -> list[Prediction]:
+) -> np.recarray:
     """Majority (or inverse-distance) vote among each test vertex's k nearest
-    training vertices, one prediction per test vertex in vertex order."""
+    training vertices: ``predict``'s records, one per test vertex in vertex
+    order."""
     tests = sorted(table.test_vertices)
     if not tests:
-        return []
+        return predict(table, tests, np.zeros((0, table.n_classes)), seed, PROVENANCE_BASELINE)
     train = sorted(table.training)
     if config.k > len(train):
         raise InsufficientTraining(
@@ -56,4 +57,4 @@ def knn_predict_all(
     # Row by row, nearest first: each row sums in per-vertex order.
     votes = tally(np.repeat(np.arange(len(tests)), k), labels.ravel(), weights.ravel(),
                   len(tests), table.n_classes)
-    return predict(table, tests, votes, seed, [PROVENANCE_BASELINE] * len(tests))
+    return predict(table, tests, votes, seed, PROVENANCE_BASELINE)

@@ -9,7 +9,9 @@ neighborhood.  The extension, the ball vote and the KNN baseline all sum
 their votes through ``tally``.  One call of ``predict`` then labels all
 test vertices from their score matrix: a row's largest score wins, a tie is
 drawn per vertex, and a row still without a positive score takes the
-majority training class.
+majority training class.  Its result is one record array, a row per test
+vertex with the fields ``vertex``, ``label``, ``scores``, ``probability``
+and ``provenance``; a row reads as ``p.label``, a field as ``preds.label``.
 """
 
 from __future__ import annotations
@@ -171,26 +173,18 @@ def handle_unlabeled_link(
     return scores
 
 
-@dataclass(frozen=True)
-class Prediction:
-    vertex: int
-    label: int
-    scores: tuple[float, ...]
-    probability: tuple[float, ...]
-    provenance: str
-
-
 def majority_class(table: AssociationTable) -> int:
     labels = np.fromiter(table.training.values(), dtype=np.intp, count=len(table.training))
     return int(np.argmax(np.bincount(labels, minlength=table.n_classes)))
 
 
 def predict(table: AssociationTable, vertices: Sequence[int], scores: np.ndarray,
-            seed: int, provenance: Sequence[str]) -> list[Prediction]:
+            seed: int, provenance: Sequence[str] | str) -> np.recarray:
     """Every classifier's rule from a score row per vertex to its prediction:
     the largest score wins, a tie drawn from ``np.random.default_rng([seed, v])``
     built only for a tied row.  A row with no positive score falls back to the
-    majority class at uniform probability; other rows normalize their scores."""
+    majority class at uniform probability; other rows normalize their scores.
+    ``provenance`` names the rule behind each row, or one rule for all rows."""
     # In C order each row sums as its own 1-d sum does, bit for bit.
     scores = np.ascontiguousarray(scores, dtype=np.float64)
     top = scores.max(axis=1)
@@ -201,14 +195,21 @@ def predict(table: AssociationTable, vertices: Sequence[int], scores: np.ndarray
         ties = np.flatnonzero(at_top[i])
         labels[i] = ties[np.random.default_rng([seed, vertices[i]]).integers(len(ties))]
     labels[fallback] = majority_class(table)
-    probability = np.divide(
+    out = np.recarray(len(scores), dtype=[
+        ("vertex", np.int64), ("label", np.int64), ("scores", np.float64, table.n_classes),
+        ("probability", np.float64, table.n_classes), ("provenance", object),
+    ])
+    out.vertex = vertices
+    out.label = labels
+    out.scores = scores
+    out.probability = np.divide(
         scores, scores.sum(axis=1, keepdims=True), where=~fallback[:, None],
         out=np.full_like(scores, 1.0 / table.n_classes),
     )
-    rows = zip(vertices, labels.tolist(), scores.tolist(), probability.tolist(),
-               provenance, fallback.tolist())
-    return [Prediction(v, label, tuple(row), tuple(prob), PROVENANCE_FALLBACK if f else kind)
-            for v, label, row, prob, kind, f in rows]
+    # The shared constants, not a new string per row.
+    out.provenance = provenance
+    out.provenance[fallback] = PROVENANCE_FALLBACK
+    return out
 
 
 def classify_all(
@@ -217,8 +218,8 @@ def classify_all(
     table: AssociationTable,
     policy: SelectionPolicy,
     dist: np.ndarray,
-) -> list[Prediction]:
-    """Predictions for every test vertex, in vertex order."""
+) -> np.recarray:
+    """``predict``'s records for every test vertex, in vertex order."""
     if not table.training:
         raise NoLabeledData("classification needs at least one labeled vertex")
     if set(table.training) | table.test_vertices != set(complex_.vertex_ids.tolist()):
@@ -244,8 +245,7 @@ def classify_all(
     scores[isolated] = handle_isolated(np.array(tests)[isolated], epsilon_death, dist, votes)
     for i in np.flatnonzero(empty & ~isolated).tolist():
         scores[i] = handle_unlabeled_link(sub, table, tests[i])
-    # empty + isolated: 0 link, 1 unlabeled link, 2 isolated.  Each prediction
-    # gets the shared constant, not a new string of its own.
+    # empty + isolated: 0 link, 1 unlabeled link, 2 isolated.
     kinds = np.array([PROVENANCE_LINK, PROVENANCE_UNLABELED, PROVENANCE_ISOLATED], dtype=object)
     provenance = kinds[empty.astype(np.intp) + isolated]
     return predict(table, tests, scores, policy.rng_seed, provenance)

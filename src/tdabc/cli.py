@@ -185,20 +185,19 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     prob_header = ",".join(f"p_{name}" for name in data.class_names)
     lines = [f"vertex,predicted,provenance,{prob_header}"]
-    for p in preds:
-        probs = ",".join(repr(x) for x in p.probability)
-        lines.append(f"{p.vertex},{data.class_names[p.label]},{p.provenance},{probs}")
+    # Python scalars from ``.tolist()``: their ``repr`` is the file's format.
+    for v, label, prov, probs in zip(preds.vertex.tolist(), preds.label.tolist(),
+                                     preds.provenance.tolist(), preds.probability.tolist()):
+        lines.append(f"{v},{data.class_names[label]},{prov}," + ",".join(map(repr, probs)))
     csv_path = out / f"{data.name}.predictions.csv"
     csv_path.write_text("\n".join(lines) + "\n")
-    correct = sum(1 for p in preds if p.label == int(data.labels[p.vertex]))
+    correct = int(np.count_nonzero(preds.label == data.labels[preds.vertex]))
+    kinds, counts = np.unique(preds.provenance, return_counts=True)
     payload = {
         "dataset": data.name,
         "n_test": len(preds),
-        "accuracy": correct / len(preds) if preds else math.nan,
-        "provenance_counts": {
-            prov: sum(1 for p in preds if p.provenance == prov)
-            for prov in sorted({p.provenance for p in preds})
-        },
+        "accuracy": correct / len(preds) if len(preds) else math.nan,
+        "provenance_counts": dict(zip(kinds.tolist(), counts.tolist())),
     }
     (out / f"{data.name}.predictions.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import KnnConfig, knn_predict_all
-from .classifier import AssociationTable, Prediction, classify_all
+from .classifier import AssociationTable, classify_all
 from .datasets import LabeledDataset
 from .errors import DegenerateClass, InvalidConfig, NoClassifiers, TdabcError
 from .persistence import boundary_reduce
@@ -380,15 +380,15 @@ def _fold_records(
     name: str,
     repeat: int,
     fold: int,
-    preds: list[Prediction],
+    preds: np.recarray,
     labels: np.ndarray,
     n_classes: int,
     class_names: tuple[str, ...],
     minority: int,
 ) -> list[MetricRecord]:
-    truth = np.array([labels[p.vertex] for p in preds])
-    predicted = np.array([p.label for p in preds])
-    probs = np.array([p.probability for p in preds])
+    truth = labels[preds.vertex]
+    predicted = preds.label
+    probs = preds.probability
     aucs = roc_auc_per_class(probs, truth)
     records = []
     per_class_values = []

@@ -16,6 +16,13 @@ from tdabc.complexes import FilteredComplex, proper_faces, simplex
 from tdabc.classifier import AssociationTable
 from tdabc.rips import RipsConfig, build_rips, pairwise_distances
 
+def prediction_rows(preds: np.recarray) -> list[tuple]:
+    """``predict``'s records as (vertex, label, scores, probability, provenance)
+    tuples of Python scalars, which compare with ``==``."""
+    return [(v, label, tuple(scores.tolist()), tuple(prob.tolist()), prov)
+            for v, label, scores, prob, prov in preds.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # Acceptance-criteria registry: tests in test_acceptance.py record their
 # verdicts here; the hook below prints one line per criterion at the end

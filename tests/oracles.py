@@ -22,7 +22,6 @@ from tdabc.classifier import (
     EPSILON_FLOOR,
     PROVENANCE_FALLBACK,
     AssociationTable,
-    Prediction,
     associate,
     majority_class,
 )
@@ -135,17 +134,19 @@ def choose_label(scores: np.ndarray, seed) -> int | None:
 
 def predict(
     table: AssociationTable, v: int, scores: np.ndarray, seed: int, provenance: str
-) -> Prediction:
+) -> tuple:
     """Every classifier's rule from scores to label: ties seeded by ``[seed, v]``,
-    all-zero scores fall back to the majority class at uniform probability."""
+    all-zero scores fall back to the majority class at uniform probability.
+    One (vertex, label, scores, probability, provenance) tuple, in the form
+    ``conftest.prediction_rows`` gives a record."""
     label = choose_label(scores, [seed, v])
     if label is None:
         label, provenance = majority_class(table), PROVENANCE_FALLBACK
         probability = np.full(table.n_classes, 1.0 / table.n_classes)
     else:
         probability = scores / scores.sum()
-    return Prediction(v, label, tuple(float(x) for x in scores),
-                      tuple(float(x) for x in probability), provenance)
+    return (v, label, tuple(float(x) for x in scores),
+            tuple(float(x) for x in probability), provenance)
 
 
 def _gf2_rank(mat: np.ndarray) -> int:

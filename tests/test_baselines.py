@@ -12,6 +12,7 @@ from tdabc.classifier import EPSILON_FLOOR, AssociationTable
 from tdabc.errors import InsufficientTraining
 from tdabc.rips import pairwise_distances
 
+from conftest import prediction_rows
 from oracles import choose_label
 
 
@@ -107,7 +108,7 @@ def test_predict_all_deterministic_across_calls():
 def test_empty_test_set_gives_no_predictions():
     dist, _ = line_fixture()
     table = AssociationTable({0: 0, 1: 1}, frozenset(), 2)
-    assert knn_predict_all(dist, table, KnnConfig(k=50)) == []
+    assert prediction_rows(knn_predict_all(dist, table, KnnConfig(k=50))) == []
 
 
 @given(
@@ -136,8 +137,6 @@ def test_vectorised_votes_equal_the_per_vertex_loop(seed, n_classes, weighted, k
     }[k_choice]
     k = min(k, n_train)
     config = KnnConfig(k=k, weighted=weighted)
-    got = [
-        (p.vertex, p.label, p.scores, p.probability)
-        for p in knn_predict_all(dist, table, config, seed=seed)
-    ]
+    preds = knn_predict_all(dist, table, config, seed=seed)
+    got = [(v, label, scores, prob) for v, label, scores, prob, _ in prediction_rows(preds)]
     assert got == knn_reference(dist, table, config, seed=seed)

@@ -13,6 +13,7 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -52,3 +53,30 @@ def test_captured_calls_take_the_bound_parameters(workloads):
         params = inspect.signature(getattr(evaluation, attr)).parameters
         assert "table" in params
         assert ("policy" in params) != ("config" in params)
+
+
+def test_predictions_expose_the_fields_the_benchmark_reads():
+    """perfbench iterates each call's result, or a slice of it, and reads
+    ``.vertex``, ``.label``, ``.probability`` and ``.provenance`` per element."""
+    from tdabc.baselines import KnnConfig, knn_predict_all
+    from tdabc.classifier import AssociationTable, classify_all
+    from tdabc.persistence import boundary_reduce
+    from tdabc.rips import RipsConfig, build_rips, pairwise_distances
+    from tdabc.selection import SelectionPolicy
+
+    points = np.random.default_rng(0).normal(size=(12, 2))
+    dist = pairwise_distances(points)
+    complex_ = build_rips(dist, RipsConfig(max_dim=2, max_edge=1.5))
+    tests = frozenset({1, 4, 7, 10})
+    table = AssociationTable({v: v % 2 for v in range(12) if v not in tests}, tests, 2)
+    for preds in (
+        classify_all(complex_, boundary_reduce(complex_), table, SelectionPolicy(), dist),
+        knn_predict_all(dist, table, KnnConfig(k=3)),
+    ):
+        for view in (preds, preds[1:]):
+            rows = [(p.vertex, p.label, p.provenance, p.probability) for p in view]
+            assert [v for v, *_ in rows] == sorted(tests)[len(preds) - len(view):]
+            for _, label, provenance, probability in rows:
+                assert 0 <= label < 2
+                assert isinstance(provenance, str) and provenance
+                assert len(probability) == 2 and sum(probability) == pytest.approx(1.0)
