@@ -78,8 +78,11 @@ class Intervals(Sequence[PersistenceInterval]):
 class Diagram:
     """All intervals of a filtration as three arrays, ``dims``, ``births`` and
     ``deaths`` (``math.inf`` for a class that never dies), plus the largest
-    filtration value.  Two diagrams are equal when their arrays and largest
-    values are."""
+    filtration value and the complex's dimension cap ``max_dim`` (None when
+    it has none).  Two diagrams are equal when their arrays and largest
+    values are; the cap only limits the candidates."""
+
+    max_dim: int | None = None
 
     def __init__(self, intervals: Iterable[PersistenceInterval], max_filtration: float) -> None:
         """A diagram of interval objects, kept in the order given."""
@@ -123,9 +126,15 @@ class Diagram:
 
     @cached_property
     def candidates(self) -> Intervals:
-        """Dim >= 1 intervals with a positive span once truncated at ``max_filtration``."""
+        """Dim >= 1 intervals with a positive span once truncated at
+        ``max_filtration``, below ``max_dim`` when the diagram has a cap: a
+        class of the cap's dimension is immortal only because nothing above
+        the cap was built (Ripser likewise reports bars only below it)."""
         spans = np.minimum(self.deaths, self.max_filtration) - self.births
-        return Intervals(self, np.flatnonzero((self.dims >= 1) & (spans > 0.0)))
+        keep = (self.dims >= 1) & (spans > 0.0)
+        if self.max_dim is not None:
+            keep &= self.dims < self.max_dim
+        return Intervals(self, np.flatnonzero(keep))
 
     @cached_property
     def spans(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -213,7 +222,7 @@ def _reduce(
 
 def boundary_reduce(complex_: FilteredComplex) -> Diagram:
     """Birth/death intervals for every homology dimension of the filtration,
-    ordered by (dim, birth, death)."""
+    ordered by (dim, birth, death), under the complex's ``max_dim``."""
     if not len(complex_):
         return Diagram((), 0.0)
     top = complex_.dimension
@@ -256,12 +265,14 @@ def boundary_reduce(complex_: FilteredComplex) -> Diagram:
     alive[np.fromiter(cleared, dtype=np.intp, count=len(cleared))] = False
     born = values[alive]
     found.append((top, born, np.full(len(born), math.inf)))
-    return Diagram._from_arrays(
+    out = Diagram._from_arrays(
         np.concatenate([np.full(len(b), q, dtype=np.int64) for q, b, _ in found]),
         np.concatenate([b for _, b, _ in found]),
         np.concatenate([d for _, _, d in found]),
         complex_.max_value,
     )
+    out.max_dim = complex_.max_dim
+    return out
 
 
 def intervals_above_dim_zero(diagram: Diagram) -> Intervals:

@@ -198,4 +198,6 @@ def build_rips(dist: np.ndarray, config: RipsConfig | None = None) -> FilteredCo
         frontier_values = np.concatenate(grown_values)
         blocks.append((frontier, frontier_values))
 
-    return FilteredComplex._from_blocks(blocks)
+    out = FilteredComplex._from_blocks(blocks)
+    out.max_dim = config.max_dim
+    return out
