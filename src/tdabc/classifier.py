@@ -138,12 +138,16 @@ def handle_isolated(vertices: Sequence[int], epsilon_death: float, dist: np.ndar
 def handle_unlabeled_link(
     complex_: FilteredComplex, table: AssociationTable, v: int
 ) -> np.ndarray:
-    """Shortest-reach walk from ``v`` through fully unlabeled simplices.
+    """Shortest-reach walk from ``v`` through fully unlabeled simplices, out
+    to the nearest labeled ring.
 
     The frontier starts at the star of ``v`` with filtration values as
     priorities.  Popping a simplex collects the labels of its cofaces,
     discounted by accumulated priority plus the coface's value; unvisited
-    cofaces and faces made only of test vertices join the frontier.
+    cofaces and faces made only of test vertices join the frontier.  The walk
+    ends with the first popped simplex whose star adds a label, so ``v``
+    takes the labels of its nearest labeled neighborhood, not a vote of the
+    whole complex; later pops at that same priority are not taken.
     """
     scores = np.zeros(table.n_classes)
     if (v,) not in complex_:
@@ -158,7 +162,7 @@ def handle_unlabeled_link(
 
     for s in complex_.star((v,)):
         push(complex_.value(s), s)
-    while heap:
+    while heap and not scores.any():
         rho, _, tau = heapq.heappop(heap)
         for mu in complex_.star(tau):
             weight = 1.0 / max(rho + complex_.value(mu), EPSILON_FLOOR)

@@ -409,6 +409,18 @@ def test_unlabeled_chain_reaches_label_at_depth_two():
     assert got == pytest.approx([0.5, 0.0])
 
 
+def test_unlabeled_walk_stops_at_the_nearest_labeled_ring():
+    """Chain 0 - 1 - 2 with 1 - 3 - 4 branching off, unit edges, only 2 and 4
+    labeled.  Vertex 1's star is the first to hold a label (2's, at weight
+    1/2), so the walk stops there: the label of 4, one ring further out, would
+    have added 1/3 to class 1."""
+    edges = [(0, 1), (1, 2), (1, 3), (3, 4)]
+    cx = FilteredComplex([((v,), 0.0) for v in range(5)] + [(e, 1.0) for e in edges])
+    t = table_for({2: 0, 4: 1}, {0, 1, 3})
+    got = handle_unlabeled_link(cx, t, 0)
+    assert got.tolist() == [0.5, 0.0]
+
+
 def test_unlabeled_component_without_training_is_zero():
     cx = FilteredComplex([((v,), 0.0) for v in (0, 1, 2)] + [((0, 1), 1.0)])
     t = table_for({2: 0}, {0, 1})
