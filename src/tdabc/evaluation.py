@@ -2,7 +2,9 @@
 
 The point cloud never changes across folds, so the filtration and its
 persistence diagram are computed once per experiment and only the label
-assignment is re-dealt.  Metrics are computed per fold and averaged, with
+assignment is re-dealt.  Each classifier call returns one record array of
+predictions, and a fold's metrics read its ``vertex``, ``label`` and
+``probability`` columns.  Metrics are computed per fold and averaged, with
 the minority class (smallest training class of the fold) tracked
 separately.
 
