@@ -151,11 +151,12 @@ class FilteredComplex:
         self._restrictions: dict[object, FilteredComplex] = {}
 
     @classmethod
-    def _from_blocks(cls, blocks: list[Block]) -> "FilteredComplex":
+    def _from_blocks(cls, blocks: list[Block], max_dim: int) -> "FilteredComplex":
         # Bulk load for builders that guarantee closure and monotonicity and
         # hand over their blocks by dimension, each with its rows ascending.
         out = cls.__new__(cls)
         out._store(*_filtration_sorted(blocks))
+        out.max_dim = max_dim
         return out
 
     # -- array queries -------------------------------------------------------

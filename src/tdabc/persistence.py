@@ -100,9 +100,10 @@ class Diagram:
 
     @classmethod
     def _from_arrays(cls, dims: np.ndarray, births: np.ndarray, deaths: np.ndarray,
-                     max_filtration: float) -> Diagram:
+                     max_filtration: float, max_dim: int | None) -> Diagram:
         out = cls.__new__(cls)
         out._store(dims, births, deaths, max_filtration)
+        out.max_dim = max_dim
         return out
 
     def __len__(self) -> int:
@@ -265,14 +266,13 @@ def boundary_reduce(complex_: FilteredComplex) -> Diagram:
     alive[np.fromiter(cleared, dtype=np.intp, count=len(cleared))] = False
     born = values[alive]
     found.append((top, born, np.full(len(born), math.inf)))
-    out = Diagram._from_arrays(
+    return Diagram._from_arrays(
         np.concatenate([np.full(len(b), q, dtype=np.int64) for q, b, _ in found]),
         np.concatenate([b for _, b, _ in found]),
         np.concatenate([d for _, _, d in found]),
         complex_.max_value,
+        complex_.max_dim,
     )
-    out.max_dim = complex_.max_dim
-    return out
 
 
 def intervals_above_dim_zero(diagram: Diagram) -> Intervals:
