@@ -98,14 +98,7 @@ def _filtration_sorted(blocks: list[Block]) -> tuple[np.ndarray, np.ndarray, np.
 
 
 class FilteredComplex:
-    """Simplices with filtration values, ordered by (value, dim, lex).
-
-    ``max_dim`` is the dimension cap of a builder that stops at it, such as
-    ``build_rips``, and None for a complex made from its simplices: homology
-    from that dimension up is cut short, as no simplex above it exists to
-    kill a class."""
-
-    max_dim: int | None = None
+    """Simplices with filtration values, ordered by (value, dim, lex)."""
 
     def __init__(self, simplices: Iterable[tuple[Iterable[int], float]] = ()) -> None:
         """Complex of ``(simplex, value)`` pairs, each listed after its facets
@@ -151,12 +144,11 @@ class FilteredComplex:
         self._restrictions: dict[object, FilteredComplex] = {}
 
     @classmethod
-    def _from_blocks(cls, blocks: list[Block], max_dim: int) -> "FilteredComplex":
+    def _from_blocks(cls, blocks: list[Block]) -> "FilteredComplex":
         # Bulk load for builders that guarantee closure and monotonicity and
         # hand over their blocks by dimension, each with its rows ascending.
         out = cls.__new__(cls)
         out._store(*_filtration_sorted(blocks))
-        out.max_dim = max_dim
         return out
 
     # -- array queries -------------------------------------------------------
@@ -283,7 +275,6 @@ class FilteredComplex:
             at = positions()
             sub = FilteredComplex.__new__(FilteredComplex)
             sub._store(self._vertices[at], self._dims[at], self._values[at])
-            sub.max_dim = self.max_dim
             self._restrictions[key] = sub
         return self._restrictions[key]
 

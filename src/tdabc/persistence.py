@@ -78,11 +78,8 @@ class Intervals(Sequence[PersistenceInterval]):
 class Diagram:
     """All intervals of a filtration as three arrays, ``dims``, ``births`` and
     ``deaths`` (``math.inf`` for a class that never dies), plus the largest
-    filtration value and the complex's dimension cap ``max_dim`` (None when
-    it has none).  Two diagrams are equal when their arrays and largest
-    values are; the cap only limits the candidates."""
-
-    max_dim: int | None = None
+    filtration value.  Two diagrams are equal when their arrays and largest
+    values are."""
 
     def __init__(self, intervals: Iterable[PersistenceInterval], max_filtration: float) -> None:
         """A diagram of interval objects, kept in the order given."""
@@ -100,10 +97,9 @@ class Diagram:
 
     @classmethod
     def _from_arrays(cls, dims: np.ndarray, births: np.ndarray, deaths: np.ndarray,
-                     max_filtration: float, max_dim: int | None) -> Diagram:
+                     max_filtration: float) -> Diagram:
         out = cls.__new__(cls)
         out._store(dims, births, deaths, max_filtration)
-        out.max_dim = max_dim
         return out
 
     def __len__(self) -> int:
@@ -127,15 +123,9 @@ class Diagram:
 
     @cached_property
     def candidates(self) -> Intervals:
-        """Dim >= 1 intervals with a positive span once truncated at
-        ``max_filtration``, below ``max_dim`` when the diagram has a cap: a
-        class of the cap's dimension is immortal only because nothing above
-        the cap was built (Ripser likewise reports bars only below it)."""
+        """Dim >= 1 intervals with a positive span once truncated at ``max_filtration``."""
         spans = np.minimum(self.deaths, self.max_filtration) - self.births
-        keep = (self.dims >= 1) & (spans > 0.0)
-        if self.max_dim is not None:
-            keep &= self.dims < self.max_dim
-        return Intervals(self, np.flatnonzero(keep))
+        return Intervals(self, np.flatnonzero((self.dims >= 1) & (spans > 0.0)))
 
     @cached_property
     def spans(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -223,7 +213,7 @@ def _reduce(
 
 def boundary_reduce(complex_: FilteredComplex) -> Diagram:
     """Birth/death intervals for every homology dimension of the filtration,
-    ordered by (dim, birth, death), under the complex's ``max_dim``."""
+    ordered by (dim, birth, death)."""
     if not len(complex_):
         return Diagram((), 0.0)
     top = complex_.dimension
@@ -271,7 +261,6 @@ def boundary_reduce(complex_: FilteredComplex) -> Diagram:
         np.concatenate([b for _, b, _ in found]),
         np.concatenate([d for _, _, d in found]),
         complex_.max_value,
-        complex_.max_dim,
     )
 
 

@@ -198,4 +198,4 @@ def build_rips(dist: np.ndarray, config: RipsConfig | None = None) -> FilteredCo
         frontier_values = np.concatenate(grown_values)
         blocks.append((frontier, frontier_values))
 
-    return FilteredComplex._from_blocks(blocks, config.max_dim)
+    return FilteredComplex._from_blocks(blocks)

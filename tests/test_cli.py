@@ -272,13 +272,12 @@ def test_persistence_shells_output_is_pinned(tmp_path):
 
 
 # sha256 of the files ``tdabc classify`` writes on the generated ramp step 16,
-# recorded when each vertex's label came from its own per-vertex rule (the
-# tdabc files again once selection skipped the classes of the Rips cap's
-# dimension); any route from scores to predictions must write the same bytes.
+# recorded when each vertex's label came from its own per-vertex rule; any
+# route from scores to predictions must write the same bytes.
 RAMP_CLASSIFY_SHA256 = {
     "tdabc": {
-        "ramp16.predictions.csv": "79eff1a299378382591a32a04bfc4d47f2229e5e343a3b5d704132e6cbfbba9f",
-        "ramp16.predictions.json": "c6bad06bb14b026d3800bbf239f6185780b53c69968df2a8429043cd52cedbe2",
+        "ramp16.predictions.csv": "f9a2acda2c2fb80e11f52267a958335615ea9045652c42deb2b6f0cfc52314ed",
+        "ramp16.predictions.json": "e1fa4dd868fa6acb76faff7f4e3c5d0e39075d751ffe3de81750d870888898a1",
     },
     "knn": {
         "ramp16.predictions.csv": "24fe3b68495a70b1e0bade264a4875efb253e1bbfc45c5997dff25d9bddae515",
@@ -306,7 +305,7 @@ def test_classify_ramp_output_is_pinned(tmp_path):
     kinds = [r["provenance"] for r in rows]
     # The pin covers the fallback rows as well as the ordinary ones.
     assert (kinds.count("global_fallback"), kinds.count("isolated"), kinds.count("link")) == (
-        12, 14, 144
+        11, 14, 145
     )
 
 
@@ -421,12 +420,11 @@ def test_evaluate_writes_report_and_summary(tmp_path):
 
 
 # sha256 of the files ``tdabc evaluate`` writes on iris, recorded when each
-# mean was the built-in ``sum`` of a float list on Python 3.11 (again once
-# selection skipped the classes of the Rips cap's dimension); the means must
+# mean was the built-in ``sum`` of a float list on Python 3.11; the means must
 # stay left-to-right sums on every interpreter.
 EVALUATE_IRIS_SHA256 = {
-    "iris_report.csv": "2183b57359cb22dcaae8d45d2e2e3d764b2a1760746f4ff842d39e7cce023340",
-    "iris_summary.json": "b4687e942d9d59b21630419a6390d48b46c8b50ebb1b9c27fb29a2fff7ec397c",
+    "iris_report.csv": "d5ff73cf82f50531f54803a4c0d6e3446095425dfc83936c14ab6a1d0ff8fab5",
+    "iris_summary.json": "47e5a345149998678ac3f8e63e9c36f0f9089afba3c9958df04d342be4b5c1b9",
 }
 
 

@@ -243,33 +243,6 @@ def test_unit_square_has_single_candidate():
     assert candidates[0].dim == 1
 
 
-@pytest.mark.parametrize("max_dim", [2, 3])
-def test_rips_candidates_stay_below_the_dimension_cap(max_dim):
-    """A Rips complex has no simplex above its cap, so every class of the
-    cap's dimension is immortal; none of them may be a candidate."""
-    dist = pairwise_distances(np.random.default_rng(4).normal(size=(25, 3)))
-    cx = build_rips(dist, RipsConfig(max_dim=max_dim, max_edge=1.5))
-    diagram = boundary_reduce(cx)
-    assert np.count_nonzero(diagram.dims == max_dim) > 0
-    assert len(diagram.candidates) > 0
-    assert all(d.dim < max_dim for d in diagram.candidates)
-    assert cx.max_dim == diagram.max_dim == cx.subcomplex_at(1.0).max_dim == max_dim
-
-
-def test_a_complex_made_from_its_simplices_has_no_cap():
-    """Only a builder that stops at a dimension sets a cap: a hand-built
-    diagram keeps its top-dimension candidates, and the cap takes no part in
-    equality."""
-    cx = FilteredComplex([((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((3,), 0.0),
-                          ((0, 1), 1.0), ((0, 2), 1.0), ((1, 2), 1.0), ((2, 3), 2.0)])
-    diagram = boundary_reduce(cx)
-    assert cx.max_dim is None and diagram.max_dim is None
-    assert [(d.dim, d.immortal) for d in diagram.candidates] == [(1, True)]
-    capped = boundary_reduce(cx)
-    capped.max_dim = 1
-    assert capped == diagram and len(capped.candidates) == 0
-
-
 # ---------------------------------------------------------------------------
 # Writers
 # ---------------------------------------------------------------------------
