@@ -15,10 +15,8 @@ from .evaluation import (
     KnnSpec,
     MetricRecord,
     TdabcSpec,
-    binary_rates,
     default_classifiers,
-    f1,
-    gmean,
+    fold_metrics,
     pr_auc,
     run_experiment,
     stratified_splits,
@@ -49,14 +47,12 @@ __all__ = [
     "TdabcSpec",
     "associate",
     "auto_max_edge",
-    "binary_rates",
     "boundary_reduce",
     "build_rips",
     "classify_all",
     "default_classifiers",
     "extend",
-    "f1",
-    "gmean",
+    "fold_metrics",
     "handle_isolated",
     "handle_unlabeled_link",
     "intervals_above_dim_zero",

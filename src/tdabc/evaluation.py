@@ -8,7 +8,7 @@ predictions, and a fold's metrics read its ``vertex``, ``label`` and
 the minority class (smallest training class of the fold) tracked
 separately.
 
-``binary_rates`` follows a report-oriented convention: the false positive
+``fold_metrics`` follows a report-oriented convention: the false positive
 rate is FP / (TP + FP), the complement of precision.  The textbook
 FP / (FP + TN) is recorded alongside under ``fpr_conventional``.
 """
@@ -73,64 +73,15 @@ def stratified_splits(
     out = []
     for repeat in range(plan.repeats):
         rng = np.random.default_rng([plan.seed, repeat])
-        buckets: list[list[int]] = [[] for _ in range(plan.folds)]
+        fold_of = np.empty(n, dtype=np.int64)
         for c in classes:
             members = np.flatnonzero(labels == c)
             rng.shuffle(members)
-            for pos, idx in enumerate(members):
-                buckets[pos % plan.folds].append(int(idx))
-        for fold, bucket in enumerate(buckets):
-            test = np.array(sorted(bucket), dtype=int)
-            mask = np.ones(n, dtype=bool)
-            mask[test] = False
-            out.append((repeat, fold, np.flatnonzero(mask), test))
+            fold_of[members] = np.arange(members.size) % plan.folds
+        for fold in range(plan.folds):
+            out.append((repeat, fold, np.flatnonzero(fold_of != fold),
+                        np.flatnonzero(fold_of == fold)))
     return out
-
-
-@dataclass(frozen=True)
-class BinaryRates:
-    tnr: float
-    fpr: float
-    recall: float
-    precision: float
-    fpr_conventional: float
-    degenerate: tuple[str, ...] = ()
-
-
-def binary_rates(
-    truth: Sequence[int], predicted: Sequence[int], positive: int
-) -> BinaryRates:
-    """One-vs-rest confusion rates; empty denominators give 0 and a flag."""
-    actual = np.asarray(truth) == positive
-    called = np.asarray(predicted) == positive
-    tp = int(np.count_nonzero(actual & called))
-    fp = int(np.count_nonzero(~actual & called))
-    fn = int(np.count_nonzero(actual & ~called))
-    tn = int(np.count_nonzero(~actual & ~called))
-    flags = []
-
-    def ratio(num: int, den: int, name: str) -> float:
-        if den == 0:
-            flags.append(name)
-            return 0.0
-        return num / den
-
-    tnr = ratio(tn, tn + fp, "tnr")
-    fpr = ratio(fp, tp + fp, "fpr")
-    recall = ratio(tp, tp + fn, "recall")
-    precision = ratio(tp, tp + fp, "precision")
-    fpr_conv = ratio(fp, fp + tn, "fpr_conventional")
-    return BinaryRates(tnr, fpr, recall, precision, fpr_conv, tuple(flags))
-
-
-def f1(precision: float, recall: float) -> float:
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
-def gmean(tnr: float, recall: float) -> float:
-    return math.sqrt(tnr * recall)
 
 
 def _binary_auc(scores: np.ndarray, positive_mask: np.ndarray) -> float:
@@ -169,6 +120,48 @@ def pr_auc(probabilities: np.ndarray, truth: np.ndarray, positive: int) -> float
     precision = tp / (last_of_group + 1.0)
     recall = tp / n_pos
     return float(np.sum(np.diff(np.concatenate([[0.0], recall])) * precision))
+
+
+def fold_metrics(
+    truth: np.ndarray, predicted: np.ndarray, probabilities: np.ndarray, n_classes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A fold's one-vs-rest metrics: an ``(n_classes, 9)`` table, columns in
+    ``METRIC_FIELDS`` order, and a per-class mask of the rows with an empty
+    denominator.  An empty denominator gives a rate of 0.
+
+    Every count comes from one confusion matrix (rows true, columns
+    predicted).  Each rate is an ``int64`` quotient, which numpy rounds as
+    Python's ``int / int`` does for these counts."""
+    truth = np.asarray(truth, dtype=np.int64)
+    predicted = np.asarray(predicted, dtype=np.int64)
+    confusion = np.bincount(truth * n_classes + predicted, minlength=n_classes * n_classes)
+    confusion = confusion.reshape(n_classes, n_classes)
+    tp = np.diagonal(confusion)
+    called = confusion.sum(axis=0)
+    actual = confusion.sum(axis=1)
+    fp = called - tp
+    tn = len(truth) - actual - fp
+
+    def rate(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        return np.divide(num, den, out=np.zeros(n_classes), where=den > 0)
+
+    precision = rate(tp, called)
+    recall = rate(tp, actual)
+    tnr = rate(tn, tn + fp)
+    f1 = rate(2.0 * precision * recall, precision + recall)
+    table = np.column_stack([
+        precision,
+        recall,
+        f1,
+        tnr,
+        rate(fp, called),
+        rate(fp, fp + tn),
+        np.sqrt(tnr * recall),
+        roc_auc_per_class(probabilities, truth),
+        [pr_auc(probabilities, truth, c) for c in range(n_classes)],
+    ])
+    degenerate = (called == 0) | (actual == 0) | (tn + fp == 0)
+    return table, degenerate
 
 
 # -- classifier roster ------------------------------------------------------
@@ -388,38 +381,17 @@ def _fold_records(
     class_names: tuple[str, ...],
     minority: int,
 ) -> list[MetricRecord]:
-    truth = labels[preds.vertex]
-    predicted = preds.label
-    probs = preds.probability
-    aucs = roc_auc_per_class(probs, truth)
-    records = []
-    per_class_values = []
-    for c in range(n_classes):
-        rates = binary_rates(truth, predicted, c)
-        row = {
-            "precision": rates.precision,
-            "recall": rates.recall,
-            "f1": f1(rates.precision, rates.recall),
-            "tnr": rates.tnr,
-            "fpr": rates.fpr,
-            "fpr_conventional": rates.fpr_conventional,
-            "gmean": gmean(rates.tnr, rates.recall),
-            "roc_auc": aucs[c],
-            "pr_auc": pr_auc(probs, truth, c),
-        }
-        per_class_values.append(row)
-        records.append(
-            MetricRecord(
-                classifier=name, repeat=repeat, fold=fold, scope=class_names[c],
-                minority=(c == minority), degenerate=bool(rates.degenerate), **row,
-            )
-        )
-    macro = {m: _finite_mean(row[m] for row in per_class_values) for m in METRIC_FIELDS}
+    table, degenerate = fold_metrics(labels[preds.vertex], preds.label,
+                                     preds.probability, n_classes)
+    # ``tolist`` gives Python floats, whose repr the reports print.
+    records = [
+        MetricRecord(name, repeat, fold, class_names[c], c == minority, *row,
+                     bool(degenerate[c]))
+        for c, row in enumerate(table.tolist())
+    ]
+    macro = [_finite_mean(column) for column in table.T.tolist()]
     records.append(
-        MetricRecord(
-            classifier=name, repeat=repeat, fold=fold, scope="macro",
-            minority=False, degenerate=any(r.degenerate for r in records), **macro,
-        )
+        MetricRecord(name, repeat, fold, "macro", False, *macro, bool(degenerate.any()))
     )
     return records
 

@@ -277,11 +277,19 @@ def write_diagram_csv(diagram: Diagram, path: str | Path) -> None:
 
 
 def write_diagram_json(diagram: Diagram, path: str | Path) -> None:
-    rows = zip(diagram.dims.tolist(), diagram.births.tolist(), diagram.deaths.tolist())
-    payload = {
-        "max_filtration": diagram.max_filtration,
-        "intervals": [
-            {"dim": q, "birth": b, "death": "inf" if math.isinf(d) else d} for q, b, d in rows
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """The diagram as ``{"intervals": [{"birth", "death", "dim"}, ...],
+    "max_filtration"}``, ``"inf"`` for an immortal death, in the bytes that
+    ``json.dumps(..., indent=2, sort_keys=True)`` writes.  Each interval is
+    formatted here because ``indent`` makes ``json`` use its pure-Python
+    encoder, which took most of ``tdabc persistence``'s time on large
+    diagrams."""
+    deaths = ['"inf"' if math.isinf(d) else repr(d) for d in diagram.deaths.tolist()]
+    intervals = ",\n".join(
+        '    {\n      "birth": %r,\n      "death": %s,\n      "dim": %d\n    }' % row
+        for row in zip(diagram.births.tolist(), deaths, diagram.dims.tolist())
+    )
+    listed = f"[\n{intervals}\n  ]" if intervals else "[]"
+    Path(path).write_text(
+        f'{{\n  "intervals": {listed},\n'
+        f'  "max_filtration": {json.dumps(diagram.max_filtration)}\n}}\n'
+    )

@@ -6,15 +6,19 @@ persistence diagrams, dense boundary-map ranks for Betti numbers,
 vertex-set differences over the open star for links, the link-form sum for
 the label extension, one vertex at a time for the distance-ball vote and
 the prediction rule, a per-interval scan for lifetimes, every vertex subset
-for the Rips complex, and sorted tuples for the filtration order and its
-vertex rows.  Tests compare the two routes.
+for the Rips complex, sorted tuples for the filtration order and its
+vertex rows, one class's masks at a time for the confusion rates, and
+indices dealt into Python lists for the stratified folds.  Tests compare the
+two routes.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
+from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +30,8 @@ from tdabc.classifier import (
     majority_class,
 )
 from tdabc.complexes import FilteredComplex, Simplex, facets
-from tdabc.errors import CapacityExceeded, SimplexNotFound
+from tdabc.errors import CapacityExceeded, DegenerateClass, InvalidConfig, SimplexNotFound
+from tdabc.evaluation import FoldPlan
 from tdabc.persistence import Diagram, PersistenceInterval
 
 _ORACLE_DIM_CAP = 6000
@@ -259,3 +264,89 @@ def homology_reduce(complex_: FilteredComplex) -> Diagram:
         intervals.append(PersistenceInterval(len(order[j]) - 1, values[j], math.inf))
     intervals.sort(key=lambda d: (d.dim, d.birth, d.death))
     return Diagram(tuple(intervals), float(maxf))
+
+
+def dealt_splits(
+    labels: np.ndarray, plan: FoldPlan
+) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+    """(repeat, fold, train indices, test indices) tuples, each class's
+    shuffled members dealt into per-fold lists and each list sorted."""
+    labels = np.asarray(labels)
+    n = len(labels)
+    classes, counts = np.unique(labels, return_counts=True)
+    if counts.min() < 2:
+        small = classes[np.argmin(counts)]
+        raise DegenerateClass(f"class {small} has {counts.min()} member(s)")
+    if counts.max() < plan.folds:
+        # Each class is dealt from fold 0 on, so the last folds would be empty.
+        raise InvalidConfig(
+            f"folds is {plan.folds} but the largest class has {counts.max()} members, "
+            "so some test folds would be empty"
+        )
+    if counts.min() < plan.folds:
+        warnings.warn(
+            f"smallest class has {counts.min()} members for {plan.folds} folds; "
+            "stratification is best-effort",
+            stacklevel=2,
+        )
+    out = []
+    for repeat in range(plan.repeats):
+        rng = np.random.default_rng([plan.seed, repeat])
+        buckets: list[list[int]] = [[] for _ in range(plan.folds)]
+        for c in classes:
+            members = np.flatnonzero(labels == c)
+            rng.shuffle(members)
+            for pos, idx in enumerate(members):
+                buckets[pos % plan.folds].append(int(idx))
+        for fold, bucket in enumerate(buckets):
+            test = np.array(sorted(bucket), dtype=int)
+            mask = np.ones(n, dtype=bool)
+            mask[test] = False
+            out.append((repeat, fold, np.flatnonzero(mask), test))
+    return out
+
+
+@dataclass(frozen=True)
+class BinaryRates:
+    tnr: float
+    fpr: float
+    recall: float
+    precision: float
+    fpr_conventional: float
+    degenerate: tuple[str, ...] = ()
+
+
+def binary_rates(
+    truth: Sequence[int], predicted: Sequence[int], positive: int
+) -> BinaryRates:
+    """One-vs-rest confusion rates; empty denominators give 0 and a flag."""
+    actual = np.asarray(truth) == positive
+    called = np.asarray(predicted) == positive
+    tp = int(np.count_nonzero(actual & called))
+    fp = int(np.count_nonzero(~actual & called))
+    fn = int(np.count_nonzero(actual & ~called))
+    tn = int(np.count_nonzero(~actual & ~called))
+    flags = []
+
+    def ratio(num: int, den: int, name: str) -> float:
+        if den == 0:
+            flags.append(name)
+            return 0.0
+        return num / den
+
+    tnr = ratio(tn, tn + fp, "tnr")
+    fpr = ratio(fp, tp + fp, "fpr")
+    recall = ratio(tp, tp + fn, "recall")
+    precision = ratio(tp, tp + fp, "precision")
+    fpr_conv = ratio(fp, fp + tn, "fpr_conventional")
+    return BinaryRates(tnr, fpr, recall, precision, fpr_conv, tuple(flags))
+
+
+def f1(precision: float, recall: float) -> float:
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def gmean(tnr: float, recall: float) -> float:
+    return math.sqrt(tnr * recall)

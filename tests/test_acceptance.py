@@ -22,13 +22,12 @@ from tdabc.classifier import extend
 from tdabc.complexes import facets
 from tdabc.datasets import make_imbalance_ramp, make_sphere, load_bundled
 from tdabc.evaluation import (
+    METRIC_FIELDS,
     FoldPlan,
     KnnSpec,
     TdabcSpec,
-    binary_rates,
     default_classifiers,
-    f1,
-    gmean,
+    fold_metrics,
     run_experiment,
 )
 from tdabc.persistence import boundary_reduce, intervals_above_dim_zero
@@ -321,14 +320,15 @@ def test_criterion_9_iris_macro_f1():
 
 def test_criterion_10_metric_unit_suite():
     """Hand confusion matrix TP=3 FP=1 TN=4 FN=2 reproduces exactly."""
-    truth = [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
-    predicted = [1, 1, 1, 0, 0, 1, 0, 0, 0, 0]
-    r = binary_rates(truth, predicted, positive=1)
+    truth = np.array([1, 1, 1, 1, 1, 0, 0, 0, 0, 0])
+    predicted = np.array([1, 1, 1, 0, 0, 1, 0, 0, 0, 0])
+    table, _ = fold_metrics(truth, predicted, np.eye(2)[predicted], n_classes=2)
+    r = dict(zip(METRIC_FIELDS, table.tolist()[1]))
     checks = (
-        abs(r.tnr - 0.8) <= 1e-12,
-        abs(r.fpr - 0.25) <= 1e-12,
-        abs(f1(r.precision, r.recall) - 2 * (0.75 * 0.6) / 1.35) <= 1e-12,
-        abs(gmean(r.tnr, r.recall) - math.sqrt(0.8 * 0.6)) <= 1e-12,
+        abs(r["tnr"] - 0.8) <= 1e-12,
+        abs(r["fpr"] - 0.25) <= 1e-12,
+        abs(r["f1"] - 2 * (0.75 * 0.6) / 1.35) <= 1e-12,
+        abs(r["gmean"] - math.sqrt(0.8 * 0.6)) <= 1e-12,
     )
     passed = all(checks)
     record_criterion(10, "confusion-matrix metric unit suite at 1e-12", passed)

@@ -440,6 +440,27 @@ def test_evaluate_iris_output_is_pinned(tmp_path):
     assert digests == EVALUATE_IRIS_SHA256
 
 
+# sha256 of the files ``tdabc evaluate`` writes on the shells, recorded when
+# each class's rates came from its own one-vs-rest masks; 60 of its rows are
+# degenerate, because small shells are never predicted in some folds.
+EVALUATE_SHELLS_SHA256 = {
+    "shells_report.csv": "fd2a078e7e2e8a1e651c956984051d02ad4a7b1620cd4974d3ee89670e471d46",
+    "shells_summary.json": "8776e8cef517c0ad577ee7ee6807d896b9f4fd1dda9c50d18b90fff8082b6e04",
+}
+
+
+def test_evaluate_shells_output_is_pinned(tmp_path):
+    assert run_cli(
+        "evaluate", "--dataset", "shells", "--max-dim", "2", "--budget", "400000",
+        "--folds", "3", "--repeats", "1", "--out", str(tmp_path),
+    ) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in EVALUATE_SHELLS_SHA256
+    }
+    assert digests == EVALUATE_SHELLS_SHA256
+
+
 def test_evaluate_requires_dataset_or_ramp(capsys):
     with pytest.raises(SystemExit):
         run_cli("evaluate", "--folds", "3")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,21 +18,22 @@ from tdabc import evaluation
 from tdabc.datasets import load_bundled, make_gaussian_classes
 from tdabc.errors import DegenerateClass, InvalidConfig, NoClassifiers
 from tdabc.evaluation import (
+    METRIC_FIELDS,
     EvaluationReport,
     FoldPlan,
     KnnSpec,
     TdabcSpec,
     _binary_auc,
-    binary_rates,
     default_classifiers,
-    f1,
-    gmean,
+    fold_metrics,
     pr_auc,
     roc_auc_per_class,
     run_experiment,
     stratified_splits,
 )
 from tdabc.rips import RipsConfig
+
+from oracles import binary_rates, dealt_splits, f1, gmean
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +97,32 @@ def test_splits_are_seed_deterministic():
         assert np.array_equal(sa, sb)
 
 
+@given(
+    st.lists(st.integers(0, 3), min_size=2, max_size=40),
+    st.integers(2, 5),
+    st.integers(1, 3),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=100, deadline=None)
+def test_splits_equal_the_dealt_oracle(labels, folds, repeats, seed):
+    labels = np.array(labels)
+    plan = FoldPlan(folds=folds, repeats=repeats, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            expected = dealt_splits(labels, plan)
+        except (DegenerateClass, InvalidConfig) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                stratified_splits(labels, plan)
+            return
+        got = stratified_splits(labels, plan)
+    assert len(got) == len(expected)
+    for (r, f, train, test), (r0, f0, train0, test0) in zip(got, expected):
+        assert (r, f) == (r0, f0)
+        assert train.dtype == train0.dtype and np.array_equal(train, train0)
+        assert test.dtype == test0.dtype and np.array_equal(test, test0)
+
+
 def test_plan_requires_two_folds():
     with pytest.raises(ValueError):
         FoldPlan(folds=1)
@@ -105,8 +134,17 @@ def test_plan_rejects_a_negative_seed():
 
 
 # ---------------------------------------------------------------------------
-# binary rates and scalar metrics
+# fold metrics from one confusion matrix
 # ---------------------------------------------------------------------------
+
+
+def class_rates(truth, pred, positive, n_classes=2):
+    """``fold_metrics``' row for ``positive`` as a metric-to-value dict, and
+    its degenerate flag, with one-hot probabilities."""
+    truth = np.asarray(truth, dtype=np.int64)
+    pred = np.asarray(pred, dtype=np.int64)
+    table, degenerate = fold_metrics(truth, pred, np.eye(n_classes)[pred], n_classes)
+    return dict(zip(METRIC_FIELDS, table.tolist()[positive])), bool(degenerate[positive])
 
 
 def confusion_fixture():
@@ -118,13 +156,13 @@ def confusion_fixture():
 
 def test_binary_rates_hand_example():
     truth, pred = confusion_fixture()
-    r = binary_rates(truth, pred, positive=1)
-    assert abs(r.tnr - 0.8) <= 1e-12
-    assert abs(r.fpr - 0.25) <= 1e-12  # false positives over predicted positives
-    assert abs(r.fpr_conventional - 0.2) <= 1e-12
-    assert abs(r.precision - 0.75) <= 1e-12
-    assert abs(r.recall - 0.6) <= 1e-12
-    assert not r.degenerate
+    r, degenerate = class_rates(truth, pred, positive=1)
+    assert abs(r["tnr"] - 0.8) <= 1e-12
+    assert abs(r["fpr"] - 0.25) <= 1e-12  # false positives over predicted positives
+    assert abs(r["fpr_conventional"] - 0.2) <= 1e-12
+    assert abs(r["precision"] - 0.75) <= 1e-12
+    assert abs(r["recall"] - 0.6) <= 1e-12
+    assert not degenerate
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=30),
@@ -136,12 +174,12 @@ def test_binary_rates_count_each_pair_once(pairs, positive):
     fp = sum(t != positive and p == positive for t, p in pairs)
     fn = sum(t == positive and p != positive for t, p in pairs)
     tn = len(pairs) - tp - fp - fn
-    r = binary_rates(np.array(truth), np.array(pred), positive)
-    assert all(type(x) is float for x in (r.recall, r.precision, r.tnr, r.fpr))  # repr in CSVs
-    assert r.recall == (tp / (tp + fn) if tp + fn else 0.0)
-    assert r.precision == (tp / (tp + fp) if tp + fp else 0.0)
-    assert r.tnr == (tn / (tn + fp) if tn + fp else 0.0)
-    assert r.fpr_conventional == (fp / (fp + tn) if fp + tn else 0.0)
+    r, _ = class_rates(truth, pred, positive, n_classes=3)
+    assert all(type(r[m]) is float for m in ("recall", "precision", "tnr", "fpr"))  # repr in CSVs
+    assert r["recall"] == (tp / (tp + fn) if tp + fn else 0.0)
+    assert r["precision"] == (tp / (tp + fp) if tp + fp else 0.0)
+    assert r["tnr"] == (tn / (tn + fp) if tn + fp else 0.0)
+    assert r["fpr_conventional"] == (fp / (fp + tn) if fp + tn else 0.0)
 
 
 def test_f1_hand_example():
@@ -153,14 +191,48 @@ def test_gmean_hand_example():
 
 
 def test_zero_denominators_flagged_degenerate():
-    r = binary_rates([0, 0], [0, 0], positive=1)
-    assert r.recall == 0.0
-    assert r.precision == 0.0
-    assert r.degenerate
+    r, degenerate = class_rates([0, 0], [0, 0], positive=1)
+    assert r["recall"] == 0.0
+    assert r["precision"] == 0.0
+    assert degenerate
 
 
 def test_f1_zero_when_both_zero():
     assert f1(0.0, 0.0) == 0.0
+
+
+@st.composite
+def folds(draw):
+    """A fold's truth, predictions and probabilities over 2-5 classes, each
+    side drawn from its own subset of the classes, so some classes are
+    never predicted and some are absent from the fold."""
+    n_classes = draw(st.integers(2, 5))
+    classes = st.sets(st.integers(0, n_classes - 1), min_size=1)
+    truth_from = sorted(draw(classes))
+    pred_from = sorted(draw(classes))
+    size = draw(st.integers(0, 40))
+    truth = draw(st.lists(st.sampled_from(truth_from), min_size=size, max_size=size))
+    pred = draw(st.lists(st.sampled_from(pred_from), min_size=size, max_size=size))
+    probs = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                          min_size=size * n_classes, max_size=size * n_classes))
+    return (np.array(truth, dtype=np.int64), np.array(pred, dtype=np.int64),
+            np.array(probs).reshape(size, n_classes), n_classes)
+
+
+@given(folds())
+@settings(max_examples=200, deadline=None)
+def test_fold_metrics_equal_the_per_class_oracle(fold):
+    truth, pred, probs, n_classes = fold
+    table, degenerate = fold_metrics(truth, pred, probs, n_classes)
+    assert table.shape == (n_classes, len(METRIC_FIELDS))
+    aucs = roc_auc_per_class(probs, truth)
+    for c in range(n_classes):
+        r = binary_rates(truth, pred, c)
+        expected = [r.precision, r.recall, f1(r.precision, r.recall), r.tnr, r.fpr,
+                    r.fpr_conventional, gmean(r.tnr, r.recall), aucs[c],
+                    pr_auc(probs, truth, c)]
+        assert np.array_equal(table[c], expected, equal_nan=True)
+        assert degenerate[c] == bool(r.degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +347,10 @@ def test_run_experiment_produces_records_per_classifier():
     classifiers = {r.classifier for r in report.records}
     assert classifiers == {"tdabc-m", "knn"}
     assert not report.failures
+    # Python scalars: ``repr(np.float64(x))`` would print ``np.float64(x)``.
+    for r in report.records:
+        assert all(type(getattr(r, m)) is float for m in METRIC_FIELDS)
+        assert type(r.minority) is bool and type(r.degenerate) is bool
 
 
 def test_macro_row_is_mean_of_class_rows():

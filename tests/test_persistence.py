@@ -265,3 +265,22 @@ def test_diagram_json_contains_max_filtration(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["max_filtration"] == pytest.approx(math.sqrt(2))
     assert len(payload["intervals"]) == len(diagram.intervals)
+
+
+@pytest.mark.parametrize("diagram", [
+    Diagram((), 0.0),
+    Diagram((PersistenceInterval(0, 0.0, 0.1), PersistenceInterval(1, 0.25, 1 / 3),
+             PersistenceInterval(2, 0.5, float("inf"))), 1e-17),
+    boundary_reduce(unit_square_complex()),
+])
+def test_diagram_json_is_what_the_json_encoder_writes(tmp_path, diagram):
+    path = tmp_path / "d.json"
+    write_diagram_json(diagram, path)
+    rows = zip(diagram.dims.tolist(), diagram.births.tolist(), diagram.deaths.tolist())
+    payload = {
+        "max_filtration": diagram.max_filtration,
+        "intervals": [
+            {"dim": q, "birth": b, "death": "inf" if math.isinf(d) else d} for q, b, d in rows
+        ],
+    }
+    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
