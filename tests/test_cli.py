@@ -440,6 +440,27 @@ def test_evaluate_iris_output_is_pinned(tmp_path):
     assert digests == EVALUATE_IRIS_SHA256
 
 
+# sha256 of the files ``tdabc evaluate --recovery lifespan`` writes on iris,
+# recorded when a band with simplices below its birth read its faces from a
+# scan of that prefix; every band of this run has such simplices.
+EVALUATE_IRIS_LIFESPAN_SHA256 = {
+    "iris_report.csv": "ebaffadf1eb4e34c3e1018e80579c72ebcfbcd96699a1914d4bb49b6356218da",
+    "iris_summary.json": "b778eff64e21a64aef6f00ecdca71baff1caa596b94d9e3c789949912c7f5207",
+}
+
+
+def test_evaluate_iris_lifespan_output_is_pinned(tmp_path):
+    assert run_cli(
+        "evaluate", "--dataset", "iris", "--recovery", "lifespan", "--max-dim", "3",
+        "--budget", "150000", "--folds", "3", "--repeats", "1", "--out", str(tmp_path),
+    ) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in EVALUATE_IRIS_LIFESPAN_SHA256
+    }
+    assert digests == EVALUATE_IRIS_LIFESPAN_SHA256
+
+
 # sha256 of the files ``tdabc evaluate`` writes on the shells, recorded when
 # each class's rates came from its own one-vs-rest masks; 60 of its rows are
 # degenerate, because small shells are never predicted in some folds.
