@@ -17,7 +17,7 @@ from .evaluation import (
     TdabcSpec,
     default_classifiers,
     fold_metrics,
-    pr_auc,
+    ranking_aucs,
     run_experiment,
     stratified_splits,
 )
@@ -58,7 +58,7 @@ __all__ = [
     "intervals_above_dim_zero",
     "knn_predict_all",
     "pairwise_distances",
-    "pr_auc",
+    "ranking_aucs",
     "recover",
     "run_experiment",
     "simplex",

@@ -10,6 +10,7 @@ absent.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import multiprocessing
@@ -183,14 +184,15 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         )
         preds = classify_all(complex_, diagram, table, policy, dist)
     out = _out_dir(args)
-    prob_header = ",".join(f"p_{name}" for name in data.class_names)
-    lines = [f"vertex,predicted,provenance,{prob_header}"]
-    # Python scalars from ``.tolist()``: their ``repr`` is the file's format.
-    for v, label, prov, probs in zip(preds.vertex.tolist(), preds.label.tolist(),
-                                     preds.provenance.tolist(), preds.probability.tolist()):
-        lines.append(f"{v},{data.class_names[label]},{prov}," + ",".join(map(repr, probs)))
     csv_path = out / f"{data.name}.predictions.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
+    with csv_path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["vertex", "predicted", "provenance"]
+                        + [f"p_{name}" for name in data.class_names])
+        # Python scalars from ``.tolist()``: their ``repr`` is the file's format.
+        for v, label, prov, probs in zip(preds.vertex.tolist(), preds.label.tolist(),
+                                         preds.provenance.tolist(), preds.probability.tolist()):
+            writer.writerow([v, data.class_names[label], prov, *map(repr, probs)])
     correct = int(np.count_nonzero(preds.label == data.labels[preds.vertex]))
     kinds, counts = np.unique(preds.provenance, return_counts=True)
     payload = {

@@ -9,11 +9,12 @@ It is stored as three arrays in filtration order (by value, then dimension,
 then vertex tuple): an ``int64`` vertex matrix padded with -1, the dimensions
 and the ``float64`` values.  Builders hand over their simplices by dimension,
 lowest first, each dimension's rows in ascending order, so one stable
-``np.argsort`` of the values puts them in filtration order.  A
-sub-complex at a threshold is a prefix of these arrays.  ``rows``, ``block``,
-``max_value``, ``vertex_ids``, ``vertex_count``, ``dimension`` and
-``subcomplex_at`` read the arrays and build no tuple.  ``order``, ``value``,
-``in``, ``star``, ``closure``, ``link`` and ``band`` work on tuples: the
+``np.argsort`` of the values puts them in filtration order.  Every
+restriction is a ``band``, and a sub-complex at a threshold (``subcomplex_at``)
+is the band from ``-inf``, a prefix of these arrays.  ``rows``, ``block``,
+``max_value``, ``vertex_ids``, ``vertex_count``, ``dimension`` and the
+prefixes read the arrays and build no tuple.  ``order``, ``value``, ``in``,
+``star``, ``closure``, ``link`` and the other bands work on tuples: the
 first of them to run builds the tuple index (every simplex as a tuple, in
 filtration order, with its value) from the complex's own arrays, once per
 complex, sub-complexes included.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -140,8 +141,8 @@ class FilteredComplex:
         self._vertices = vertices
         self._dims = dims
         self._values = values
-        # Restrictions already built, keyed by epsilon or (birth, death).
-        self._restrictions: dict[object, FilteredComplex] = {}
+        # Restrictions already built, keyed by their (lo, hi) prefix lengths.
+        self._restrictions: dict[tuple[int, int], FilteredComplex] = {}
 
     @classmethod
     def _from_blocks(cls, blocks: list[Block]) -> "FilteredComplex":
@@ -258,42 +259,34 @@ class FilteredComplex:
 
     # -- restriction ---------------------------------------------------------
 
-    def _prefix_length(self, epsilon: float) -> int:
-        return int(np.searchsorted(self._values, epsilon, side="right"))
-
-    @staticmethod
-    def _threshold(value: float) -> float:
-        out = float(value)
-        if math.isnan(out):
+    def _prefix_length(self, threshold: float) -> int:
+        # How many simplices have value at most ``threshold``.
+        if math.isnan(threshold):
             raise InvalidConfig("a restriction threshold must not be NaN")
-        return out
-
-    def _restricted(self, key: object, positions) -> "FilteredComplex":
-        # Built once per key from ``positions()``, ascending positions in the
-        # filtration order, so that the sub-complex's arrays need no sort.
-        if key not in self._restrictions:
-            at = positions()
-            sub = FilteredComplex.__new__(FilteredComplex)
-            sub._store(self._vertices[at], self._dims[at], self._values[at])
-            self._restrictions[key] = sub
-        return self._restrictions[key]
+        return int(np.searchsorted(self._values, threshold, side="right"))
 
     def subcomplex_at(self, epsilon: float) -> "FilteredComplex":
         """Sub-complex of simplices with value at most ``epsilon``, a prefix of
         the arrays; the complex itself from ``max_value`` up."""
-        eps = self._threshold(epsilon)
-        if eps >= self.max_value:
-            return self
-        return self._restricted(eps, lambda: slice(0, self._prefix_length(eps)))
+        return self.band(-math.inf, epsilon)
 
     def band(self, birth: float, death: float) -> "FilteredComplex":
-        """Simplices with value in ``(birth, death]`` and all their faces."""
-        birth, death = self._threshold(birth), self._threshold(death)
-
-        def positions() -> np.ndarray:
-            lo, hi = self._prefix_length(birth), self._prefix_length(death)
-            # Faces valued at most ``birth`` lie before ``lo``.
-            faces = set(chain.from_iterable(map(proper_faces, self._order[lo:hi])))
-            before = [i for i, s in enumerate(self._order[:lo]) if s in faces]
-            return np.concatenate([np.array(before, dtype=np.intp), np.arange(lo, hi)])
-        return self._restricted((birth, death), positions)
+        """Simplices with value in ``(birth, death]`` and all their faces; the
+        complex itself when that is every simplex."""
+        lo, hi = self._prefix_length(birth), self._prefix_length(death)
+        if lo == 0 and hi == len(self):
+            return self
+        # Built once per pair of prefix lengths, from ascending positions in
+        # the filtration order, so that the sub-complex's arrays need no sort.
+        if (lo, hi) not in self._restrictions:
+            if lo == 0:
+                at = slice(0, hi)
+            else:
+                # Faces lie before their cofaces, so all of them before ``hi``.
+                faces = self.closure(self._order[lo:hi])
+                at = np.array([i for i, s in enumerate(self._order[:hi]) if s in faces],
+                              dtype=np.intp)
+            sub = FilteredComplex.__new__(FilteredComplex)
+            sub._store(self._vertices[at], self._dims[at], self._values[at])
+            self._restrictions[lo, hi] = sub
+        return self._restrictions[lo, hi]

@@ -261,12 +261,13 @@ def save_csv(dataset: LabeledDataset, path: str | Path) -> None:
     """Feature columns then a label column; floats written exactly."""
     path = Path(path)
     d = dataset.points.shape[1] if dataset.points.ndim == 2 else 1
-    lines = [",".join([f"f{i}" for i in range(d)] + ["label"])]
-    for row, lab in zip(dataset.points, dataset.labels):
-        cells = [repr(float(x)) for x in np.atleast_1d(row)]
-        cells.append(dataset.class_names[int(lab)])
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"f{i}" for i in range(d)] + ["label"])
+        for row, lab in zip(dataset.points, dataset.labels):
+            cells = [repr(float(x)) for x in np.atleast_1d(row)]
+            cells.append(dataset.class_names[int(lab)])
+            writer.writerow(cells)
 
 
 def load_bundled(name: str) -> LabeledDataset:

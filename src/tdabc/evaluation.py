@@ -8,6 +8,11 @@ predictions, and a fold's metrics read its ``vertex``, ``label`` and
 the minority class (smallest training class of the fold) tracked
 separately.
 
+A fold's rates come from one confusion matrix, and each class's two AUCs
+from one stable descending sort of its probabilities (``ranking_aucs``):
+ROC and precision-recall curves are both read off one ranking's cumulative
+true and false positive counts (Davis & Goadrich, ICML 2006).
+
 ``fold_metrics`` follows a report-oriented convention: the false positive
 rate is FP / (TP + FP), the complement of precision.  The textbook
 FP / (FP + TN) is recorded alongside under ``fpr_conventional``.
@@ -15,6 +20,7 @@ FP / (FP + TN) is recorded alongside under ``fpr_conventional``.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import warnings
@@ -84,42 +90,34 @@ def stratified_splits(
     return out
 
 
-def _binary_auc(scores: np.ndarray, positive_mask: np.ndarray) -> float:
-    pos = scores[positive_mask][:, None]
-    neg = scores[~positive_mask][None, :]
-    if pos.size == 0 or neg.size == 0:
-        return math.nan
-    # Mann-Whitney U: positive-negative pairs won, ties counting one half.
-    u = (pos > neg).sum() + 0.5 * (pos == neg).sum()
-    return float(u) / (pos.size * neg.size)
-
-
-def roc_auc_per_class(probabilities: np.ndarray, truth: np.ndarray) -> list[float]:
-    """One-vs-rest AUC per class; nan when a class lacks positives or negatives."""
-    truth = np.asarray(truth)
-    return [
-        _binary_auc(probabilities[:, c], truth == c)
-        for c in range(probabilities.shape[1])
-    ]
-
-
-def pr_auc(probabilities: np.ndarray, truth: np.ndarray, positive: int) -> float:
-    """Average precision of the one-vs-rest ranking for ``positive``."""
-    truth = np.asarray(truth)
-    scores = np.asarray(probabilities)[:, positive]
-    relevant = (truth == positive).astype(float)
-    n_pos = relevant.sum()
+def ranking_aucs(scores: np.ndarray, relevant: np.ndarray) -> tuple[float, float]:
+    """ROC AUC and average precision of ranking ``scores`` for the ``relevant``
+    mask, both read from one stable descending sort.  Both are nan without a
+    relevant score, and the ROC AUC is nan without an irrelevant one."""
+    scores = np.asarray(scores)
+    relevant = np.asarray(relevant, dtype=bool)
+    n_pos = int(relevant.sum())
+    n_neg = relevant.size - n_pos
     if n_pos == 0:
-        return math.nan
+        return math.nan, math.nan
     order = np.argsort(-scores, kind="stable")
     scores = scores[order]
-    relevant = relevant[order]
-    # Evaluate precision/recall once per distinct threshold.
+    # Each group of tied scores is one threshold; tp and fp count the relevant
+    # and irrelevant scores at or above the end of each group.
     last_of_group = np.append(np.flatnonzero(np.diff(scores)), len(scores) - 1)
-    tp = np.cumsum(relevant)[last_of_group]
+    tp = np.cumsum(relevant[order])[last_of_group]
     precision = tp / (last_of_group + 1.0)
     recall = tp / n_pos
-    return float(np.sum(np.diff(np.concatenate([[0.0], recall])) * precision))
+    average_precision = float(np.sum(np.diff(np.concatenate([[0.0], recall])) * precision))
+    if n_neg == 0:
+        return math.nan, average_precision
+    # Mann-Whitney U, doubled to stay in integers: each of a group's p_g
+    # relevant scores wins over the irrelevant ones below the group and ties
+    # with its n_g irrelevant ones.
+    fp = last_of_group + 1 - tp
+    p_g, n_g = np.diff(tp, prepend=0), np.diff(fp, prepend=0)
+    won_twice = int(np.sum(p_g * (2 * (n_neg - fp) + n_g)))
+    return won_twice / 2 / (n_pos * n_neg), average_precision
 
 
 def fold_metrics(
@@ -130,8 +128,9 @@ def fold_metrics(
     denominator.  An empty denominator gives a rate of 0.
 
     Every count comes from one confusion matrix (rows true, columns
-    predicted).  Each rate is an ``int64`` quotient, which numpy rounds as
-    Python's ``int / int`` does for these counts."""
+    predicted), and each class's two AUCs from one ``ranking_aucs`` call on
+    its probability column.  Each rate is an ``int64`` quotient, which numpy
+    rounds as Python's ``int / int`` does for these counts."""
     truth = np.asarray(truth, dtype=np.int64)
     predicted = np.asarray(predicted, dtype=np.int64)
     confusion = np.bincount(truth * n_classes + predicted, minlength=n_classes * n_classes)
@@ -157,8 +156,7 @@ def fold_metrics(
         rate(fp, called),
         rate(fp, fp + tn),
         np.sqrt(tnr * recall),
-        roc_auc_per_class(probabilities, truth),
-        [pr_auc(probabilities, truth, c) for c in range(n_classes)],
+        [ranking_aucs(probabilities[:, c], truth == c) for c in range(n_classes)],
     ])
     degenerate = (called == 0) | (actual == 0) | (tn + fp == 0)
     return table, degenerate
@@ -289,14 +287,15 @@ class EvaluationReport:
     def write_csv(self, path: str | Path) -> None:
         header = ["dataset", "classifier", "repeat", "fold", "scope", "minority"]
         header += list(METRIC_FIELDS) + ["degenerate"]
-        lines = [",".join(header)]
-        for r in self.records:
-            cells = [self.dataset, r.classifier, str(r.repeat), str(r.fold), r.scope,
-                     "true" if r.minority else "false"]
-            cells += [repr(getattr(r, m)) for m in METRIC_FIELDS]
-            cells.append("true" if r.degenerate else "false")
-            lines.append(",".join(cells))
-        Path(path).write_text("\n".join(lines) + "\n")
+        with Path(path).open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for r in self.records:
+                cells = [self.dataset, r.classifier, str(r.repeat), str(r.fold), r.scope,
+                         "true" if r.minority else "false"]
+                cells += [repr(getattr(r, m)) for m in METRIC_FIELDS]
+                cells.append("true" if r.degenerate else "false")
+                writer.writerow(cells)
 
     def write_json(self, path: str | Path) -> None:
         payload = {

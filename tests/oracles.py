@@ -7,9 +7,10 @@ vertex-set differences over the open star for links, the link-form sum for
 the label extension, one vertex at a time for the distance-ball vote and
 the prediction rule, a per-interval scan for lifetimes, every vertex subset
 for the Rips complex, sorted tuples for the filtration order and its
-vertex rows, one class's masks at a time for the confusion rates, and
-indices dealt into Python lists for the stratified folds.  Tests compare the
-two routes.
+vertex rows, one class's masks at a time for the confusion rates, every
+positive-negative pair for the ROC AUC and a sort of its own per class for
+the average precision, and indices dealt into Python lists for the
+stratified folds.  Tests compare the two routes.
 """
 
 from __future__ import annotations
@@ -350,3 +351,41 @@ def f1(precision: float, recall: float) -> float:
 
 def gmean(tnr: float, recall: float) -> float:
     return math.sqrt(tnr * recall)
+
+
+def _binary_auc(scores: np.ndarray, positive_mask: np.ndarray) -> float:
+    pos = scores[positive_mask][:, None]
+    neg = scores[~positive_mask][None, :]
+    if pos.size == 0 or neg.size == 0:
+        return math.nan
+    # Mann-Whitney U: positive-negative pairs won, ties counting one half.
+    u = (pos > neg).sum() + 0.5 * (pos == neg).sum()
+    return float(u) / (pos.size * neg.size)
+
+
+def roc_auc_per_class(probabilities: np.ndarray, truth: np.ndarray) -> list[float]:
+    """One-vs-rest AUC per class; nan when a class lacks positives or negatives."""
+    truth = np.asarray(truth)
+    return [
+        _binary_auc(probabilities[:, c], truth == c)
+        for c in range(probabilities.shape[1])
+    ]
+
+
+def pr_auc(probabilities: np.ndarray, truth: np.ndarray, positive: int) -> float:
+    """Average precision of the one-vs-rest ranking for ``positive``."""
+    truth = np.asarray(truth)
+    scores = np.asarray(probabilities)[:, positive]
+    relevant = (truth == positive).astype(float)
+    n_pos = relevant.sum()
+    if n_pos == 0:
+        return math.nan
+    order = np.argsort(-scores, kind="stable")
+    scores = scores[order]
+    relevant = relevant[order]
+    # Evaluate precision/recall once per distinct threshold.
+    last_of_group = np.append(np.flatnonzero(np.diff(scores)), len(scores) - 1)
+    tp = np.cumsum(relevant)[last_of_group]
+    precision = tp / (last_of_group + 1.0)
+    recall = tp / n_pos
+    return float(np.sum(np.diff(np.concatenate([[0.0], recall])) * precision))

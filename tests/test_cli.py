@@ -390,6 +390,47 @@ def test_classify_baseline_knn(tmp_path):
     assert payload["accuracy"] == pytest.approx(1.0)
 
 
+QUOTED_NAMES = ("north, upper", 'say "hi"', "plain")
+
+
+def read_rows(path) -> list[list[str]]:
+    """A written CSV's rows, each checked to be as wide as the header."""
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert all(len(row) == len(rows[0]) for row in rows)
+    return rows
+
+
+def test_class_names_that_need_quoting_survive_every_csv_writer(tmp_path):
+    rng = np.random.default_rng(0)
+    data = tmp_path / "quoted.csv"
+    with data.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["f0", "f1", "label"])
+        for shift, name in enumerate(QUOTED_NAMES):
+            for x, y in rng.normal(8.0 * shift, 0.3, size=(10, 2)).tolist():
+                writer.writerow([repr(x), repr(y), name])
+    names = set(QUOTED_NAMES)
+
+    gen, cls, ev = (tmp_path / d for d in ("gen", "cls", "ev"))
+    assert run_cli("generate", "--dataset", str(data), "--out", str(gen)) == 0
+    rows = read_rows(gen / "quoted.csv")
+    assert rows[0] == ["f0", "f1", "label"]
+    assert [row[2] for row in rows[1:]] == [n for n in QUOTED_NAMES for _ in range(10)]
+
+    assert run_cli("classify", "--dataset", str(data), "--seed", "1",
+                   "--test-fraction", "0.2", "--out", str(cls)) == 0
+    rows = read_rows(cls / "quoted.predictions.csv")
+    assert rows[0][3:] == [f"p_{n}" for n in sorted(names)]
+    assert {row[1] for row in rows[1:]} <= names
+
+    assert run_cli("evaluate", "--dataset", str(data), "--classifiers", "knn",
+                   "--folds", "2", "--repeats", "1", "--out", str(ev)) == 0
+    rows = read_rows(ev / "quoted_report.csv")
+    assert len(rows[0]) == 16
+    assert {row[4] for row in rows[1:]} == names | {"macro"}
+
+
 def test_classify_missing_file_fails(tmp_path, capsys):
     rc = run_cli(
         "classify", "--dataset", str(tmp_path / "nope.csv"), "--out", str(tmp_path)

@@ -345,6 +345,14 @@ def test_repeated_restrictions_return_the_same_object():
     assert cx.band(0.0, 1.0) is not cx.subcomplex_at(1.0)
 
 
+def test_thresholds_between_the_same_stored_values_share_one_restriction():
+    cx = unit_square_complex()
+    assert cx.subcomplex_at(1.1) is cx.subcomplex_at(1.2) is cx.subcomplex_at(1.0)
+    assert cx.band(0.2, 1.1) is cx.band(0.5, 1.2)
+    assert cx.band(-1.0, 1.1) is cx.subcomplex_at(1.2)
+    assert cx.band(-1.0, cx.max_value) is cx
+
+
 def test_nan_thresholds_are_refused_and_store_nothing():
     cx = unit_square_complex()
     with pytest.raises(InvalidConfig):

@@ -23,17 +23,15 @@ from tdabc.evaluation import (
     FoldPlan,
     KnnSpec,
     TdabcSpec,
-    _binary_auc,
     default_classifiers,
     fold_metrics,
-    pr_auc,
-    roc_auc_per_class,
+    ranking_aucs,
     run_experiment,
     stratified_splits,
 )
 from tdabc.rips import RipsConfig
 
-from oracles import binary_rates, dealt_splits, f1, gmean
+from oracles import _binary_auc, binary_rates, dealt_splits, f1, gmean, pr_auc, roc_auc_per_class
 
 
 # ---------------------------------------------------------------------------
@@ -240,28 +238,69 @@ def test_fold_metrics_equal_the_per_class_oracle(fold):
 # ---------------------------------------------------------------------------
 
 
+def roc_aucs(probs: np.ndarray, truth: np.ndarray) -> list[float]:
+    """Each class's one-vs-rest ROC AUC from ``ranking_aucs``."""
+    return [ranking_aucs(probs[:, c], truth == c)[0] for c in range(probs.shape[1])]
+
+
+def class_pr_auc(probs: np.ndarray, truth: np.ndarray, positive: int) -> float:
+    return ranking_aucs(probs[:, positive], truth == positive)[1]
+
+
+@st.composite
+def rankings(draw):
+    """Scores and a relevance mask of 0-39 rows: half the time from a grid of
+    tied values with 1/3 and 2/3, sometimes all equal, sometimes all relevant
+    or none."""
+    size = draw(st.integers(0, 39))
+    if draw(st.booleans()):
+        grid = st.sampled_from([0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0])
+        scores = draw(st.lists(grid, min_size=size, max_size=size))
+    else:
+        scores = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    if size and draw(st.integers(0, 9)) == 0:
+        scores = [scores[0]] * size
+    relevant = draw(st.one_of(
+        st.lists(st.booleans(), min_size=size, max_size=size),
+        st.sampled_from([[True] * size, [False] * size]),
+    ))
+    return np.array(scores, dtype=float), np.array(relevant, dtype=bool)
+
+
+@given(rankings())
+@settings(max_examples=300, deadline=None)
+def test_ranking_aucs_equal_the_pairwise_and_sorted_oracles(ranking):
+    scores, relevant = ranking
+    probs = np.column_stack([1.0 - scores, scores])
+    truth = relevant.astype(np.int64)
+    roc, pr = ranking_aucs(scores, relevant)
+    assert np.array_equal([roc], [_binary_auc(scores, relevant)], equal_nan=True)
+    assert np.array_equal([pr], [pr_auc(probs, truth, 1)], equal_nan=True)
+    assert type(roc) is float and type(pr) is float
+
+
 def test_perfect_separation_auc_is_one():
     probs = np.array([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.1, 0.9]])
     truth = np.array([0, 0, 1, 1])
-    assert roc_auc_per_class(probs, truth) == pytest.approx([1.0, 1.0])
+    assert roc_aucs(probs, truth) == pytest.approx([1.0, 1.0])
 
 
 def test_reversed_scores_auc_is_zero():
     probs = np.array([[0.1, 0.9], [0.2, 0.8], [0.8, 0.2], [0.9, 0.1]])
     truth = np.array([0, 0, 1, 1])
-    assert roc_auc_per_class(probs, truth) == pytest.approx([0.0, 0.0])
+    assert roc_aucs(probs, truth) == pytest.approx([0.0, 0.0])
 
 
 def test_ties_give_half_credit():
     probs = np.array([[0.5, 0.5], [0.5, 0.5]])
     truth = np.array([0, 1])
-    assert roc_auc_per_class(probs, truth) == pytest.approx([0.5, 0.5])
+    assert roc_aucs(probs, truth) == pytest.approx([0.5, 0.5])
 
 
 def test_per_class_skips_one_sided_classes():
     probs = np.array([[0.9, 0.1, 0.0], [0.2, 0.8, 0.0], [0.5, 0.5, 0.0]])
     truth = np.array([0, 1, 1])
-    per_class = roc_auc_per_class(probs, truth)
+    per_class = roc_aucs(probs, truth)
     assert len(per_class) == 3
     assert math.isnan(per_class[2])
 
@@ -278,8 +317,8 @@ def test_auc_inversion_symmetry(seed):
     scores = rng.random(n)
     probs = np.column_stack([1 - scores, scores])
     flipped = np.column_stack([scores, 1 - scores])
-    a = roc_auc_per_class(probs, truth)
-    b = roc_auc_per_class(flipped, truth)
+    a = roc_aucs(probs, truth)
+    b = roc_aucs(flipped, truth)
     assert np.add(a, b) == pytest.approx([1.0, 1.0])
 
 
@@ -302,17 +341,17 @@ def rank_auc(scores: np.ndarray, positive_mask: np.ndarray) -> float:
     )
 )
 @settings(max_examples=200, deadline=None)
-def test_binary_auc_equals_rank_form_with_ties(pairs):
+def test_roc_auc_equals_rank_form_with_ties(pairs):
     scores = np.array([s for s, _ in pairs])
     positive = np.array([p for _, p in pairs])
     assume(positive.any() and not positive.all())
-    assert _binary_auc(scores, positive) == rank_auc(scores, positive)
+    assert ranking_aucs(scores, positive)[0] == rank_auc(scores, positive)
 
 
 def test_pr_auc_perfect_ranking():
     probs = np.array([[0.1, 0.9], [0.2, 0.8], [0.8, 0.2], [0.9, 0.1]])
     truth = np.array([1, 1, 0, 0])
-    assert pr_auc(probs, truth, positive=1) == pytest.approx(1.0)
+    assert class_pr_auc(probs, truth, positive=1) == pytest.approx(1.0)
 
 
 def test_pr_auc_hand_case():
@@ -321,7 +360,7 @@ def test_pr_auc_hand_case():
     truth = np.array([1, 0, 1, 0])
     # recall steps: 0.5 at precision 1.0, then 1.0 at precision 2/3
     expected = 0.5 * 1.0 + 0.5 * (2.0 / 3.0)
-    assert pr_auc(probs, truth, positive=1) == pytest.approx(expected)
+    assert class_pr_auc(probs, truth, positive=1) == pytest.approx(expected)
 
 
 # ---------------------------------------------------------------------------

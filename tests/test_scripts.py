@@ -1,4 +1,5 @@
-"""The README's commands parse, and the dataset registry maps every name."""
+"""The README's commands parse, its Python blocks run, and the dataset
+registry maps every name."""
 
 from __future__ import annotations
 
@@ -16,11 +17,15 @@ from tdabc.errors import InvalidConfig, TdabcError, UnknownDataset
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def readme_blocks(language: str = r"[^\n]*") -> list[str]:
+    """The README's fenced code blocks whose info string matches ``language``."""
+    return re.findall(rf"^```{language}\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
 def readme_commands() -> list[str]:
     """Every ``tdabc`` command line in the README's fenced code blocks, with
     its comment dropped."""
-    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.M | re.S)
-    lines = "\n".join(blocks).splitlines()
+    lines = "\n".join(readme_blocks()).splitlines()
     return [" ".join(shlex.split(line, comments=True)) for line in lines
             if line.strip().startswith("tdabc ")]
 
@@ -37,6 +42,26 @@ def test_readme_command_parses(command):
         build_parser().parse_args(shlex.split(command)[1:])
     except SystemExit as exc:
         pytest.fail(f"{command!r} does not parse (exit {exc.code})")
+
+
+PYTHON_BLOCKS = readme_blocks("python")
+
+
+def test_readme_harness_block_states_its_value():
+    assert sum("# ≈ " in block for block in PYTHON_BLOCKS) == 1
+
+
+@pytest.mark.parametrize("block", PYTHON_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(PYTHON_BLOCKS))])
+def test_readme_python_block_runs(block, tmp_path, monkeypatch, capsys):
+    """Each ``python`` block runs in a fresh directory, and a block whose
+    comment gives a value as ``≈ x`` prints it rounded to x's digits."""
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, str(README), "exec"), {"__name__": "__main__"})
+    printed = capsys.readouterr().out.split()
+    for stated in re.findall(r"# ≈ ([0-9.]+)", block):
+        digits = len(stated.partition(".")[2])
+        assert f"{float(printed[-1]):.{digits}f}" == stated
 
 
 @pytest.mark.parametrize("name", ds.NAMES)
