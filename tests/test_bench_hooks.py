@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib.util
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,23 @@ def test_captured_calls_take_the_bound_parameters(workloads):
         params = inspect.signature(getattr(evaluation, attr)).parameters
         assert "table" in params
         assert ("policy" in params) != ("config" in params)
+
+
+def test_capture_names_every_roster_call(workloads):
+    """perfbench names each captured call by matching its settings to a roster
+    entry, falling back to the settings' ``repr``: every call of the default
+    roster must come back under its own name, once per fold."""
+    from tdabc.datasets import make_circles
+    from tdabc.evaluation import FoldPlan, default_classifiers, run_experiment
+    from tdabc.rips import RipsConfig
+
+    roster = default_classifiers()
+    capture = workloads.Capture(roster)
+    with capture.installed():
+        run_experiment(make_circles((12, 12)), roster, FoldPlan(2, 1, 0),
+                       RipsConfig(max_dim=2, max_edge=0.5))
+    names = Counter(call.classifier for call in capture.take())
+    assert names == {spec.name: 2 for spec in roster}
 
 
 def test_predictions_expose_the_fields_the_benchmark_reads():

@@ -273,7 +273,10 @@ def test_persistence_shells_output_is_pinned(tmp_path):
 
 # sha256 of the files ``tdabc classify`` writes on the generated ramp step 16,
 # recorded when each vertex's label came from its own per-vertex rule; any
-# route from scores to predictions must write the same bytes.
+# route from scores to predictions must write the same bytes.  The seed-3
+# runs were recorded while the selection seed was a field of the policy: the
+# ``rand`` draw there differs from the draws of seeds 0 and 1, and ``wknn``
+# from ``knn``, so each pins a setting reaching its classifier.
 RAMP_CLASSIFY_SHA256 = {
     "tdabc": {
         "ramp16.predictions.csv": "f9a2acda2c2fb80e11f52267a958335615ea9045652c42deb2b6f0cfc52314ed",
@@ -283,17 +286,25 @@ RAMP_CLASSIFY_SHA256 = {
         "ramp16.predictions.csv": "24fe3b68495a70b1e0bade264a4875efb253e1bbfc45c5997dff25d9bddae515",
         "ramp16.predictions.json": "4a4d0d895bfcdf7853514865a8ddcc14d7e82a7ed727f8600bad543eba40f791",
     },
+    "tdabc-rand-seed3": {
+        "ramp16.predictions.csv": "b1059499650bacb3c39a86809aeb93d1a28edf755781fba720a6d5fe14aa997d",
+        "ramp16.predictions.json": "a102a1b436fc66cbb0231ba086e7fa94c95087bd7563353c80e97e0e3d5d753e",
+    },
+    "wknn-seed3": {
+        "ramp16.predictions.csv": "1b53d675bb443d2a310cd4413e8f9ad17651b271b7d575960f2ce40c906fc606",
+        "ramp16.predictions.json": "e1225a829fa8b2f68b0d82630e8f8c6b20d570856eec560bfa4ee7b598b27857",
+    },
 }
 
 
-def classify_ramp16(tmp_path, *options: str) -> list[dict]:
+def classify_ramp16(tmp_path, pin: str, *options: str) -> list[dict]:
     """Rows of ``predictions.csv`` from ``tdabc classify`` on ramp step 16,
-    after checking both written files against ``RAMP_CLASSIFY_SHA256``."""
+    after checking both written files against ``RAMP_CLASSIFY_SHA256[pin]``."""
     assert run_cli("generate", "--dataset", "ramp", "--step", "16", "--out", str(tmp_path)) == 0
     out = tmp_path / "out"
     data = str(tmp_path / "ramp16.csv")
     assert run_cli("classify", "--dataset", data, *options, "--out", str(out)) == 0
-    pinned = RAMP_CLASSIFY_SHA256["knn" if "--baseline" in options else "tdabc"]
+    pinned = RAMP_CLASSIFY_SHA256[pin]
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}
     assert digests == pinned
     with (out / "ramp16.predictions.csv").open() as fh:
@@ -301,7 +312,8 @@ def classify_ramp16(tmp_path, *options: str) -> list[dict]:
 
 
 def test_classify_ramp_output_is_pinned(tmp_path):
-    rows = classify_ramp16(tmp_path, "--max-dim", "2", "--max-edge", "0.3", "--budget", "400000")
+    rows = classify_ramp16(tmp_path, "tdabc",
+                           "--max-dim", "2", "--max-edge", "0.3", "--budget", "400000")
     kinds = [r["provenance"] for r in rows]
     # The pin covers the fallback rows as well as the ordinary ones.
     assert (kinds.count("global_fallback"), kinds.count("isolated"), kinds.count("link")) == (
@@ -310,9 +322,19 @@ def test_classify_ramp_output_is_pinned(tmp_path):
 
 
 def test_classify_knn_ramp_output_is_pinned(tmp_path):
-    rows = classify_ramp16(tmp_path, "--baseline", "knn", "--k", "4")
+    rows = classify_ramp16(tmp_path, "knn", "--baseline", "knn", "--k", "4")
     # The pin covers vertices whose vote tied, so their label was drawn.
     assert sum(1 for r in rows if (r["p_0"], r["p_1"]) == ("0.5", "0.5")) == 7
+
+
+def test_classify_rand_selection_seed_output_is_pinned(tmp_path):
+    classify_ramp16(tmp_path, "tdabc-rand-seed3", "--seed", "3", "--selector", "rand",
+                    "--epsilon-mode", "birth", "--max-dim", "2", "--max-edge", "0.3",
+                    "--budget", "400000")
+
+
+def test_classify_wknn_ramp_output_is_pinned(tmp_path):
+    classify_ramp16(tmp_path, "wknn-seed3", "--seed", "3", "--baseline", "wknn", "--k", "4")
 
 
 def test_persistence_rejects_tiny_budget(tmp_path, capsys):
