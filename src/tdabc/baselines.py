@@ -28,6 +28,8 @@ def knn_predict_all(
     """Majority (or inverse-distance) vote among each test vertex's k nearest
     training vertices: ``predict``'s records, one per test vertex in vertex
     order."""
+    if seed < 0:
+        raise InvalidConfig(f"seed must be non-negative, got {seed}")
     tests = sorted(table.test_vertices)
     if not tests:
         return predict(table, tests, np.zeros((0, table.n_classes)), seed, PROVENANCE_BASELINE)

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .complexes import FilteredComplex, Simplex, facets
-from .errors import InvalidAssociation, NoLabeledData
+from .errors import InvalidAssociation, InvalidConfig, NoLabeledData
 from .persistence import Diagram, intervals_above_dim_zero
 from .selection import SelectionPolicy, recover, select
 
@@ -222,16 +222,19 @@ def classify_all(
     table: AssociationTable,
     policy: SelectionPolicy,
     dist: np.ndarray,
+    seed: int = 0,
 ) -> np.recarray:
-    """``predict``'s records for every test vertex, in vertex order."""
+    """``predict``'s records for every test vertex, in vertex order; ``seed``
+    drives the ``rand`` selector's draw and the draws that break score ties."""
+    if seed < 0:
+        raise InvalidConfig(f"seed must be non-negative, got {seed}")
     if not table.training:
         raise NoLabeledData("classification needs at least one labeled vertex")
     if set(table.training) | table.test_vertices != set(complex_.vertex_ids.tolist()):
         raise InvalidAssociation("the table's vertex ids are not the complex's")
 
     if intervals_above_dim_zero(diagram):
-        rng = np.random.default_rng(policy.rng_seed)
-        chosen = select(diagram, policy, rng)
+        chosen = select(diagram, policy, np.random.default_rng(seed))
         epsilon_death = min(chosen.death, diagram.max_filtration)
         sub = recover(complex_, chosen, policy)
     else:
@@ -252,4 +255,4 @@ def classify_all(
     # empty + isolated: 0 link, 1 unlabeled link, 2 isolated.
     kinds = np.array([PROVENANCE_LINK, PROVENANCE_UNLABELED, PROVENANCE_ISOLATED], dtype=object)
     provenance = kinds[empty.astype(np.intp) + isolated]
-    return predict(table, tests, scores, policy.rng_seed, provenance)
+    return predict(table, tests, scores, seed, provenance)

@@ -171,18 +171,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     )
     dist = pairwise_distances(data.points, args.metric)
     if args.baseline:
-        config = KnnConfig(k=args.k, weighted=_BASELINES[args.baseline].weighted)
+        config = replace(_BASELINES[args.baseline], k=args.k)
         preds = knn_predict_all(dist, table, config, seed=args.seed)
     else:
         complex_ = build_rips(dist, _rips_config(args))
         diagram = boundary_reduce(complex_)
-        policy = SelectionPolicy(
-            selector=args.selector,
-            epsilon_mode=args.epsilon_mode,
-            recovery=args.recovery,
-            rng_seed=args.seed,
-        )
-        preds = classify_all(complex_, diagram, table, policy, dist)
+        policy = SelectionPolicy(args.selector, args.epsilon_mode, args.recovery)
+        preds = classify_all(complex_, diagram, table, policy, dist, seed=args.seed)
     out = _out_dir(args)
     csv_path = out / f"{data.name}.predictions.csv"
     with csv_path.open("w", newline="") as fh:
@@ -351,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(argv)
         return args.func(args)
-    except TdabcError as exc:
+    except (TdabcError, OSError) as exc:  # an OSError's message names its path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

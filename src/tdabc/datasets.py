@@ -194,40 +194,39 @@ def make_imbalance_ramp(step: int, seed: int = 0) -> LabeledDataset:
 def load_csv(path: str | Path, label_column: str = "label") -> LabeledDataset:
     """Numeric feature CSV with a header; labels factorized by sorted value."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file") from None
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise MissingLabelColumn(
-                f"no column {label_column!r} in header {header}"
-            )
-        label_idx = header.index(label_column)
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
-        rows, raw_labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+    try:
+        with path.open(newline="") as fh:
+            lines = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:  # a ValueError, not an OSError
+        raise ParseError(f"{path}: {exc}") from None
+    if not lines:
+        raise ParseError("empty file")
+    header = [h.strip() for h in lines[0]]
+    if label_column not in header:
+        raise MissingLabelColumn(f"no column {label_column!r} in header {header}")
+    label_idx = header.index(label_column)
+    feature_names = [h for i, h in enumerate(header) if i != label_idx]
+    if not feature_names:
+        raise ParseError(f"no feature column besides {label_column!r}")
+    rows, raw_labels = [], []
+    for lineno, row in enumerate(lines[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}", row=lineno)
+        feats = []
+        for i, cell in enumerate(row):
+            if i == label_idx:
                 continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(row)}", row=lineno
-                )
-            feats = []
-            for i, cell in enumerate(row):
-                if i == label_idx:
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise ParseError(f"not a finite number: {cell!r}", row=lineno, column=header[i])
-                feats.append(value)
-            rows.append(feats)
-            raw_labels.append(row[label_idx].strip())
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ParseError(f"not a finite number: {cell!r}", row=lineno, column=header[i])
+            feats.append(value)
+        rows.append(feats)
+        raw_labels.append(row[label_idx].strip())
     if not rows:
         raise ParseError("no data rows")
     classes = sorted(set(raw_labels))

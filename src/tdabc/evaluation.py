@@ -24,7 +24,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -166,18 +166,17 @@ def fold_metrics(
 
 
 @dataclass(frozen=True)
-class TdabcSpec:
-    name: str
-    selector: str = "max"
-    epsilon_mode: str = "death"
-    recovery: str = "sublevel"
+class TdabcSpec(SelectionPolicy):
+    """A named roster entry: the policy ``classify_all`` takes."""
+
+    name: str = field(kw_only=True)
 
 
 @dataclass(frozen=True)
-class KnnSpec:
-    name: str
-    k: int = 5
-    weighted: bool = False
+class KnnSpec(KnnConfig):
+    """A named roster entry: the configuration ``knn_predict_all`` takes."""
+
+    name: str = field(kw_only=True)
 
 
 ClassifierSpec = TdabcSpec | KnnSpec
@@ -185,11 +184,11 @@ ClassifierSpec = TdabcSpec | KnnSpec
 
 def default_classifiers() -> tuple[ClassifierSpec, ...]:
     return (
-        TdabcSpec("tdabc-m", selector="max"),
-        TdabcSpec("tdabc-r", selector="rand"),
-        TdabcSpec("tdabc-a", selector="avg"),
-        KnnSpec("knn"),
-        KnnSpec("wknn", weighted=True),
+        TdabcSpec(name="tdabc-m", selector="max"),
+        TdabcSpec(name="tdabc-r", selector="rand"),
+        TdabcSpec(name="tdabc-a", selector="avg"),
+        KnnSpec(name="knn"),
+        KnnSpec(name="wknn", weighted=True),
     )
 
 
@@ -323,12 +322,11 @@ def run_experiment(
     """Cross-validate every classifier on ``dataset`` and collect metrics."""
     if not classifiers:
         raise NoClassifiers("classifier roster is empty")
-    # Built before any fold: an invalid setting is the caller's error.
-    configs = [
-        SelectionPolicy(spec.selector, spec.epsilon_mode, spec.recovery)
-        if isinstance(spec, TdabcSpec) else KnnConfig(spec.k, spec.weighted)
-        for spec in classifiers
-    ]
+    # Each name is one summary cell: two specs under one name would pool.
+    names = [spec.name for spec in classifiers]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise InvalidConfig(f"classifier names repeat: {', '.join(repeated)}")
     if rips is None:
         rips = RipsConfig()
     labels = dataset.labels
@@ -351,13 +349,12 @@ def run_experiment(
         train_counts = np.bincount(labels[train_idx], minlength=n_classes)
         minority = int(np.argmin(train_counts))
         seed = _fold_seed(plan.seed, repeat, fold)
-        for spec, config in zip(classifiers, configs):
+        for spec in classifiers:
             try:
-                if isinstance(config, SelectionPolicy):
-                    policy = replace(config, rng_seed=seed)
-                    preds = classify_all(complex_, diagram, table, policy, dist)
+                if isinstance(spec, TdabcSpec):
+                    preds = classify_all(complex_, diagram, table, spec, dist, seed=seed)
                 else:
-                    preds = knn_predict_all(dist, table, config, seed=seed)
+                    preds = knn_predict_all(dist, table, spec, seed=seed)
             except TdabcError as exc:  # a fold the method cannot label is data
                 report.failures.append(
                     FoldFailure(spec.name, repeat, fold, f"{type(exc).__name__}: {exc}")

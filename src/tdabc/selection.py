@@ -27,7 +27,6 @@ class SelectionPolicy:
     selector: str = "max"
     epsilon_mode: str = "death"
     recovery: str = "sublevel"
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.selector not in SELECTORS:
@@ -36,8 +35,6 @@ class SelectionPolicy:
             raise InvalidConfig(f"epsilon_mode must be one of {EPSILON_MODES}")
         if self.recovery not in RECOVERY_MODES:
             raise InvalidConfig(f"recovery must be one of {RECOVERY_MODES}")
-        if self.rng_seed < 0:
-            raise InvalidConfig("rng_seed must be non-negative")
 
 
 def select(

@@ -267,10 +267,10 @@ def test_criterion_8_sphere_minority_rescue():
     t0 = time.perf_counter()
     td_names = ("tdabc-m", "tdabc-r", "tdabc-a")
     roster = (
-        TdabcSpec("tdabc-m", selector="max"),
-        TdabcSpec("tdabc-r", selector="rand"),
-        TdabcSpec("tdabc-a", selector="avg"),
-        KnnSpec("knn"),
+        TdabcSpec(name="tdabc-m", selector="max"),
+        TdabcSpec(name="tdabc-r", selector="rand"),
+        TdabcSpec(name="tdabc-a", selector="avg"),
+        KnnSpec(name="knn"),
     )
     rips = RipsConfig(max_dim=2, budget=400_000)
     wins = 0
@@ -302,7 +302,7 @@ def test_criterion_9_iris_macro_f1():
     data = load_bundled("iris")
     report = run_experiment(
         data,
-        (TdabcSpec("tdabc-r", selector="rand"),),
+        (TdabcSpec(name="tdabc-r", selector="rand"),),
         FoldPlan(folds=10, repeats=5, seed=0),
         rips=RipsConfig(max_dim=3, budget=150_000),
     )

@@ -23,7 +23,7 @@ from tdabc.classifier import (
     predict,
 )
 from tdabc.complexes import FilteredComplex
-from tdabc.errors import InvalidAssociation, NoLabeledData
+from tdabc.errors import InvalidAssociation, InvalidConfig, NoLabeledData
 from tdabc.persistence import boundary_reduce
 from tdabc.rips import RipsConfig, build_rips, pairwise_distances
 from tdabc.selection import SelectionPolicy
@@ -499,6 +499,19 @@ def test_classify_requires_training_data():
         classify_all(cx, diagram, table, SelectionPolicy(), np.zeros((2, 2)))
 
 
+def test_negative_seeds_are_refused_before_any_work():
+    """Each input would fail later for another reason, and knn's vote has no
+    tie: the seed is checked first, not when a tie is drawn."""
+    cx, diagram, table, dist = blob_fixture()
+    untrained = AssociationTable({}, frozenset(range(40)), 2)
+    with pytest.raises(InvalidConfig, match="seed"):
+        classify_all(cx, diagram, untrained, SelectionPolicy(), dist, seed=-1)
+    with pytest.raises(InvalidConfig, match="seed"):
+        baselines.knn_predict_all(dist, table, baselines.KnnConfig(k=1000), seed=-1)
+    with pytest.raises(InvalidConfig, match="seed"):
+        baselines.knn_predict_all(dist, table, baselines.KnnConfig(k=3), seed=-1)
+
+
 def test_global_fallback_predicts_majority():
     """Test vertices too far for any heuristic get the majority training class."""
     points = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [500.0, 500.0]])
@@ -513,8 +526,8 @@ def test_global_fallback_predicts_majority():
 
 def test_classification_is_seed_deterministic():
     cx, diagram, table, dist = blob_fixture()
-    a = classify_all(cx, diagram, table, SelectionPolicy(rng_seed=5), dist)
-    b = classify_all(cx, diagram, table, SelectionPolicy(rng_seed=5), dist)
+    a = classify_all(cx, diagram, table, SelectionPolicy(), dist, seed=5)
+    b = classify_all(cx, diagram, table, SelectionPolicy(), dist, seed=5)
     assert [(p.vertex, p.label, p.provenance) for p in a] == [
         (p.vertex, p.label, p.provenance) for p in b
     ]

@@ -95,6 +95,8 @@ def test_unknown_dataset_exits_two(tmp_path, capsys):
         # circles has 25 points per class
         ("evaluate", "--dataset", "circles", "--folds", "30", "--repeats", "1",
          "--classifiers", "knn"),
+        ("evaluate", "--dataset", "circles", "--folds", "2", "--repeats", "1",
+         "--classifiers", "knn,knn"),
     ],
 )
 def test_invalid_values_exit_two_with_one_error_line(tmp_path, capsys, argv):
@@ -126,17 +128,33 @@ def test_invalid_values_exit_two_with_one_error_line(tmp_path, capsys, argv):
           for command in ("generate", "persistence", "classify", "evaluate")),
         (("persistence", "--dataset", "FILE", "--metric", "cosine"),
          "f0,f1,label\n0,0,a\n1,0,a\n0,1,b\n1,1,b\n", "cosine distance is undefined"),
+        (("classify", "--dataset", "FILE"), "label\na\na\nb\nb\na\nb\n",
+         "no feature column"),
+        (("classify", "--dataset", "FILE"), b"f0,label\n0.0,a\n\xff,b\n1.0,b\n",
+         "FILE: 'utf-8' codec can't decode byte 0xff"),
+        # Paths the system refuses: DIR stands for the test's directory.
+        (("generate", "--dataset", "circles", "--out", "FILE"), "", "File exists: 'FILE'"),
+        (("generate", "--dataset", "circles", "--out", "FILE/sub"), "",
+         "Not a directory: 'FILE/sub'"),
+        (("classify", "--dataset", "DIR"), None, "Is a directory: 'DIR'"),
     ],
 )
 def test_bad_input_files_exit_two_with_one_error_line(tmp_path, capsys, argv, content, reason):
     path = tmp_path / "input.csv"
-    if content is not None:
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
         path.write_text(content)
-    rc = run_cli(*(str(path) if a == "FILE" else a for a in argv), "--out", str(tmp_path))
+
+    def fill(text: str) -> str:
+        return text.replace("FILE", str(path)).replace("DIR", str(tmp_path))
+
+    out = () if "--out" in argv else ("--out", str(tmp_path))
+    rc = run_cli(*map(fill, argv), *out)
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert reason.replace("FILE", str(path)) in err[0]
+    assert fill(reason) in err[0]
 
 
 # Two valid values for each value option, as they are written on the command line.

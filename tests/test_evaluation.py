@@ -379,7 +379,7 @@ def small_plan():
 def test_run_experiment_produces_records_per_classifier():
     report = run_experiment(
         small_dataset(),
-        (TdabcSpec("tdabc-m"), KnnSpec("knn")),
+        (TdabcSpec(name="tdabc-m"), KnnSpec(name="knn")),
         small_plan(),
         rips=RipsConfig(max_dim=2, budget=100_000),
     )
@@ -395,7 +395,7 @@ def test_run_experiment_produces_records_per_classifier():
 def test_macro_row_is_mean_of_class_rows():
     report = run_experiment(
         small_dataset(),
-        (KnnSpec("knn"),),
+        (KnnSpec(name="knn"),),
         small_plan(),
     )
     by_fold: dict[tuple, list] = {}
@@ -431,7 +431,7 @@ def test_finite_mean_adds_left_to_right(values):
 def test_separable_data_scores_perfectly():
     report = run_experiment(
         small_dataset(),
-        (KnnSpec("knn"), TdabcSpec("tdabc-m")),
+        (KnnSpec(name="knn"), TdabcSpec(name="tdabc-m")),
         small_plan(),
         rips=RipsConfig(max_dim=2, budget=100_000),
     )
@@ -441,7 +441,7 @@ def test_separable_data_scores_perfectly():
 
 def test_exactly_one_minority_class_per_fold():
     data = make_gaussian_classes(dims=2, sizes=(20, 6), means=(0.0, 5.0), stdev=0.2, seed=0)
-    report = run_experiment(data, (KnnSpec("knn"),), small_plan())
+    report = run_experiment(data, (KnnSpec(name="knn"),), small_plan())
     by_fold: dict[tuple, list] = {}
     for r in report.records:
         if r.scope != "macro":
@@ -452,7 +452,7 @@ def test_exactly_one_minority_class_per_fold():
 
 def test_minority_mean_tracks_smallest_class():
     data = make_gaussian_classes(dims=2, sizes=(20, 6), means=(0.0, 5.0), stdev=0.2, seed=0)
-    report = run_experiment(data, (KnnSpec("knn"),), small_plan())
+    report = run_experiment(data, (KnnSpec(name="knn"),), small_plan())
     assert report.minority_mean("knn", "f1") == pytest.approx(1.0)
 
 
@@ -468,33 +468,44 @@ def test_run_experiment_lets_bugs_propagate(monkeypatch):
     monkeypatch.setattr(evaluation, "classify_all", broken)
     with pytest.raises(RuntimeError):
         run_experiment(
-            small_dataset(), (TdabcSpec("tdabc-m"),), small_plan(),
+            small_dataset(), (TdabcSpec(name="tdabc-m"),), small_plan(),
             rips=RipsConfig(max_dim=2, budget=100_000),
         )
 
 
 def test_run_experiment_records_tdabc_errors_as_fold_failures():
     # 28 points in two folds leave 14 training vertices, fewer than k.
-    report = run_experiment(small_dataset(), (KnnSpec("knn", k=20),), small_plan())
+    report = run_experiment(small_dataset(), (KnnSpec(name="knn", k=20),), small_plan())
     assert not report.records
     assert len(report.failures) == 2
     assert all(f.error.startswith("InsufficientTraining") for f in report.failures)
 
 
 @pytest.mark.parametrize(
-    "spec", [KnnSpec("knn", k=0), TdabcSpec("tdabc-x", selector="bogus")]
+    "make",
+    [lambda: KnnSpec(name="knn", k=0), lambda: TdabcSpec(name="tdabc-x", selector="bogus")],
+)
+def test_invalid_specs_cannot_be_made(make):
+    with pytest.raises(InvalidConfig):
+        make()
+
+
+# Each shares the name "knn" with the roster's first entry; the first two
+# would pool other settings into its summary cell.
+@pytest.mark.parametrize(
+    "spec", [KnnSpec(name="knn", weighted=True), TdabcSpec(name="knn"), KnnSpec(name="knn")]
 )
 def test_run_experiment_rejects_invalid_specs_before_any_work(monkeypatch, spec):
     def no_work(*args, **kwargs):
         raise RuntimeError("settings must be checked before any distance is computed")
 
     monkeypatch.setattr(evaluation, "pairwise_distances", no_work)
-    with pytest.raises(InvalidConfig):
-        run_experiment(small_dataset(), (KnnSpec("knn"), spec), small_plan())
+    with pytest.raises(InvalidConfig, match="classifier names repeat: knn"):
+        run_experiment(small_dataset(), (KnnSpec(name="knn"), spec), small_plan())
 
 
 def test_report_csv_layout(tmp_path):
-    report = run_experiment(small_dataset(), (KnnSpec("knn"),), small_plan())
+    report = run_experiment(small_dataset(), (KnnSpec(name="knn"),), small_plan())
     path = tmp_path / "r.csv"
     report.write_csv(path)
     with path.open() as fh:
@@ -504,7 +515,7 @@ def test_report_csv_layout(tmp_path):
 
 
 def test_ramp_csv_layout(tmp_path):
-    report = run_experiment(small_dataset(), (KnnSpec("knn"),), small_plan())
+    report = run_experiment(small_dataset(), (KnnSpec(name="knn"),), small_plan())
     path = tmp_path / "ramp_curves.csv"
     evaluation.write_ramp_csv({3: report}, path)
     header, *rows = path.read_text().splitlines()
@@ -518,7 +529,7 @@ def test_ramp_csv_layout(tmp_path):
 
 
 def test_report_json_summary(tmp_path):
-    report = run_experiment(small_dataset(), (KnnSpec("knn"),), small_plan())
+    report = run_experiment(small_dataset(), (KnnSpec(name="knn"),), small_plan())
     path = tmp_path / "r.json"
     report.write_json(path)
     payload = json.loads(path.read_text())
@@ -531,7 +542,7 @@ def test_report_json_summary(tmp_path):
 def test_summary_means_are_the_report_means():
     """Ten values per cell: a pairwise ``np.mean`` would differ from the
     left-to-right ``mean_metric`` in the last bits of some cells."""
-    roster = (KnnSpec("knn"), KnnSpec("wknn", weighted=True))
+    roster = (KnnSpec(name="knn"), KnnSpec(name="wknn", weighted=True))
     report = run_experiment(load_bundled("iris"), roster, FoldPlan(folds=5, repeats=2))
     got, want = [], []
     for classifier, scopes in report.summary().items():
