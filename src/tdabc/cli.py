@@ -10,7 +10,6 @@ absent.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import multiprocessing
@@ -47,7 +46,7 @@ def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
     """The config file's options, each converted and checked as its flag's value
     would be; ``null`` and keys that name no value option are left out."""
     try:
-        conf = json.loads(Path(path).read_text())
+        conf = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise InvalidConfig(f"--config {path}: {exc}") from None
     if not isinstance(conf, dict):
@@ -109,9 +108,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     csv_path = out / f"{data.name}.csv"
     ds.save_csv(data, csv_path)
-    (out / f"{data.name}.spec.json").write_text(
-        json.dumps(data.spec, indent=2, sort_keys=True) + "\n"
-    )
+    ds.write_json(out / f"{data.name}.spec.json", data.spec)
     print(f"wrote {csv_path} ({len(data)} points, {data.n_classes} classes)")
     return 0
 
@@ -125,10 +122,10 @@ def _cmd_persistence(args: argparse.Namespace) -> int:
     write_diagram_csv(diagram, out / f"{data.name}.diagram.csv")
     write_diagram_json(diagram, out / f"{data.name}.diagram.json")
     maxf = diagram.max_filtration
-    rows = zip(diagram.dims.tolist(), diagram.births.tolist(),
-               np.minimum(diagram.deaths, maxf).tolist())
-    bars = ["dim,birth,death,length", *(f"{q},{b!r},{d!r},{d - b!r}" for q, b, d in rows)]
-    (out / f"{data.name}.barcode.csv").write_text("\n".join(bars) + "\n")
+    deaths = np.minimum(diagram.deaths, maxf)
+    rows = zip(diagram.dims.tolist(), diagram.births.tolist(), deaths.tolist(),
+               (deaths - diagram.births).tolist())
+    ds.write_rows(out / f"{data.name}.barcode.csv", ["dim", "birth", "death", "length"], rows)
     print(
         f"{len(complex_)} simplices, {len(diagram)} intervals, "
         f"max filtration {maxf!r}"
@@ -180,14 +177,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         preds = classify_all(complex_, diagram, table, policy, dist, seed=args.seed)
     out = _out_dir(args)
     csv_path = out / f"{data.name}.predictions.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["vertex", "predicted", "provenance"]
-                        + [f"p_{name}" for name in data.class_names])
-        # Python scalars from ``.tolist()``: their ``repr`` is the file's format.
-        for v, label, prov, probs in zip(preds.vertex.tolist(), preds.label.tolist(),
-                                         preds.provenance.tolist(), preds.probability.tolist()):
-            writer.writerow([v, data.class_names[label], prov, *map(repr, probs)])
+    rows = zip(preds.vertex.tolist(), preds.label.tolist(), preds.provenance.tolist(),
+               preds.probability.tolist())
+    ds.write_rows(csv_path, ["vertex", "predicted", "provenance"]
+                  + [f"p_{name}" for name in data.class_names],
+                  ([v, data.class_names[label], prov, *probs] for v, label, prov, probs in rows))
     correct = int(np.count_nonzero(preds.label == data.labels[preds.vertex]))
     kinds, counts = np.unique(preds.provenance, return_counts=True)
     payload = {
@@ -196,9 +190,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "accuracy": correct / len(preds) if len(preds) else math.nan,
         "provenance_counts": dict(zip(kinds.tolist(), counts.tolist())),
     }
-    (out / f"{data.name}.predictions.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    ds.write_json(out / f"{data.name}.predictions.json", payload)
     print(f"wrote {csv_path} (accuracy {payload['accuracy']:.3f})")
     return 0
 
@@ -248,9 +240,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         write_ramp_csv(results, out / "ramp_curves.csv")
         summary = {str(step): results[step].summary() for step in steps}
         failures = sum(len(results[step].failures) for step in steps)
-        (out / "ramp_summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n"
-        )
+        ds.write_json(out / "ramp_summary.json", summary)
         print(f"wrote {out / 'ramp_curves.csv'} ({failures} fold failures)")
         return 0 if failures == 0 else 1
     data = _dataset(args)

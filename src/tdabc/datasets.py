@@ -1,14 +1,16 @@
 """Synthetic dataset generators, CSV ingestion, the log-shift transform,
-and the registry that maps a dataset name to its data."""
+the registry that maps a dataset name to its data, and the one CSV and one
+JSON format of every file the package writes."""
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -192,10 +194,11 @@ def make_imbalance_ramp(step: int, seed: int = 0) -> LabeledDataset:
 
 
 def load_csv(path: str | Path, label_column: str = "label") -> LabeledDataset:
-    """Numeric feature CSV with a header; labels factorized by sorted value."""
+    """Numeric feature CSV with a header; labels factorized by sorted value.
+    The file is UTF-8, with or without a byte-order mark."""
     path = Path(path)
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             lines = list(csv.reader(fh))
     except UnicodeDecodeError as exc:  # a ValueError, not an OSError
         raise ParseError(f"{path}: {exc}") from None
@@ -225,8 +228,11 @@ def load_csv(path: str | Path, label_column: str = "label") -> LabeledDataset:
             if not math.isfinite(value):
                 raise ParseError(f"not a finite number: {cell!r}", row=lineno, column=header[i])
             feats.append(value)
+        label = row[label_idx].strip()
+        if not label:
+            raise ParseError("empty label", row=lineno, column=label_column)
         rows.append(feats)
-        raw_labels.append(row[label_idx].strip())
+        raw_labels.append(label)
     if not rows:
         raise ParseError("no data rows")
     classes = sorted(set(raw_labels))
@@ -258,15 +264,25 @@ def log_shift(dataset: LabeledDataset) -> LabeledDataset:
 
 def save_csv(dataset: LabeledDataset, path: str | Path) -> None:
     """Feature columns then a label column; floats written exactly."""
-    path = Path(path)
     d = dataset.points.shape[1] if dataset.points.ndim == 2 else 1
-    with path.open("w", newline="") as fh:
+    rows = zip(dataset.points.reshape(len(dataset), d).tolist(), dataset.labels.tolist())
+    write_rows(path, [f"f{i}" for i in range(d)] + ["label"],
+               ([*row, dataset.class_names[lab]] for row, lab in rows))
+
+
+def write_rows(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """The one CSV format: UTF-8, ``\\n`` line ends, a cell quoted only when it
+    needs to be.  Cells are written with ``str``, which for a Python float is
+    its ``repr``: pass ``.tolist()`` values, not numpy scalars."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"f{i}" for i in range(d)] + ["label"])
-        for row, lab in zip(dataset.points, dataset.labels):
-            cells = [repr(float(x)) for x in np.atleast_1d(row)]
-            cells.append(dataset.class_names[int(lab)])
-            writer.writerow(cells)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str | Path, payload: object) -> None:
+    """The one JSON format: two-space indent, sorted keys, a final newline, UTF-8."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_bundled(name: str) -> LabeledDataset:

@@ -20,8 +20,6 @@ FP / (FP + TN) is recorded alongside under ``fpr_conventional``.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -32,7 +30,7 @@ import numpy as np
 
 from .baselines import KnnConfig, knn_predict_all
 from .classifier import AssociationTable, classify_all
-from .datasets import LabeledDataset
+from .datasets import LabeledDataset, write_json, write_rows
 from .errors import DegenerateClass, InvalidConfig, NoClassifiers, TdabcError
 from .persistence import boundary_reduce
 from .rips import RipsConfig, build_rips, pairwise_distances
@@ -286,15 +284,12 @@ class EvaluationReport:
     def write_csv(self, path: str | Path) -> None:
         header = ["dataset", "classifier", "repeat", "fold", "scope", "minority"]
         header += list(METRIC_FIELDS) + ["degenerate"]
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for r in self.records:
-                cells = [self.dataset, r.classifier, str(r.repeat), str(r.fold), r.scope,
-                         "true" if r.minority else "false"]
-                cells += [repr(getattr(r, m)) for m in METRIC_FIELDS]
-                cells.append("true" if r.degenerate else "false")
-                writer.writerow(cells)
+        write_rows(path, header, (
+            [self.dataset, r.classifier, r.repeat, r.fold, r.scope,
+             "true" if r.minority else "false", *(getattr(r, m) for m in METRIC_FIELDS),
+             "true" if r.degenerate else "false"]
+            for r in self.records
+        ))
 
     def write_json(self, path: str | Path) -> None:
         payload = {
@@ -306,7 +301,7 @@ class EvaluationReport:
                 for f in self.failures
             ],
         }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(path, payload)
 
 
 def _fold_seed(base: int, repeat: int, fold: int) -> int:
@@ -394,16 +389,12 @@ def _fold_records(
 
 def write_ramp_csv(reports: dict[int, EvaluationReport], path: str | Path) -> None:
     """Plot-ready long format: one row per (step, classifier, scope, metric)."""
-    lines = ["step,classifier,scope,metric,mean,std"]
-    for step in sorted(reports):
-        report = reports[step]
-        summary = report.summary()
-        for classifier in sorted(summary):
-            for scope in sorted(summary[classifier]):
-                for metric in METRIC_FIELDS:
-                    cell = summary[classifier][scope][metric]
-                    lines.append(
-                        f"{step},{classifier},{scope},{metric},"
-                        f"{cell['mean']!r},{cell['std']!r}"
-                    )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (
+        [step, classifier, scope, metric, cell["mean"], cell["std"]]
+        for step in sorted(reports)
+        for classifier, scopes in sorted(reports[step].summary().items())
+        for scope, metrics in sorted(scopes.items())
+        for metric in METRIC_FIELDS
+        for cell in [metrics[metric]]
+    )
+    write_rows(path, ["step", "classifier", "scope", "metric", "mean", "std"], rows)

@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .complexes import FilteredComplex, vertex_ranks
+from .datasets import write_rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,8 +273,7 @@ def intervals_above_dim_zero(diagram: Diagram) -> Intervals:
 def write_diagram_csv(diagram: Diagram, path: str | Path) -> None:
     """dim,birth,death rows; immortal deaths written as ``inf``."""
     rows = zip(diagram.dims.tolist(), diagram.births.tolist(), diagram.deaths.tolist())
-    lines = ["dim,birth,death", *(f"{q},{b!r},{d!r}" for q, b, d in rows)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_rows(path, ["dim", "birth", "death"], rows)
 
 
 def write_diagram_json(diagram: Diagram, path: str | Path) -> None:
@@ -291,5 +291,6 @@ def write_diagram_json(diagram: Diagram, path: str | Path) -> None:
     listed = f"[\n{intervals}\n  ]" if intervals else "[]"
     Path(path).write_text(
         f'{{\n  "intervals": {listed},\n'
-        f'  "max_filtration": {json.dumps(diagram.max_filtration)}\n}}\n'
+        f'  "max_filtration": {json.dumps(diagram.max_filtration)}\n}}\n',
+        encoding="utf-8",
     )

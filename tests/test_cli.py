@@ -11,8 +11,14 @@ import numpy as np
 import pytest
 
 from tdabc.cli import _parse_args, _parse_roster, build_parser, main
-from tdabc.datasets import make_sphere, save_csv
-from tdabc.evaluation import TdabcSpec, default_classifiers
+from tdabc.datasets import load_csv, make_sphere, save_csv
+from tdabc.evaluation import (
+    FoldPlan,
+    TdabcSpec,
+    default_classifiers,
+    run_experiment,
+    write_ramp_csv,
+)
 
 
 def run_cli(*argv: str) -> int:
@@ -137,6 +143,11 @@ def test_invalid_values_exit_two_with_one_error_line(tmp_path, capsys, argv):
         (("generate", "--dataset", "circles", "--out", "FILE/sub"), "",
          "Not a directory: 'FILE/sub'"),
         (("classify", "--dataset", "DIR"), None, "Is a directory: 'DIR'"),
+        # An empty label cell, also one holding only blanks.
+        (("classify", "--dataset", "FILE", "--baseline", "knn", "--k", "1"),
+         "f0,label\n0,a\n1,a\n2,a\n10,\n11,\n12,\n", "empty label (row 5, column label)"),
+        (("classify", "--dataset", "FILE"), "f0,label\n0,a\n1, \n2,b\n",
+         "empty label (row 3, column label)"),
     ],
 )
 def test_bad_input_files_exit_two_with_one_error_line(tmp_path, capsys, argv, content, reason):
@@ -469,6 +480,13 @@ def test_class_names_that_need_quoting_survive_every_csv_writer(tmp_path):
     rows = read_rows(ev / "quoted_report.csv")
     assert len(rows[0]) == 16
     assert {row[4] for row in rows[1:]} == names | {"macro"}
+
+    knn = [spec for spec in default_classifiers() if spec.name == "knn"]
+    report = run_experiment(load_csv(data), knn, FoldPlan(folds=2, repeats=1))
+    write_ramp_csv({1: report}, tmp_path / "ramp_curves.csv")
+    rows = read_rows(tmp_path / "ramp_curves.csv")
+    assert len(rows[0]) == 6
+    assert {row[2] for row in rows[1:]} == names | {"macro"}
 
 
 def test_classify_missing_file_fails(tmp_path, capsys):

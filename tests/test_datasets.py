@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tdabc.cli import main
 from tdabc.datasets import (
     LabeledDataset,
     load_bundled,
@@ -21,6 +27,8 @@ from tdabc.datasets import (
     save_csv,
 )
 from tdabc.errors import MissingLabelColumn, ParseError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +182,41 @@ def test_load_csv_factorizes_sorted_names(tmp_path):
     data = load_csv(path)
     assert data.class_names == ("ant", "zebra")
     assert data.labels.tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("header", ["label,f0,f1", "f0,f1,label"])
+def test_load_csv_reads_past_a_byte_order_mark(tmp_path, header):
+    # Spreadsheet programs save "CSV UTF-8" with a byte-order mark.
+    columns = header.split(",")
+    lines = [header]
+    for i in range(12):
+        cells = {"label": "ab"[i % 2], "f0": repr(10.0 * (i % 2) + i / 10), "f1": "0.0"}
+        lines.append(",".join(cells[c] for c in columns))
+    path = tmp_path / "bom.csv"
+    path.write_bytes(("\ufeff" + "\n".join(lines) + "\n").encode("utf-8"))
+    data = load_csv(path)
+    assert data.spec["features"] == ["f0", "f1"]
+    assert data.class_names == ("a", "b")
+    rc = main(["classify", "--dataset", str(path), "--baseline", "knn", "--k", "1",
+               "--out", str(tmp_path)])
+    assert rc == 0
+
+
+def test_written_files_do_not_depend_on_the_locale(tmp_path):
+    # Outside UTF-8 mode a C locale makes ASCII the default file encoding.
+    data = tmp_path / "accents.csv"
+    data.write_bytes("f0,label\n0.0,é\n1.0,é\n10.0,ü\n11.0,ü\n".encode("utf-8"))
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONUTF8="0", LC_ALL="C", LANG="C")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tdabc.cli", "generate", "--dataset", str(data),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    written = (tmp_path / "out" / "accents.csv").read_bytes()
+    assert written.endswith("11.0,ü\n".encode("utf-8"))
+    assert "é".encode("utf-8") in written
 
 
 # ---------------------------------------------------------------------------
