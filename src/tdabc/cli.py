@@ -2,9 +2,11 @@
 
 Options resolve with flag > config-file > default precedence.  The config
 file is a flat JSON object whose keys are the long flag names with
-underscores; each value is checked as its flag's would be, and ``null``
-keeps the default.  TDABC_OUT_DIR sets where outputs land when --out is
-absent.
+underscores; each value is handed to its flag's own parser, so the file
+accepts exactly what the flag accepts, and ``null`` keeps the default.
+Every usage or input error, argparse's own included, leaves through
+``main`` as exit 2 with one ``error:`` line.  TDABC_OUT_DIR sets where
+outputs land when --out is absent.
 """
 
 from __future__ import annotations
@@ -42,33 +44,25 @@ _RIPS, _POLICY, _PLAN, _KNN = RipsConfig(), SelectionPolicy(), FoldPlan(), KnnCo
 _BASELINES = {spec.name: spec for spec in default_classifiers() if isinstance(spec, KnnSpec)}
 
 
-def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
-    """The config file's options, each converted and checked as its flag's value
-    would be; ``null`` and keys that name no value option are left out."""
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors reach ``main`` instead of exiting."""
+
+    def error(self, message: str):
+        raise InvalidConfig(message)
+
+
+def _read_config(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The config file's value options as ``--flag=value`` arguments for
+    ``parser``; ``null`` and keys that name no value option are left out."""
     try:
-        conf = json.loads(Path(path).read_text(encoding="utf-8"))
+        conf = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:
         raise InvalidConfig(f"--config {path}: {exc}") from None
     if not isinstance(conf, dict):
         raise InvalidConfig(f"--config {path}: must hold a JSON object")
-    values = {}
-    for action in parser._actions:
-        key = action.dest
-        if action.nargs == 0 or key in ("dataset", "config") or conf.get(key) is None:
-            continue
-        convert = action.type or str
-        try:
-            value = convert(str(conf[key]))
-        except ValueError:
-            raise InvalidConfig(f"--config {path}: {key!r} must be "
-                                f"{convert.__name__}, got {conf[key]!r}") from None
-        if action.choices is not None and value not in action.choices:
-            raise InvalidConfig(f"--config {path}: {key!r} must be one of "
-                                f"{', '.join(action.choices)}, got {conf[key]!r}")
-        if key == "max_edge":
-            _max_edge(value, f"--config {path}: 'max_edge'")
-        values[key] = value
-    return values
+    return [f"{action.option_strings[0]}={conf[action.dest]}" for action in parser._actions
+            if action.nargs != 0 and action.dest not in ("dataset", "config")
+            and conf.get(action.dest) is not None]
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -78,20 +72,10 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return path
 
 
-def _max_edge(value: str | None, source: str) -> float | None:
-    """An edge cap as a number; None (data-driven) stays None."""
-    if value is None:
-        return None
-    try:
-        return float(value)
-    except ValueError:
-        raise InvalidConfig(f"{source} must be a number or 'inf', got {value!r}") from None
-
-
 def _rips_config(args: argparse.Namespace) -> RipsConfig:
     return RipsConfig(
         max_dim=args.max_dim,
-        max_edge=_max_edge(args.max_edge, "--max-edge"),
+        max_edge=args.max_edge,
         metric=args.metric,
         budget=args.budget,
     )
@@ -202,7 +186,7 @@ def _parse_roster(args: argparse.Namespace) -> tuple:
     roster = []
     for token in tokens or table:
         if token not in table:
-            raise TdabcError(f"unknown classifier {token!r}")
+            raise InvalidConfig(f"unknown classifier {token!r}")
         spec = table[token]
         if isinstance(spec, TdabcSpec):
             spec = replace(spec, epsilon_mode=args.epsilon_mode, recovery=args.recovery)
@@ -255,7 +239,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tdabc",
         description="Label propagation over persistence-selected Rips subcomplexes",
     )
@@ -272,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def rips_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--max-dim", dest="max_dim", type=int, default=_RIPS.max_dim)
-        p.add_argument("--max-edge", dest="max_edge", default=_RIPS.max_edge,
+        p.add_argument("--max-edge", dest="max_edge", type=float, default=_RIPS.max_edge,
                        help="edge cap, a number or 'inf' (default: data-driven)")
         p.add_argument("--metric", choices=METRICS, default=_RIPS.metric)
         p.add_argument("--budget", type=int, default=_RIPS.budget, help="simplex budget")
@@ -320,14 +304,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """Options by flag > ``--config`` file > declared default: the file's values
-    become the subcommand's defaults and the command line is parsed again."""
+    go in as flags ahead of the command line's, and the whole is parsed again."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "evaluate" and not args.ramp and not args.dataset:
         parser.error("evaluate needs --dataset or --ramp")
     if args.config:
-        args.parser.set_defaults(**_read_config(args.config, args.parser))
-        args = parser.parse_args(argv)
+        at = argv.index(args.command) + 1
+        config = _read_config(args.config, args.parser)
+        try:
+            args = parser.parse_args([*argv[:at], *config, *argv[at:]])
+        except InvalidConfig as exc:  # the command line parsed alone: the file is at fault
+            raise InvalidConfig(f"--config {args.config}: {exc}") from None
     del args.parser  # --ramp workers receive the namespace, and a parser does not pickle
     return args
 

@@ -197,14 +197,18 @@ def load_csv(path: str | Path, label_column: str = "label") -> LabeledDataset:
     """Numeric feature CSV with a header; labels factorized by sorted value.
     The file is UTF-8, with or without a byte-order mark."""
     path = Path(path)
+    lines, start = [], 1  # each record with the file line it starts on
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
-            lines = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            for row in reader:
+                lines.append((start, row))
+                start = reader.line_num + 1
     except UnicodeDecodeError as exc:  # a ValueError, not an OSError
         raise ParseError(f"{path}: {exc}") from None
     if not lines:
         raise ParseError("empty file")
-    header = [h.strip() for h in lines[0]]
+    header = [h.strip() for h in lines[0][1]]
     if label_column not in header:
         raise MissingLabelColumn(f"no column {label_column!r} in header {header}")
     label_idx = header.index(label_column)
@@ -212,7 +216,7 @@ def load_csv(path: str | Path, label_column: str = "label") -> LabeledDataset:
     if not feature_names:
         raise ParseError(f"no feature column besides {label_column!r}")
     rows, raw_labels = [], []
-    for lineno, row in enumerate(lines[1:], start=2):
+    for lineno, row in lines[1:]:
         if not row:
             continue
         if len(row) != len(header):

@@ -12,6 +12,7 @@ import pytest
 
 from tdabc.cli import _parse_args, _parse_roster, build_parser, main
 from tdabc.datasets import load_csv, make_sphere, save_csv
+from tdabc.errors import InvalidConfig
 from tdabc.evaluation import (
     FoldPlan,
     TdabcSpec,
@@ -81,6 +82,22 @@ def test_unknown_dataset_exits_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# Errors found while parsing, argparse's own included, and what each line says.
+PARSE_ERRORS = {
+    ("evaluate", "--folds", "3"): "evaluate needs --dataset or --ramp",
+    ("evaluate", "--dataset", "circles", "--selector", "rand"):
+        "unrecognized arguments: --selector rand",
+    ("classify", "--dataset", "circles", "--k", "x"): "argument --k: invalid int value: 'x'",
+    ("classify", "--dataset", "circles", "--metric", "bogus"):
+        "argument --metric: invalid choice: 'bogus'",
+    ("classify", "--dataset", "circles", "--max-dim", "2.5"):
+        "argument --max-dim: invalid int value: '2.5'",
+    ("classify", "--dataset", "circles", "--bogus"): "unrecognized arguments: --bogus",
+    ("classify",): "the following arguments are required: --dataset",
+    (): "the following arguments are required: command",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -103,13 +120,23 @@ def test_unknown_dataset_exits_two(tmp_path, capsys):
          "--classifiers", "knn"),
         ("evaluate", "--dataset", "circles", "--folds", "2", "--repeats", "1",
          "--classifiers", "knn,knn"),
+        *PARSE_ERRORS,
     ],
 )
 def test_invalid_values_exit_two_with_one_error_line(tmp_path, capsys, argv):
-    rc = run_cli(*argv, "--out", str(tmp_path))
+    out = ("--out", str(tmp_path)) if argv else ()  # with no subcommand, --out is the error
+    rc = run_cli(*argv, *out)
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert PARSE_ERRORS.get(argv, "") in err[0]
+
+
+def test_help_exits_zero_with_usage(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("classify", "-h")
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tdabc classify")
 
 
 @pytest.mark.parametrize(
@@ -118,18 +145,18 @@ def test_invalid_values_exit_two_with_one_error_line(tmp_path, capsys, argv):
         (("persistence", "--dataset", "circles", "--config", "FILE"), None, "No such file"),
         (("persistence", "--dataset", "circles", "--config", "FILE"), "{not json", "line 1 column 2"),
         (("persistence", "--dataset", "circles", "--config", "FILE"),
-         '{"max_dim": "x"}', "'max_dim' must be int"),
+         '{"max_dim": "x"}', "FILE: argument --max-dim: invalid int value: 'x'"),
         (("classify", "--dataset", "FILE"), "f0,label\n0.0,a\n1.0,a\n2.0,a\n",
          "two classes"),
         (("classify", "--dataset", "FILE"), "f0,label\n0.0,a\nnan,b\n1.0,b\n",
          "(row 3, column f0)"),
         (("persistence", "--dataset", "circles", "--config", "FILE"),
-         '{"metric": "bogus"}', "FILE: 'metric' must be one of"),
-        *((("classify", "--dataset", "moons", "--config", "FILE"),
-           json.dumps({key: "bogus"}), f"FILE: {key!r} must be one of")
+         '{"metric": "bogus"}', "FILE: argument --metric: invalid choice: 'bogus'"),
+        *((("classify", "--dataset", "moons", "--config", "FILE"), json.dumps({key: "bogus"}),
+           f"FILE: argument --{key.replace('_', '-')}: invalid choice: 'bogus'")
           for key in ("selector", "epsilon_mode", "recovery", "baseline")),
         (("persistence", "--dataset", "circles", "--config", "FILE"),
-         '{"max_edge": "wide"}', "FILE: 'max_edge' must be a number or 'inf', got 'wide'"),
+         '{"max_edge": "wide"}', "FILE: argument --max-edge: invalid float value: 'wide'"),
         *(((command, "--dataset", "FILE"), "f0,label\n", "no data rows")
           for command in ("generate", "persistence", "classify", "evaluate")),
         (("persistence", "--dataset", "FILE", "--metric", "cosine"),
@@ -148,6 +175,9 @@ def test_invalid_values_exit_two_with_one_error_line(tmp_path, capsys, argv):
          "f0,label\n0,a\n1,a\n2,a\n10,\n11,\n12,\n", "empty label (row 5, column label)"),
         (("classify", "--dataset", "FILE"), "f0,label\n0,a\n1, \n2,b\n",
          "empty label (row 3, column label)"),
+        # A row is numbered by the file line it starts on, after a cell spanning two.
+        (("classify", "--dataset", "FILE"), 'f0,label\n0,"x\ny"\nnan,b\n',
+         "(row 4, column f0)"),
     ],
 )
 def test_bad_input_files_exit_two_with_one_error_line(tmp_path, capsys, argv, content, reason):
@@ -225,6 +255,14 @@ def test_config_values_parse_like_flags(tmp_path, command, action):
     assert from_file == from_flag
     assert type(from_file[action.dest]) is type(from_flag[action.dest])
     assert parsed(*base, "--config", str(config), flag, second) == parsed(*base, flag, second)
+
+
+def test_config_file_with_a_byte_order_mark_parses(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'\xef\xbb\xbf{"k": 1}')
+    base = ("classify", "--dataset", "circles", "--baseline", "knn")
+    assert parsed(*base, "--config", str(config)) == parsed(*base, "--k", "1")
+    assert run_cli(*base, "--config", str(config), "--out", str(tmp_path)) == 0
 
 
 def test_null_config_values_keep_the_defaults(tmp_path):
@@ -581,18 +619,6 @@ def test_evaluate_shells_output_is_pinned(tmp_path):
     assert digests == EVALUATE_SHELLS_SHA256
 
 
-def test_evaluate_requires_dataset_or_ramp(capsys):
-    with pytest.raises(SystemExit):
-        run_cli("evaluate", "--folds", "3")
-    assert "ramp" in capsys.readouterr().err
-
-
-def test_evaluate_has_no_selector_option():
-    with pytest.raises(SystemExit) as excinfo:
-        run_cli("evaluate", "--dataset", "circles", "--selector", "rand")
-    assert excinfo.value.code == 2
-
-
 def test_empty_classifier_list_keeps_the_shared_settings():
     args = argparse.Namespace(classifiers=" , ", k=3, epsilon_mode="mid", recovery="lifespan")
     roster = _parse_roster(args)
@@ -602,6 +628,13 @@ def test_empty_classifier_list_keeps_the_shared_settings():
             assert (spec.epsilon_mode, spec.recovery) == ("mid", "lifespan")
         else:
             assert spec.k == 3
+
+
+def test_unknown_classifier_is_an_invalid_config():
+    args = argparse.Namespace(classifiers="knn,bogus", k=3, epsilon_mode="mid",
+                              recovery="lifespan")
+    with pytest.raises(InvalidConfig, match="unknown classifier 'bogus'"):
+        _parse_roster(args)
 
 
 def test_evaluate_config_file_supplies_defaults(tmp_path):

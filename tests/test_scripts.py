@@ -42,6 +42,8 @@ def test_readme_command_parses(command):
         build_parser().parse_args(shlex.split(command)[1:])
     except SystemExit as exc:
         pytest.fail(f"{command!r} does not parse (exit {exc.code})")
+    except InvalidConfig as exc:
+        pytest.fail(f"{command!r} does not parse: {exc}")
 
 
 PYTHON_BLOCKS = readme_blocks("python")
