@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from tdabc.cli import main
 from tdabc.datasets import (
+    NAMES,
     LabeledDataset,
     load_bundled,
     load_csv,
@@ -142,6 +144,43 @@ def test_generator_seeds_differ():
     a = make_circles(seed=0)
     b = make_circles(seed=1)
     assert not np.array_equal(a.points, b.points)
+
+
+# sha256 of the CSV and the spec JSON that ``tdabc generate --seed 3`` writes for
+# each registered name (ramp at ``--step 16``).  A draw taken in another order,
+# a changed label or a changed spec key alters them.
+GENERATED_SHA256 = {
+    "circles": ("e6dc4fb5c409666a1de973633c049dc5332be96f15d04af26f5c6917135ae54e",
+                "5b1e430dd9cab89364bf98bfd9d779e87f5460cf7a6d743a5fa4225e4de38e4e"),
+    "moons": ("8b97e39e96dcae683ca505ce2caa2b6a515ebe5b30070d8bc372966af6255c21",
+              "c0150d73bba90f2c3c74fc9507dd1670187e1c2286cd84ed23fce671f8f13ac0"),
+    "swissroll": ("66441b0062d9a262bd87957fa0a522e93679f77f582283167cb3808a2ebfd08f",
+                  "c2f77830b2996bfa2eed9a3eb49bf16bd38caf7e46ee1f7787cf4beb6bffacf2"),
+    "normal": ("820a1b383187992a2402b28f9bffd0252cc547e5e624f6b6f75868cbba062d73",
+               "20e61bd978d70614c2721b98238b54a494660c5703689e356e9681996e8add48"),
+    "sphere": ("2e9419b5f831be54022d382ee24e5b2c739a1d0828dc4864657fa50137213816",
+               "a2f9fbe7c4406f894014cd824efd14540e4c3a6c5fc92817dea5c8363a654308"),
+    "shells": ("2f6cbd671691ee13549ae25dc282125cba6b36fea5d55d498e18e4db58ecd140",
+               "8631226e890638ac611e6155844fb4d9e515195f6177d5e0975c9477581ba795"),
+    "ramp": ("ffa42fb48c43d1e7be1a0511f40e79f5c377cea94f58e6fd6fb9f7fd47ba665a",
+             "a4956edaecd44b3a7ba175fff78a92e9816e2c6df53ae71f712c8991b1706550"),
+    "iris": ("509e566766edc935c3edeff6f88e9a058a63b9897d044862fbcc35402ae52d2d",
+             "fe01e200c0e3cbfb4411b9d6b8079e75d2820572928e2b807c374399286bc5c7"),
+    "wine": ("9265c7e40f690ac13373e4fe0d1db62eb4ee88f8b4030f688c331efbf6b1a843",
+             "36c749fe5b66516400fc79050949fb01b4035c8ee47bcb6ca6981ffcc394a42b"),
+    "cancer": ("76fb8ec4eac6f11058eb0548037fbad6657608a38d5bd7fa9548afe7a9d452d4",
+               "6e2100cf0b20cfe60159ece8d9ea834733a9f838c7edfec334a3237572768bde"),
+}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_generated_files_are_pinned(tmp_path, name):
+    step = ["--step", "16"] if name == "ramp" else []
+    assert main(["generate", "--dataset", name, "--seed", "3", *step, "--out", str(tmp_path)]) == 0
+    stem = "ramp16" if name == "ramp" else name
+    digests = tuple(hashlib.sha256((tmp_path / f"{stem}{suffix}").read_bytes()).hexdigest()
+                    for suffix in (".csv", ".spec.json"))
+    assert digests == GENERATED_SHA256[name]
 
 
 # ---------------------------------------------------------------------------
