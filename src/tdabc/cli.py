@@ -2,8 +2,9 @@
 
 Options resolve with flag > config-file > default precedence.  The config
 file is a flat JSON object whose keys are the long flag names with
-underscores; each value is handed to its flag's own parser, so the file
-accepts exactly what the flag accepts, and ``null`` keeps the default.
+underscores; each value, a JSON string or number, is handed to its flag's own
+parser, so the file accepts exactly what the flag accepts, and ``null`` keeps
+the default.
 Every usage or input error, argparse's own included, leaves through
 ``main`` as exit 2 with one ``error:`` line.  TDABC_OUT_DIR sets where
 outputs land when --out is absent.
@@ -53,16 +54,40 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_config(path: str, parser: argparse.ArgumentParser) -> list[str]:
     """The config file's value options as ``--flag=value`` arguments for
-    ``parser``; ``null`` and keys that name no value option are left out."""
+    ``parser``; ``null`` and keys that name no value option are left out, and
+    a value that is not a JSON string or number is refused."""
     try:
         conf = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:
         raise InvalidConfig(f"--config {path}: {exc}") from None
     if not isinstance(conf, dict):
         raise InvalidConfig(f"--config {path}: must hold a JSON object")
-    return [f"{action.option_strings[0]}={conf[action.dest]}" for action in parser._actions
-            if action.nargs != 0 and action.dest not in ("dataset", "config")
-            and conf.get(action.dest) is not None]
+    options = [(action.dest, action.option_strings[0]) for action in parser._actions
+               if action.nargs != 0 and action.dest not in ("dataset", "config")]
+    for key, _ in options:
+        if isinstance(conf.get(key), (bool, list, dict)):  # JSON true, false, arrays, objects
+            raise InvalidConfig(f"--config {path}: {key!r} must be a JSON string or number, "
+                                f"not {json.dumps(conf[key])}")
+    return [f"{flag}={conf[key]}" for key, flag in options if conf.get(key) is not None]
+
+
+def _checked(convert, accept, rule: str):
+    """An argparse type: ``convert``, then refuse a value ``accept`` rejects."""
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value: 'x'"
+    return parse
+
+
+def _vertex_ids(text: str) -> frozenset[int]:
+    """A ``--test-indices`` value: comma-separated non-negative integers."""
+    bad = [tok for tok in text.split(",") if not tok.strip().isdecimal()]
+    if bad:
+        raise argparse.ArgumentTypeError(f"{bad[0]!r} is not a vertex id")
+    return frozenset(map(int, text.split(",")))
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -119,25 +144,16 @@ def _cmd_persistence(args: argparse.Namespace) -> int:
 
 def _split_test_vertices(data: ds.LabeledDataset, args: argparse.Namespace) -> frozenset[int]:
     if args.test_indices:
-        chosen = set()
-        for tok in args.test_indices.split(","):
-            try:
-                v = int(tok)
-            except ValueError:
-                raise InvalidConfig(f"--test-indices: {tok!r} is not a vertex id") from None
-            if not 0 <= v < len(data):
-                raise InvalidConfig(f"--test-indices: vertex {v} is outside [0, {len(data)})")
-            chosen.add(v)
-        return frozenset(chosen)
-    fraction = args.test_fraction
-    if not 0 < fraction < 1:
-        raise InvalidConfig(f"--test-fraction must be between 0 and 1, got {fraction!r}")
+        if max(args.test_indices) >= len(data):
+            raise InvalidConfig(f"--test-indices: vertex {max(args.test_indices)} "
+                                f"is outside [0, {len(data)})")
+        return args.test_indices
     rng = np.random.default_rng([args.seed, 1])
     chosen: list[int] = []
     for c in range(data.n_classes):
         members = np.flatnonzero(data.labels == c)
         rng.shuffle(members)
-        take = max(1, int(round(fraction * len(members))))
+        take = max(1, int(round(args.test_fraction * len(members))))
         chosen.extend(int(v) for v in members[:take])
     return frozenset(chosen)
 
@@ -208,8 +224,6 @@ def _ramp_worker(payload: tuple[int, argparse.Namespace]) -> tuple[int, Evaluati
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise InvalidConfig(f"--jobs must be at least 1, got {args.jobs}")
     out = _out_dir(args)
     if args.ramp:
         steps = list(range(1, 17))
@@ -283,8 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     policy_flags(cls)
     cls.add_argument("--selector", choices=SELECTORS, default=_POLICY.selector)
     cls.add_argument("--baseline", choices=tuple(_BASELINES))
-    cls.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.2)
-    cls.add_argument("--test-indices", dest="test_indices",
+    cls.add_argument("--test-fraction", dest="test_fraction", default=0.2,
+                     type=_checked(float, lambda x: 0 < x < 1, "between 0 and 1"))
+    cls.add_argument("--test-indices", dest="test_indices", type=_vertex_ids,
                      help="comma-separated vertex ids")
     cls.set_defaults(func=_cmd_classify, parser=cls)
 
@@ -297,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--repeats", type=int, default=_PLAN.repeats)
     ev.add_argument("--classifiers", default=roster, help=f"comma list from {roster}")
     ev.add_argument("--ramp", action="store_true", help="evaluate all 16 imbalance steps")
-    ev.add_argument("--jobs", type=int, default=1, help="parallel workers for --ramp")
+    ev.add_argument("--jobs", type=_checked(int, lambda n: n >= 1, "at least 1"), default=1,
+                    help="parallel workers for --ramp")
     ev.set_defaults(func=_cmd_evaluate, parser=ev)
     return parser
 

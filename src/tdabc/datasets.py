@@ -31,7 +31,7 @@ class LabeledDataset:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", labs)
         if len(pts) != len(labs):
-            raise ValueError("points and labels differ in length")
+            raise InvalidConfig(f"{len(pts)} points but {len(labs)} labels")
         if not self.class_names:
             n = int(labs.max()) + 1 if len(labs) else 0
             object.__setattr__(
@@ -46,45 +46,41 @@ class LabeledDataset:
         return len(self.class_names)
 
 
+def _labeled(title: str, chunks: Sequence[np.ndarray], **spec) -> LabeledDataset:
+    """The generators' one constructor: the per-class ``chunks`` stacked, chunk
+    ``c`` labeled ``c``, under ``title`` and the spec ``{"name": title, **spec}``."""
+    labels = np.repeat(np.arange(len(chunks)), [len(chunk) for chunk in chunks])
+    return LabeledDataset(np.vstack(chunks), labels, title, {"name": title, **spec})
+
+
 def make_circles(
     n_per_class: Sequence[int] = (25, 25), noise: float = 3.0, seed: int = 0
 ) -> LabeledDataset:
     """Two concentric circles, inner radius half the outer, jittered."""
+    if len(n_per_class) != 2:
+        raise InvalidConfig(f"circles take two class sizes, got {list(n_per_class)}")
     rng = np.random.default_rng(seed)
-    chunks, labels = [], []
-    for c, (n, radius) in enumerate(zip(n_per_class, (1.0, 0.5))):
+    chunks = []
+    for n, radius in zip(n_per_class, (1.0, 0.5)):
         angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         ring = radius * np.column_stack([np.cos(angles), np.sin(angles)])
-        ring += rng.normal(scale=noise / 100.0, size=ring.shape)
-        chunks.append(ring)
-        labels.extend([c] * n)
-    return LabeledDataset(
-        np.vstack(chunks),
-        np.array(labels),
-        "circles",
-        {"name": "circles", "n_per_class": list(n_per_class), "noise": noise, "seed": seed},
-    )
+        chunks.append(ring + rng.normal(scale=noise / 100.0, size=ring.shape))
+    return _labeled("circles", chunks, n_per_class=list(n_per_class), noise=noise, seed=seed)
 
 
 def make_moons(
     n_per_class: Sequence[int] = (100, 100), noise: float = 10.0, seed: int = 0
 ) -> LabeledDataset:
     """Two interleaving half circles with Gaussian jitter."""
+    if len(n_per_class) != 2:
+        raise InvalidConfig(f"moons take two class sizes, got {list(n_per_class)}")
     rng = np.random.default_rng(seed)
-    n0, n1 = n_per_class
-    t0 = np.linspace(0.0, np.pi, n0)
-    t1 = np.linspace(0.0, np.pi, n1)
+    t0, t1 = (np.linspace(0.0, np.pi, n) for n in n_per_class)
     upper = np.column_stack([np.cos(t0), np.sin(t0)])
     lower = np.column_stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)])
-    pts = np.vstack([upper, lower])
-    pts += rng.normal(scale=noise / 100.0, size=pts.shape)
-    labels = np.array([0] * n0 + [1] * n1)
-    return LabeledDataset(
-        pts,
-        labels,
-        "moons",
-        {"name": "moons", "n_per_class": list(n_per_class), "noise": noise, "seed": seed},
-    )
+    # The upper half's jitter is drawn first.
+    chunks = [half + rng.normal(scale=noise / 100.0, size=half.shape) for half in (upper, lower)]
+    return _labeled("moons", chunks, n_per_class=list(n_per_class), noise=noise, seed=seed)
 
 
 def make_swissroll(
@@ -98,27 +94,15 @@ def make_swissroll(
     speed = np.sqrt(1.0 + grid**2)
     arc = np.concatenate([[0.0], np.cumsum((speed[1:] + speed[:-1]) / 2.0 * np.diff(grid))])
     cuts = np.linspace(0.0, arc[-1], n_classes + 1)
-    chunks, labels = [], []
+    chunks = []
     for c in range(n_classes):
         s = rng.uniform(cuts[c], cuts[c + 1], size=n_per_class)
         t = np.interp(s, arc, grid)
         height = rng.uniform(0.0, 10.0, size=n_per_class)
         pts = np.column_stack([t * np.cos(t), height, t * np.sin(t)])
-        pts += rng.normal(scale=noise / 100.0, size=pts.shape)
-        chunks.append(pts)
-        labels.extend([c] * n_per_class)
-    return LabeledDataset(
-        np.vstack(chunks),
-        np.array(labels),
-        "swissroll",
-        {
-            "name": "swissroll",
-            "n_per_class": n_per_class,
-            "n_classes": n_classes,
-            "noise": noise,
-            "seed": seed,
-        },
-    )
+        chunks.append(pts + rng.normal(scale=noise / 100.0, size=pts.shape))
+    return _labeled("swissroll", chunks, n_per_class=n_per_class, n_classes=n_classes,
+                    noise=noise, seed=seed)
 
 
 def make_gaussian_classes(
@@ -130,25 +114,11 @@ def make_gaussian_classes(
 ) -> LabeledDataset:
     """Axis-aligned Gaussian blobs, one per class, identical per-class means."""
     if len(sizes) != len(means):
-        raise ValueError("sizes and means must align")
+        raise InvalidConfig(f"{len(sizes)} class sizes but {len(means)} means")
     rng = np.random.default_rng(seed)
-    chunks, labels = [], []
-    for c, (n, mu) in enumerate(zip(sizes, means)):
-        chunks.append(rng.normal(loc=mu, scale=stdev, size=(n, dims)))
-        labels.extend([c] * n)
-    return LabeledDataset(
-        np.vstack(chunks),
-        np.array(labels),
-        "normal",
-        {
-            "name": "normal",
-            "dims": dims,
-            "sizes": list(sizes),
-            "means": list(means),
-            "stdev": stdev,
-            "seed": seed,
-        },
-    )
+    chunks = [rng.normal(loc=mu, scale=stdev, size=(n, dims)) for n, mu in zip(sizes, means)]
+    return _labeled("normal", chunks, dims=dims, sizes=list(sizes), means=list(means),
+                    stdev=stdev, seed=seed)
 
 
 def make_sphere(
@@ -159,19 +129,13 @@ def make_sphere(
 ) -> LabeledDataset:
     """Concentric spherical shells with Gaussian radial noise."""
     rng = np.random.default_rng(seed)
-    chunks, labels = [], []
+    chunks = []
     for c, n in enumerate(sizes):
         direction = rng.normal(size=(n, 3))
         direction /= np.maximum(np.linalg.norm(direction, axis=1, keepdims=True), 1e-30)
         radius = mean * (1.0 + c * stdev) + rng.normal(scale=stdev, size=(n, 1))
         chunks.append(direction * radius)
-        labels.extend([c] * n)
-    return LabeledDataset(
-        np.vstack(chunks),
-        np.array(labels),
-        "sphere",
-        {"name": "sphere", "sizes": list(sizes), "mean": mean, "stdev": stdev, "seed": seed},
-    )
+    return _labeled("sphere", chunks, sizes=list(sizes), mean=mean, stdev=stdev, seed=seed)
 
 
 def make_imbalance_ramp(step: int, seed: int = 0) -> LabeledDataset:
@@ -183,14 +147,7 @@ def make_imbalance_ramp(step: int, seed: int = 0) -> LabeledDataset:
     positive = rng_pos.normal(loc=0.0, scale=1.1, size=(50, 2))
     # One long draw, truncated per step, so later steps extend earlier ones.
     negative = rng_neg.normal(loc=2.0, scale=2.2, size=(800, 2))[: 50 * step]
-    pts = np.vstack([positive, negative])
-    labels = np.array([0] * len(positive) + [1] * len(negative))
-    return LabeledDataset(
-        pts,
-        labels,
-        f"ramp{step:02d}",
-        {"name": "ramp", "step": step, "seed": seed},
-    )
+    return _labeled(f"ramp{step:02d}", [positive, negative], name="ramp", step=step, seed=seed)
 
 
 def load_csv(path: str | Path, label_column: str = "label") -> LabeledDataset:
@@ -253,17 +210,10 @@ def load_csv(path: str | Path, label_column: str = "label") -> LabeledDataset:
 def log_shift(dataset: LabeledDataset) -> LabeledDataset:
     """Natural log of the coordinates shifted so their minimum becomes one."""
     low = float(dataset.points.min())
-    spec = dict(dataset.spec)
-    spec["log_shift"] = 1.0 - low
     # log1p of the offset from the minimum: adding the shift first could
     # round the minimum's argument below one and give a negative log.
-    return LabeledDataset(
-        np.log1p(dataset.points - low),
-        dataset.labels,
-        dataset.name,
-        spec,
-        class_names=dataset.class_names,
-    )
+    return replace(dataset, points=np.log1p(dataset.points - low),
+                   spec={**dataset.spec, "log_shift": 1.0 - low})
 
 
 def save_csv(dataset: LabeledDataset, path: str | Path) -> None:
@@ -296,19 +246,14 @@ def load_bundled(name: str) -> LabeledDataset:
     ref = resources.files("tdabc").joinpath(f"data/{name}.csv")
     with resources.as_file(ref) as path:
         out = load_csv(path, label_column="label")
-    return LabeledDataset(
-        out.points,
-        out.labels,
-        name,
-        {"name": name, "source": "bundled"},
-        class_names=out.class_names,
-    )
+    return replace(out, name=name, spec={"name": name, "source": "bundled"})
 
 
 # -- registry ------------------------------------------------------------------
 #
 # The one mapping from a dataset name to its data.  Generators take the
-# seed, and ``ramp`` its step too; bundled tables take neither.
+# seed, and ``ramp`` its step too; bundled tables take neither, and wine and
+# cancer move to log scale before distances.
 
 
 def _ramp(seed: int, step: int | None) -> LabeledDataset:
@@ -324,7 +269,8 @@ def _shells(seed: int, step: int | None) -> LabeledDataset:
     return replace(data, name="shells", spec={**data.spec, "name": "shells"})
 
 
-_GENERATORS = {
+BUNDLED = ("iris", "wine", "cancer")
+_REGISTRY = {
     "circles": lambda seed, step: make_circles(seed=seed),
     "moons": lambda seed, step: make_moons(seed=seed),
     "swissroll": lambda seed, step: make_swissroll(seed=seed),
@@ -332,12 +278,12 @@ _GENERATORS = {
     "sphere": lambda seed, step: make_sphere(seed=seed),
     "shells": _shells,
     "ramp": _ramp,
+    "iris": lambda seed, step: load_bundled("iris"),
+    "wine": lambda seed, step: log_shift(load_bundled("wine")),
+    "cancer": lambda seed, step: log_shift(load_bundled("cancer")),
 }
-BUNDLED = ("iris", "wine", "cancer")
-# Bundled tables whose coordinates move to log scale before distances.
-LOG_SCALED = ("wine", "cancer")
 # Every registered name, in the order error messages list them.
-NAMES = (*_GENERATORS, *BUNDLED)
+NAMES = tuple(_REGISTRY)
 
 
 def resolve(
@@ -346,11 +292,9 @@ def resolve(
     """The dataset a registered name stands for, or else the CSV at path ``name``."""
     if seed < 0:
         raise InvalidConfig(f"seed must be non-negative, got {seed}")
-    if name in _GENERATORS:
-        return _GENERATORS[name](seed, step)
-    if name in BUNDLED:
-        data = load_bundled(name)
-        return log_shift(data) if name in LOG_SCALED else data
+    make = _REGISTRY.get(name)
+    if make is not None:
+        return make(seed, step)
     path = Path(name)
     if path.exists():
         return load_csv(path, label_column=label_column)

@@ -178,6 +178,16 @@ def test_help_exits_zero_with_usage(capsys):
         # A row is numbered by the file line it starts on, after a cell spanning two.
         (("classify", "--dataset", "FILE"), 'f0,label\n0,"x\ny"\nnan,b\n',
          "(row 4, column f0)"),
+        # A config value is a JSON string or number, and a range error names the file.
+        (("classify", "--dataset", "circles", "--baseline", "knn", "--config", "FILE"),
+         '{"k": true}', "--config FILE: 'k' must be a JSON string or number, not true"),
+        (("classify", "--dataset", "circles", "--baseline", "knn", "--config", "FILE"),
+         '{"test_indices": [1, 2]}',
+         "--config FILE: 'test_indices' must be a JSON string or number, not [1, 2]"),
+        (("classify", "--dataset", "circles", "--config", "FILE"), '{"test_fraction": 2}',
+         "--config FILE: argument --test-fraction: must be between 0 and 1, got 2.0"),
+        (("evaluate", "--ramp", "--config", "FILE"), '{"jobs": 0}',
+         "--config FILE: argument --jobs: must be at least 1, got 0"),
     ],
 )
 def test_bad_input_files_exit_two_with_one_error_line(tmp_path, capsys, argv, content, reason):

@@ -28,7 +28,7 @@ from tdabc.datasets import (
     make_swissroll,
     save_csv,
 )
-from tdabc.errors import MissingLabelColumn, ParseError
+from tdabc.errors import InvalidConfig, MissingLabelColumn, ParseError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -120,6 +120,22 @@ def test_ramp_rejects_out_of_range_step():
         make_imbalance_ramp(0)
     with pytest.raises(ValueError):
         make_imbalance_ramp(17)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_circles(n_per_class=(25, 25, 25)),
+        lambda: make_circles(n_per_class=(25,)),
+        lambda: make_moons(n_per_class=(10, 10, 10)),
+        lambda: make_gaussian_classes(dims=2, sizes=(5, 5), means=(0.0,)),
+        lambda: LabeledDataset(np.zeros((3, 2)), np.zeros(2, dtype=int), "short"),
+    ],
+    ids=["circles-3", "circles-1", "moons-3", "normal-sizes-means", "points-labels"],
+)
+def test_mismatched_inputs_raise_invalid_config(make):
+    with pytest.raises(InvalidConfig):
+        make()
 
 
 @pytest.mark.parametrize(
