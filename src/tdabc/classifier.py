@@ -25,7 +25,7 @@ import numpy as np
 from .complexes import FilteredComplex, Simplex, facets
 from .errors import InvalidAssociation, InvalidConfig, NoLabeledData
 from .persistence import Diagram, intervals_above_dim_zero
-from .selection import SelectionPolicy, recover, select
+from .selection import SelectionPolicy, interval_epsilon, recover, select
 
 EPSILON_FLOOR = 1e-12
 
@@ -235,7 +235,7 @@ def classify_all(
 
     if intervals_above_dim_zero(diagram):
         chosen = select(diagram, policy, np.random.default_rng(seed))
-        epsilon_death = min(chosen.death, diagram.max_filtration)
+        epsilon_death = interval_epsilon(chosen, diagram.max_filtration, "death")
         sub = recover(complex_, chosen, policy)
     else:
         # Nothing above dimension zero: use the whole complex.

@@ -69,9 +69,9 @@ def proper_faces(s: Simplex) -> Iterator[Simplex]:
         yield from combinations(s, q)
 
 
-def vertex_ranks(matrix: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """``matrix`` with each vertex id replaced by its rank among the ascending
-    ``ids``, and -1 padding kept; ids 0..n-1 are their own ranks."""
+def _vertex_ranks(matrix: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    # ``matrix`` with each vertex id replaced by its rank among the ascending
+    # ``ids``, and -1 padding kept; ids 0..n-1 are their own ranks.
     if ids.size and ids[-1] != ids.size - 1:
         return np.where(matrix < 0, -1, np.searchsorted(ids, matrix))
     return matrix
@@ -175,9 +175,10 @@ class FilteredComplex:
 
     def block(self, q: int) -> Block:
         """The q-simplices in filtration order: an ``int64`` matrix of their
-        vertex rows and their values."""
+        vertex rows, each vertex given by its rank among the complex's vertex
+        ids as in ``rows``, and their values."""
         mask = self._dims == q
-        return self._vertices[mask, : q + 1], self._values[mask]
+        return _vertex_ranks(self._vertices[mask, : q + 1], self.vertex_ids), self._values[mask]
 
     @cached_property
     def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -188,7 +189,7 @@ class FilteredComplex:
         ids = self.vertex_ids
         cofaces = self._dims > 0
         matrix = self._vertices[cofaces, : int(self._dims.max(initial=0)) + 1]
-        return vertex_ranks(matrix, ids).astype(np.int32), self._values[cofaces], ids
+        return _vertex_ranks(matrix, ids).astype(np.int32), self._values[cofaces], ids
 
     # -- tuple index -----------------------------------------------------------
 

@@ -53,12 +53,22 @@ def _labeled(title: str, chunks: Sequence[np.ndarray], **spec) -> LabeledDataset
     return LabeledDataset(np.vstack(chunks), labels, title, {"name": title, **spec})
 
 
+def _check_sizes(sizes: Sequence[int]) -> None:
+    """Refuse no class or a negative class size before any draw; an empty
+    class is allowed."""
+    if not len(sizes):
+        raise InvalidConfig("a dataset needs at least one class")
+    if min(sizes) < 0:
+        raise InvalidConfig(f"class sizes must be non-negative, got {list(sizes)}")
+
+
 def make_circles(
     n_per_class: Sequence[int] = (25, 25), noise: float = 3.0, seed: int = 0
 ) -> LabeledDataset:
     """Two concentric circles, inner radius half the outer, jittered."""
     if len(n_per_class) != 2:
         raise InvalidConfig(f"circles take two class sizes, got {list(n_per_class)}")
+    _check_sizes(n_per_class)
     rng = np.random.default_rng(seed)
     chunks = []
     for n, radius in zip(n_per_class, (1.0, 0.5)):
@@ -74,6 +84,7 @@ def make_moons(
     """Two interleaving half circles with Gaussian jitter."""
     if len(n_per_class) != 2:
         raise InvalidConfig(f"moons take two class sizes, got {list(n_per_class)}")
+    _check_sizes(n_per_class)
     rng = np.random.default_rng(seed)
     t0, t1 = (np.linspace(0.0, np.pi, n) for n in n_per_class)
     upper = np.column_stack([np.cos(t0), np.sin(t0)])
@@ -87,6 +98,7 @@ def make_swissroll(
     n_per_class: int = 50, n_classes: int = 6, noise: float = 10.0, seed: int = 0
 ) -> LabeledDataset:
     """A rolled sheet in three dimensions, labeled by equal arc-length bands."""
+    _check_sizes([n_per_class] * n_classes)
     rng = np.random.default_rng(seed)
     t_lo, t_hi = 1.5 * np.pi, 4.5 * np.pi
     # Arc length of (t cos t, t sin t) grows like the integral of sqrt(1 + t^2).
@@ -115,6 +127,7 @@ def make_gaussian_classes(
     """Axis-aligned Gaussian blobs, one per class, identical per-class means."""
     if len(sizes) != len(means):
         raise InvalidConfig(f"{len(sizes)} class sizes but {len(means)} means")
+    _check_sizes(sizes)
     rng = np.random.default_rng(seed)
     chunks = [rng.normal(loc=mu, scale=stdev, size=(n, dims)) for n, mu in zip(sizes, means)]
     return _labeled("normal", chunks, dims=dims, sizes=list(sizes), means=list(means),
@@ -128,6 +141,7 @@ def make_sphere(
     seed: int = 0,
 ) -> LabeledDataset:
     """Concentric spherical shells with Gaussian radial noise."""
+    _check_sizes(sizes)
     rng = np.random.default_rng(seed)
     chunks = []
     for c, n in enumerate(sizes):

@@ -15,10 +15,10 @@ Everything is read from the complex's arrays, never from tuples: each
 dimension's vertex matrix and values come from ``FilteredComplex.block`` in
 filtration order, so births and deaths are those values.  Facets are found
 with numpy: each vertex gets a dense id (its position among the vertices),
-gathered by the rank of its id; each simplex an exact ``int64`` key (the
-position of its prefix face, all vertices but the last, times the vertex
-count, plus its last dense id); and the keys of one dimension are searched
-with ``np.searchsorted``.
+gathered by its rank, which is how ``block`` gives it; each simplex an exact
+``int64`` key (the position of its prefix face, all vertices but the last,
+times the vertex count, plus its last dense id); and the keys of one
+dimension are searched with ``np.searchsorted``.
 
 The result is a ``Diagram`` of three arrays in (dim, birth, death) order.
 Selection reads the arrays; a ``PersistenceInterval`` object is made only
@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexes import FilteredComplex, vertex_ranks
+from .complexes import FilteredComplex
 from .datasets import write_rows
 
 
@@ -220,12 +220,12 @@ def boundary_reduce(complex_: FilteredComplex) -> Diagram:
     top = complex_.dimension
 
     # tables[q] holds the sorted keys of the q-simplices and the position of
-    # each in filtration order among them.  A vertex's key is its id, and its
-    # position is its dense id; the key of a higher simplex is the position
-    # of its prefix face times the vertex count, plus its last dense id.
+    # each in filtration order among them.  A vertex's key is its rank, and
+    # its position is its dense id; the key of a higher simplex is the
+    # position of its prefix face times the vertex count, plus its last dense id.
     vertices, values = complex_.block(0)
     tables = [_key_table(vertices[:, 0])]
-    ids, dense = tables[0]  # a vertex's dense id, by the rank of its id
+    dense = tables[0][1]  # a vertex's dense id, by its rank
     nv = len(vertices)
     found: list[tuple[int, np.ndarray, np.ndarray]] = []  # (dim, births, deaths)
     cleared: set[int] = set()  # positions of q-simplices that killed a (q-1)-class
@@ -233,7 +233,7 @@ def boundary_reduce(complex_: FilteredComplex) -> Diagram:
     for q in range(top):
         simplices, values = complex_.block(q + 1)
         deaths = values.tolist()
-        rows = dense[vertex_ranks(simplices, ids)]
+        rows = dense[simplices]
         del simplices
         facet_pos = np.empty(rows.shape, dtype=np.int64)
         for i in range(q + 2):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tdabc.baselines as baselines
@@ -28,7 +28,7 @@ from tdabc.persistence import boundary_reduce
 from tdabc.rips import RipsConfig, build_rips, pairwise_distances
 from tdabc.selection import SelectionPolicy
 
-from conftest import prediction_rows, random_association, random_rips
+from conftest import prediction_rows, random_association, random_monotone_complex, random_rips
 import oracles
 from oracles import extend_link_form
 
@@ -426,6 +426,45 @@ def test_unlabeled_component_without_training_is_zero():
     t = table_for({2: 0}, {0, 1})
     got = handle_unlabeled_link(cx, t, 0)
     assert got.tolist() == [0.0, 0.0]
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_unlabeled_walk_takes_labels_only_from_the_rim_of_its_test_region(seed, rips):
+    """For every test vertex whose star holds no training vertex (what
+    ``classify_all`` guarantees before it walks), the walk scores a class if
+    and only if a breadth-first search along test-test edges reaches a vertex
+    with a training neighbour, and every class it scores is the label of
+    such a neighbour.  A Rips complex is drawn with no edge cap, so it is
+    restricted at a random threshold to leave some test vertices without
+    training neighbours."""
+    rng = np.random.default_rng(seed)
+    if rips:
+        cx = random_rips(rng, max_points=9)
+        cx = cx.subcomplex_at(float(rng.uniform(0.0, cx.max_value)))
+    else:
+        cx = random_monotone_complex(rng, max_vertices=9)
+    assume(cx.vertex_count >= 2)  # room for a test and a training vertex
+    table = random_association(rng, cx, n_classes=int(rng.integers(2, 4)))
+    neighbours = {v: set() for v in cx.vertex_ids.tolist()}
+    for s in cx.order:
+        if len(s) == 2:
+            neighbours[s[0]].add(s[1])
+            neighbours[s[1]].add(s[0])
+    for v in sorted(table.test_vertices):
+        if any(u in table.training for u in neighbours[v]):
+            continue
+        reached, frontier = {v}, [v]
+        while frontier:
+            w = frontier.pop()
+            for u in neighbours[w] - reached:
+                if u in table.test_vertices:
+                    reached.add(u)
+                    frontier.append(u)
+        rim = {table.training[u] for w in reached for u in neighbours[w] if u in table.training}
+        got = handle_unlabeled_link(cx, table, v)
+        assert (got > 0.0).any() == bool(rim)
+        assert set(np.flatnonzero(got > 0.0).tolist()) <= rim
 
 
 # ---------------------------------------------------------------------------

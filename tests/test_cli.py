@@ -70,6 +70,31 @@ def test_generate_is_deterministic(tmp_path):
     assert (a / "moons.csv").read_bytes() == (b / "moons.csv").read_bytes()
 
 
+def test_output_directory_precedence(tmp_path, monkeypatch):
+    """``--out`` beats a ``--config`` ``out`` key, which beats TDABC_OUT_DIR,
+    which beats the working directory."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out": str(tmp_path / "config")}))
+    cases = [
+        (("--out", str(tmp_path / "flag"), "--config", str(config)), "env", "flag"),
+        (("--config", str(config)), "env", "config"),
+        ((), "env", "env"),
+        ((), None, "cwd"),
+    ]
+    for argv, env, expected in cases:
+        if env:
+            monkeypatch.setenv("TDABC_OUT_DIR", str(tmp_path / env))
+        else:
+            monkeypatch.delenv("TDABC_OUT_DIR", raising=False)
+        assert run_cli("generate", "--dataset", "circles", *argv) == 0
+        written = list(tmp_path.rglob("circles.csv"))
+        assert [p.parent.name for p in written] == [expected]
+        written[0].unlink()
+
+
 def test_generate_ramp_requires_step(tmp_path, capsys):
     rc = run_cli("generate", "--dataset", "ramp", "--out", str(tmp_path))
     assert rc == 2

@@ -130,8 +130,17 @@ def test_ramp_rejects_out_of_range_step():
         lambda: make_moons(n_per_class=(10, 10, 10)),
         lambda: make_gaussian_classes(dims=2, sizes=(5, 5), means=(0.0,)),
         lambda: LabeledDataset(np.zeros((3, 2)), np.zeros(2, dtype=int), "short"),
+        # No class, or a negative class size, is refused before any draw.
+        lambda: make_sphere(sizes=()),
+        lambda: make_swissroll(n_classes=0),
+        lambda: make_gaussian_classes(sizes=(), means=()),
+        lambda: make_circles(n_per_class=(-1, 5)),
+        lambda: make_sphere(sizes=(5, -2)),
+        lambda: make_swissroll(n_per_class=-1),
     ],
-    ids=["circles-3", "circles-1", "moons-3", "normal-sizes-means", "points-labels"],
+    ids=["circles-3", "circles-1", "moons-3", "normal-sizes-means", "points-labels",
+         "sphere-no-class", "swissroll-no-class", "normal-no-class", "circles-negative",
+         "sphere-negative", "swissroll-negative"],
 )
 def test_mismatched_inputs_raise_invalid_config(make):
     with pytest.raises(InvalidConfig):

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from tdabc import evaluation
+import tdabc.evaluation as evaluation
 from tdabc.datasets import load_bundled, make_gaussian_classes
 from tdabc.errors import DegenerateClass, InvalidConfig, NoClassifiers
 from tdabc.evaluation import (

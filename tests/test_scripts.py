@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdabc import datasets as ds
+import tdabc.datasets as ds
 from tdabc.cli import build_parser
 from tdabc.errors import InvalidConfig, TdabcError, UnknownDataset
 
