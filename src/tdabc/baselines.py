@@ -1,7 +1,13 @@
-"""k-nearest-neighbor baselines sharing the classifier's prediction records."""
+"""k-nearest-neighbor baselines sharing the classifier's prediction records.
+
+knn and wknn differ only in their weights, so a fold's ``AssociationTable``
+memoizes the neighbour search by k, with a weak reference to the distance
+matrix it read: a call with another matrix searches again.
+"""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +44,25 @@ def knn_predict_all(
         raise InsufficientTraining(
             f"k={config.k} exceeds the {len(train)} training vertices"
         )
-    block = dist[np.ix_(tests, train)]
     k = config.k
+    memo = table._neighbours.get(k)
+    if memo is None or memo[0]() is not dist:
+        memo = table._neighbours[k] = (weakref.ref(dist), *_nearest(dist, tests, train, k))
+    _, nearest, near = memo
+    labels = np.array([table.training[u] for u in train])[nearest]
+    weights = 1.0 / np.maximum(near, EPSILON_FLOOR) if config.weighted else np.ones_like(near)
+    # Row by row, nearest first: each row sums in per-vertex order.
+    votes = tally(np.repeat(np.arange(len(tests)), k), labels.ravel(), weights.ravel(),
+                  len(tests), table.n_classes)
+    return predict(table, tests, votes, seed, PROVENANCE_BASELINE)
+
+
+def _nearest(dist: np.ndarray, tests: list[int], train: list[int],
+             k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each test vertex's k nearest training vertices, as read-only positions in
+    ``train`` and their distances, nearest first; equal distances keep
+    ascending training-id order."""
+    block = dist[np.ix_(tests, train)]
     # Only entries up to each row's k-th smallest distance, ties included,
     # can be among its k nearest: gather them, in ascending training-id
     # order, into rows padded with inf.
@@ -53,10 +76,7 @@ def knn_predict_all(
     dists[hit_rows, slot] = block[hit_rows, hit_cols]
     # Stable, so equal distances keep ascending training-id order.
     nearest = np.take_along_axis(cut, np.argsort(dists, axis=1, kind="stable")[:, :k], axis=1)
-    labels = np.array([table.training[u] for u in train])[nearest]
     near = np.take_along_axis(block, nearest, axis=1)
-    weights = 1.0 / np.maximum(near, EPSILON_FLOOR) if config.weighted else np.ones_like(near)
-    # Row by row, nearest first: each row sums in per-vertex order.
-    votes = tally(np.repeat(np.arange(len(tests)), k), labels.ravel(), weights.ravel(),
-                  len(tests), table.n_classes)
-    return predict(table, tests, votes, seed, PROVENANCE_BASELINE)
+    nearest.flags.writeable = False
+    near.flags.writeable = False
+    return nearest, near

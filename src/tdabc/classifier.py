@@ -6,18 +6,22 @@ other vertices weighted by the inverse filtration value of that coface.
 Test vertices without a coface take one distance-ball vote as a block; a
 test vertex whose cofaces carry no label walks through its unlabeled
 neighborhood.  The extension, the ball vote and the KNN baseline all sum
-their votes through ``tally``.  One call of ``predict`` then labels all
-test vertices from their score matrix: a row's largest score wins, a tie is
-drawn per vertex, and a row still without a positive score takes the
-majority training class.  Its result is one record array, a row per test
-vertex with the fields ``vertex``, ``label``, ``scores``, ``probability``
-and ``provenance``; a row reads as ``p.label``, a field as ``preds.label``.
+their votes through ``tally``.  A fold's ``AssociationTable`` memoizes,
+weakly, the work its classifiers share: one extension per recovered
+sub-complex and one neighbour search per k.  One call of ``predict`` then
+labels all test vertices from their score matrix: a row's largest score
+wins, a tie is drawn per vertex, and a row still without a positive score
+takes the majority training class.  Its result is one record array, a row
+per test vertex with the fields ``vertex``, ``label``, ``scores``,
+``probability`` and ``provenance``; a row reads as ``p.label``, a field as
+``preds.label``.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,11 +41,23 @@ PROVENANCE_FALLBACK = "global_fallback"
 
 @dataclass(frozen=True)
 class AssociationTable:
-    """Which vertices are labeled with what, and which await labels."""
+    """Which vertices are labeled with what, and which await labels.
+
+    The table also memoizes the work that every classifier run on it shares:
+    ``classify_all`` keeps ``extend``'s result per recovered sub-complex, and
+    ``knn_predict_all`` its neighbour search per k.  Both memos are weak: an
+    extension goes with its sub-complex, and a search keeps only a weak
+    reference to its distance matrix, so a kept table holds neither alive.
+    """
 
     training: Mapping[int, int]
     test_vertices: frozenset[int]
     n_classes: int
+    # Recovered sub-complex -> ``extend``'s read-only (scores, cofaces).
+    _extensions: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False)
+    # k -> (weak reference to ``dist``, nearest, near), see ``baselines._nearest``.
+    _neighbours: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "test_vertices", frozenset(self.test_vertices))
@@ -243,7 +259,14 @@ def classify_all(
         epsilon_death = diagram.max_filtration
 
     tests = sorted(table.test_vertices)
-    scores, cofaces = extend(sub, table, tests)
+    shared = table._extensions.get(sub)
+    if shared is None:
+        shared = table._extensions[sub] = extend(sub, table, tests)
+        for array in shared:
+            array.flags.writeable = False
+    # The fallback rules write rows with this policy's ``epsilon_death``, so
+    # they write a copy, never the fold's shared rows.
+    scores, cofaces = shared[0].copy(), shared[1]
     votes = np.zeros((len(dist), table.n_classes))
     votes[tests] = scores
     votes[list(table.training), list(table.training.values())] = 1.0

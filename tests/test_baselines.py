@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tdabc.baselines as baselines
 from tdabc.baselines import KnnConfig, knn_predict_all
 from tdabc.classifier import EPSILON_FLOOR, AssociationTable
 from tdabc.errors import InsufficientTraining
@@ -140,3 +141,42 @@ def test_vectorised_votes_equal_the_per_vertex_loop(seed, n_classes, weighted, k
     preds = knn_predict_all(dist, table, config, seed=seed)
     got = [(v, label, scores, prob) for v, label, scores, prob, _ in prediction_rows(preds)]
     assert got == knn_reference(dist, table, config, seed=seed)
+
+
+def test_knn_and_wknn_share_one_neighbour_search(monkeypatch):
+    """One table runs the search once for knn and wknn at one k, with records
+    equal to fresh tables'; another ``dist`` object, even of equal values, or
+    another k searches again, so a stale search is never read."""
+    rng = np.random.default_rng(7)
+    # Integer grid points: many equal distances, so the stable order matters.
+    dist = pairwise_distances(rng.integers(0, 4, size=(40, 2)).astype(float))
+    test = frozenset(range(0, 40, 3))
+    training = {v: v % 3 for v in range(40) if v not in test}
+    configs = [KnnConfig(k=5), KnnConfig(k=5, weighted=True)]
+
+    def fresh(dist, config):
+        return prediction_rows(knn_predict_all(dist, AssociationTable(training, test, 3), config))
+
+    searches = []
+    nearest = baselines._nearest
+
+    def counted(*args):
+        searches.append(args[0])
+        return nearest(*args)
+
+    monkeypatch.setattr(baselines, "_nearest", counted)
+    table = AssociationTable(training, test, 3)
+    got = [prediction_rows(knn_predict_all(dist, table, config)) for config in configs]
+    assert len(searches) == 1
+    searches.clear()
+    assert got == [fresh(dist, config) for config in configs]
+    assert len(searches) == 2
+
+    searches.clear()
+    copy = dist.copy()
+    assert prediction_rows(knn_predict_all(copy, table, configs[0])) == got[0]
+    knn_predict_all(copy, table, KnnConfig(k=3))
+    assert [s is copy for s in searches] == [True, True]
+    # A matrix of other values on the same table reads its own neighbours.
+    other = dist[::-1, ::-1].copy()
+    assert prediction_rows(knn_predict_all(other, table, configs[1])) == fresh(other, configs[1])

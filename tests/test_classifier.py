@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +25,9 @@ from tdabc.classifier import (
     predict,
 )
 from tdabc.complexes import FilteredComplex
+from tdabc.datasets import make_imbalance_ramp
 from tdabc.errors import InvalidAssociation, InvalidConfig, NoLabeledData
+from tdabc.evaluation import FoldPlan, TdabcSpec, default_classifiers, stratified_splits
 from tdabc.persistence import boundary_reduce
 from tdabc.rips import RipsConfig, build_rips, pairwise_distances
 from tdabc.selection import SelectionPolicy
@@ -570,3 +574,65 @@ def test_classification_is_seed_deterministic():
     assert [(p.vertex, p.label, p.provenance) for p in a] == [
         (p.vertex, p.label, p.provenance) for p in b
     ]
+
+
+# ---------------------------------------------------------------------------
+# A fold's shared work
+# ---------------------------------------------------------------------------
+
+
+def test_a_fold_shares_its_extension_and_no_bit_moves(monkeypatch):
+    """The roster's tdabc specs on one fold table of ramp step 16: ``extend``
+    runs once per recovered sub-complex, and every record equals a fresh
+    table's.  The isolated and unlabeled-link rules fire here, so a shared row
+    that one policy's fallback wrote would show in the next policy's records."""
+    data = make_imbalance_ramp(16)
+    dist = pairwise_distances(data.points)
+    cx = build_rips(dist, RipsConfig(max_dim=2, max_edge=0.3))
+    diagram = boundary_reduce(cx)
+    _, _, train, test = stratified_splits(data.labels, FoldPlan(5, 1, 0))[0]
+    training = {int(v): int(data.labels[v]) for v in train}
+    tests = frozenset(int(v) for v in test)
+    specs = [spec for spec in default_classifiers() if isinstance(spec, TdabcSpec)]
+    assert "rand" in {spec.selector for spec in specs}
+
+    def fresh(spec):
+        return classify_all(cx, diagram, AssociationTable(training, tests, 2), spec, dist, seed=3)
+
+    want = [fresh(spec) for spec in specs]
+    subs = []
+
+    def counted(sub, *rest):
+        subs.append(sub)
+        return extend(sub, *rest)
+
+    monkeypatch.setattr(classifier, "extend", counted)
+    table = AssociationTable(training, tests, 2)
+    got = [classify_all(cx, diagram, table, spec, dist, seed=3) for spec in specs]
+    assert len(subs) == len({id(sub) for sub in subs}) == 2
+    kinds = {kind for preds in got for kind in preds.provenance}
+    assert {"isolated", "unlabeled_link"} <= kinds
+    assert [prediction_rows(p) for p in got] == [prediction_rows(p) for p in want]
+
+
+def test_a_kept_table_holds_no_complex_or_distances_alive(monkeypatch):
+    """A table outlives its fold in the benchmark's capture: once the complex
+    and the distance matrix are dropped, its memos must not keep the
+    recovered sub-complex or ``dist`` alive."""
+    subs = []
+
+    def recorded(sub, *rest):
+        subs.append(weakref.ref(sub))
+        return extend(sub, *rest)
+
+    monkeypatch.setattr(classifier, "extend", recorded)
+    cx, diagram, table, dist = blob_fixture()
+    classify_all(cx, diagram, table, SelectionPolicy(), dist)
+    baselines.knn_predict_all(dist, table, baselines.KnnConfig(k=3))
+    assert len(subs) == len(table._extensions) == len(table._neighbours) == 1
+    dist_ref = weakref.ref(dist)
+    del cx, diagram, dist
+    gc.collect()
+    assert subs[0]() is None
+    assert dist_ref() is None
+    assert len(table._extensions) == 0
