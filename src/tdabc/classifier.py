@@ -7,14 +7,14 @@ Test vertices without a coface take one distance-ball vote as a block; a
 test vertex whose cofaces carry no label walks through its unlabeled
 neighborhood.  The extension, the ball vote and the KNN baseline all sum
 their votes through ``tally``.  A fold's ``AssociationTable`` memoizes,
-weakly, the work its classifiers share: one extension per recovered
-sub-complex and one neighbour search per k.  One call of ``predict`` then
-labels all test vertices from their score matrix: a row's largest score
-wins, a tie is drawn per vertex, and a row still without a positive score
-takes the majority training class.  Its result is one record array, a row
-per test vertex with the fields ``vertex``, ``label``, ``scores``,
-``probability`` and ``provenance``; a row reads as ``p.label``, a field as
-``preds.label``.
+weakly, the work its classifiers share: one extension and one set of
+unlabeled-link walks per recovered sub-complex, and one neighbour search
+per k.  One call of ``predict`` then labels all test vertices from their
+score matrix: a row's largest score wins, a tie is drawn per vertex, and a
+row still without a positive score takes the majority training class.  Its
+result is one record array, a row per test vertex with the fields
+``vertex``, ``label``, ``scores``, ``probability`` and ``provenance``; a row
+reads as ``p.label``, a field as ``preds.label``.
 """
 
 from __future__ import annotations
@@ -44,16 +44,18 @@ class AssociationTable:
     """Which vertices are labeled with what, and which await labels.
 
     The table also memoizes the work that every classifier run on it shares:
-    ``classify_all`` keeps ``extend``'s result per recovered sub-complex, and
-    ``knn_predict_all`` its neighbour search per k.  Both memos are weak: an
-    extension goes with its sub-complex, and a search keeps only a weak
-    reference to its distance matrix, so a kept table holds neither alive.
+    ``classify_all`` keeps ``extend``'s result and the unlabeled-link walks
+    per recovered sub-complex, and ``knn_predict_all`` its neighbour search
+    per k.  Both memos are weak: an extension goes with its sub-complex, and
+    a search keeps only a weak reference to its distance matrix, so a kept
+    table holds neither alive.
     """
 
     training: Mapping[int, int]
     test_vertices: frozenset[int]
     n_classes: int
-    # Recovered sub-complex -> ``extend``'s read-only (scores, cofaces).
+    # Recovered sub-complex -> read-only (``extend``'s scores, its cofaces,
+    # the scores with the unlabeled-link walks' rows).
     _extensions: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False)
     # k -> (weak reference to ``dist``, nearest, near), see ``baselines._nearest``.
@@ -261,20 +263,25 @@ def classify_all(
     tests = sorted(table.test_vertices)
     shared = table._extensions.get(sub)
     if shared is None:
-        shared = table._extensions[sub] = extend(sub, table, tests)
+        extended, cofaces = extend(sub, table, tests)
+        # The walk reads only the sub-complex, the table and the vertex, so a
+        # fold walks each vertex once, whatever policy recovered ``sub``.
+        linked = extended.copy()
+        for i in np.flatnonzero(~extended.any(axis=1) & (cofaces > 0)).tolist():
+            linked[i] = handle_unlabeled_link(sub, table, tests[i])
+        shared = table._extensions[sub] = (extended, cofaces, linked)
         for array in shared:
             array.flags.writeable = False
-    # The fallback rules write rows with this policy's ``epsilon_death``, so
-    # they write a copy, never the fold's shared rows.
-    scores, cofaces = shared[0].copy(), shared[1]
+    extended, cofaces, linked = shared
     votes = np.zeros((len(dist), table.n_classes))
-    votes[tests] = scores
+    votes[tests] = extended
     votes[list(table.training), list(table.training.values())] = 1.0
-    empty = ~scores.any(axis=1)
+    empty = ~extended.any(axis=1)
     isolated = empty & (cofaces == 0)
+    # The ball vote uses this policy's ``epsilon_death``, so it writes a copy,
+    # never the fold's shared rows.
+    scores = linked.copy()
     scores[isolated] = handle_isolated(np.array(tests)[isolated], epsilon_death, dist, votes)
-    for i in np.flatnonzero(empty & ~isolated).tolist():
-        scores[i] = handle_unlabeled_link(sub, table, tests[i])
     # empty + isolated: 0 link, 1 unlabeled link, 2 isolated.
     kinds = np.array([PROVENANCE_LINK, PROVENANCE_UNLABELED, PROVENANCE_ISOLATED], dtype=object)
     provenance = kinds[empty.astype(np.intp) + isolated]

@@ -37,7 +37,7 @@ from .evaluation import (
     run_experiment,
     write_ramp_csv,
 )
-from .persistence import boundary_reduce, write_diagram_csv, write_diagram_json
+from .persistence import boundary_reduce
 from .rips import METRICS, RipsConfig, build_rips, pairwise_distances
 from .selection import EPSILON_MODES, RECOVERY_MODES, SELECTORS, SelectionPolicy
 
@@ -127,17 +127,23 @@ def _cmd_persistence(args: argparse.Namespace) -> int:
     dist = pairwise_distances(data.points, args.metric)
     complex_ = build_rips(dist, _rips_config(args))
     diagram = boundary_reduce(complex_)
+    # A class of dimension --max-dim never dies, because no simplex above the
+    # cap exists to kill it, so only the dimensions below it are written.
+    keep = diagram.dims < args.max_dim
+    rows = list(zip(diagram.dims[keep].tolist(), diagram.births[keep].tolist(),
+                    diagram.deaths[keep].tolist()))
+    left_out = len(diagram) - len(rows)
     out = _out_dir(args)
-    write_diagram_csv(diagram, out / f"{data.name}.diagram.csv")
-    write_diagram_json(diagram, out / f"{data.name}.diagram.json")
-    maxf = diagram.max_filtration
-    deaths = np.minimum(diagram.deaths, maxf)
-    rows = zip(diagram.dims.tolist(), diagram.births.tolist(), deaths.tolist(),
-               (deaths - diagram.births).tolist())
-    ds.write_rows(out / f"{data.name}.barcode.csv", ["dim", "birth", "death", "length"], rows)
+    ds.write_rows(out / f"{data.name}.diagram.csv", ["dim", "birth", "death"], rows)
+    ds.write_json(out / f"{data.name}.diagram.json", {
+        "intervals": [{"dim": q, "birth": b, "death": "inf" if math.isinf(d) else d}
+                      for q, b, d in rows],
+        "max_filtration": diagram.max_filtration,
+        "left_out_at_max_dim": left_out,
+    })
     print(
-        f"{len(complex_)} simplices, {len(diagram)} intervals, "
-        f"max filtration {maxf!r}"
+        f"{len(complex_)} simplices, {len(rows)} intervals, {left_out} dimension-"
+        f"{args.max_dim} classes left out, max filtration {diagram.max_filtration!r}"
     )
     return 0
 

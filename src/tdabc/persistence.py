@@ -28,17 +28,14 @@ for an interval that is read through ``Diagram.intervals`` or
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .complexes import FilteredComplex
-from .datasets import write_rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,28 +266,3 @@ def intervals_above_dim_zero(diagram: Diagram) -> Intervals:
     """Candidates for scale selection, computed once per diagram."""
     return diagram.candidates
 
-
-def write_diagram_csv(diagram: Diagram, path: str | Path) -> None:
-    """dim,birth,death rows; immortal deaths written as ``inf``."""
-    rows = zip(diagram.dims.tolist(), diagram.births.tolist(), diagram.deaths.tolist())
-    write_rows(path, ["dim", "birth", "death"], rows)
-
-
-def write_diagram_json(diagram: Diagram, path: str | Path) -> None:
-    """The diagram as ``{"intervals": [{"birth", "death", "dim"}, ...],
-    "max_filtration"}``, ``"inf"`` for an immortal death, in the bytes that
-    ``json.dumps(..., indent=2, sort_keys=True)`` writes.  Each interval is
-    formatted here because ``indent`` makes ``json`` use its pure-Python
-    encoder, which took most of ``tdabc persistence``'s time on large
-    diagrams."""
-    deaths = ['"inf"' if math.isinf(d) else repr(d) for d in diagram.deaths.tolist()]
-    intervals = ",\n".join(
-        '    {\n      "birth": %r,\n      "death": %s,\n      "dim": %d\n    }' % row
-        for row in zip(diagram.births.tolist(), deaths, diagram.dims.tolist())
-    )
-    listed = f"[\n{intervals}\n  ]" if intervals else "[]"
-    Path(path).write_text(
-        f'{{\n  "intervals": {listed},\n'
-        f'  "max_filtration": {json.dumps(diagram.max_filtration)}\n}}\n',
-        encoding="utf-8",
-    )

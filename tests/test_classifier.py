@@ -583,9 +583,12 @@ def test_classification_is_seed_deterministic():
 
 def test_a_fold_shares_its_extension_and_no_bit_moves(monkeypatch):
     """The roster's tdabc specs on one fold table of ramp step 16: ``extend``
-    runs once per recovered sub-complex, and every record equals a fresh
-    table's.  The isolated and unlabeled-link rules fire here, so a shared row
-    that one policy's fallback wrote would show in the next policy's records."""
+    runs once per recovered sub-complex, the unlabeled-link walk once per
+    (sub-complex, vertex), and every record equals a fresh table's.  The
+    isolated and unlabeled-link rules fire here, so a shared row that one
+    policy's fallback wrote would show in the next policy's records.  The
+    ball vote reads each test vertex's extension row, not the row its walk
+    found."""
     data = make_imbalance_ramp(16)
     dist = pairwise_distances(data.points)
     cx = build_rips(dist, RipsConfig(max_dim=2, max_edge=0.3))
@@ -606,10 +609,30 @@ def test_a_fold_shares_its_extension_and_no_bit_moves(monkeypatch):
         subs.append(sub)
         return extend(sub, *rest)
 
+    walks = []
+
+    def walked(sub, table, v):
+        walks.append((id(sub), v))
+        return handle_unlabeled_link(sub, table, v)
+
+    balls = []
+
+    def voted(vertices, epsilon_death, dist, votes):
+        balls.append(votes)
+        return handle_isolated(vertices, epsilon_death, dist, votes)
+
     monkeypatch.setattr(classifier, "extend", counted)
+    monkeypatch.setattr(classifier, "handle_unlabeled_link", walked)
+    monkeypatch.setattr(classifier, "handle_isolated", voted)
     table = AssociationTable(training, tests, 2)
     got = [classify_all(cx, diagram, table, spec, dist, seed=3) for spec in specs]
     assert len(subs) == len({id(sub) for sub in subs}) == 2
+    assert walks and len(walks) == len(set(walks))
+    ordered = sorted(tests)
+    extensions = [extend(sub, table, ordered)[0] for sub in subs]
+    assert len(balls) == len(specs)
+    for votes in balls:
+        assert any(np.array_equal(votes[ordered], rows) for rows in extensions)
     kinds = {kind for preds in got for kind in preds.provenance}
     assert {"isolated", "unlabeled_link"} <= kinds
     assert [prediction_rows(p) for p in got] == [prediction_rows(p) for p in want]

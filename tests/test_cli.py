@@ -6,12 +6,13 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from tdabc.cli import _parse_args, _parse_roster, build_parser, main
-from tdabc.datasets import load_csv, make_sphere, save_csv
+from tdabc.datasets import load_csv, make_sphere, resolve, save_csv
 from tdabc.errors import InvalidConfig
 from tdabc.evaluation import (
     FoldPlan,
@@ -20,6 +21,8 @@ from tdabc.evaluation import (
     run_experiment,
     write_ramp_csv,
 )
+from tdabc.persistence import boundary_reduce
+from tdabc.rips import RipsConfig, build_rips, pairwise_distances
 
 
 def run_cli(*argv: str) -> int:
@@ -312,14 +315,59 @@ def test_null_config_values_keep_the_defaults(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def read_diagram(tmp_path):
+    """The rows of ``circles.diagram.csv`` as Python values, and the JSON."""
+    with (tmp_path / "circles.diagram.csv").open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["dim", "birth", "death"]
+    written = [(int(q), float(b), float(d)) for q, b, d in rows[1:]]
+    return written, json.loads((tmp_path / "circles.diagram.json").read_text(encoding="utf-8"))
+
+
+def circles_diagram(**rips):
+    data = resolve("circles", seed=0)
+    return boundary_reduce(build_rips(pairwise_distances(data.points), RipsConfig(**rips)))
+
+
 def test_persistence_outputs_diagram_and_barcode(tmp_path):
+    """The diagram CSV and JSON are the only files written; no barcode, which
+    they give as ``min(death, max_filtration) - birth`` per row."""
     rc = run_cli(
         "persistence", "--dataset", "circles", "--seed", "0", "--out", str(tmp_path),
         "--max-dim", "2",
     )
     assert rc == 0
-    for suffix in ("diagram.csv", "diagram.json", "barcode.csv"):
-        assert (tmp_path / f"circles.{suffix}").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "circles.diagram.csv", "circles.diagram.json"]
+    _, payload = read_diagram(tmp_path)
+    assert ",inf\n" in (tmp_path / "circles.diagram.csv").read_text()
+    assert "inf" in [row["death"] for row in payload["intervals"]]
+    assert payload["max_filtration"] == circles_diagram(max_dim=2).max_filtration
+
+
+@pytest.mark.parametrize("flags, rips, reaches_cap", [
+    (("--max-dim", "2"), {"max_dim": 2}, True),
+    (("--max-dim", "3"), {"max_dim": 3}, True),
+    (("--max-edge", "0"), {"max_edge": 0.0}, False),  # vertices only
+])
+def test_persistence_writes_the_rows_below_max_dim(tmp_path, capsys, flags, rips, reaches_cap):
+    """Every class of dimension --max-dim is the cap's artifact: the files hold
+    ``boundary_reduce``'s rows below it, in its order, and count the rest.  A
+    complex that stops below the cap leaves nothing out."""
+    assert run_cli("persistence", "--dataset", "circles", *flags, "--out", str(tmp_path)) == 0
+    diagram = circles_diagram(**rips)
+    max_dim = RipsConfig(**rips).max_dim
+    want = [(q, b, d) for q, b, d in zip(diagram.dims.tolist(), diagram.births.tolist(),
+                                         diagram.deaths.tolist()) if q < max_dim]
+    left_out = int(np.count_nonzero(diagram.dims == max_dim))
+    rows, payload = read_diagram(tmp_path)
+    assert rows == want
+    assert payload["intervals"] == [
+        {"dim": q, "birth": b, "death": "inf" if math.isinf(d) else d} for q, b, d in want]
+    assert payload["left_out_at_max_dim"] == left_out
+    assert f"{len(want)} intervals, {left_out} dimension-{max_dim} classes left out" in (
+        capsys.readouterr().out)
+    assert (left_out > 0) == reaches_cap
 
 
 def test_persistence_circles_has_dominant_loop(tmp_path):
@@ -327,20 +375,19 @@ def test_persistence_circles_has_dominant_loop(tmp_path):
         "persistence", "--dataset", "circles", "--seed", "0", "--out", str(tmp_path),
         "--max-dim", "2", "--max-edge", "inf",
     )
-    with (tmp_path / "circles.barcode.csv").open() as fh:
-        bars = [row for row in csv.DictReader(fh) if row["dim"] == "1"]
-    lengths = sorted((float(b["length"]) for b in bars), reverse=True)
+    rows, payload = read_diagram(tmp_path)
+    maxf = payload["max_filtration"]
+    lengths = sorted((min(d, maxf) - b for q, b, d in rows if q == 1), reverse=True)
     assert lengths
     assert len(lengths) == 1 or lengths[0] > 2 * lengths[1]
 
 
 # sha256 of the files ``tdabc persistence --dataset circles`` writes, recorded
-# when the diagram came from the boundary-matrix reduction; any route to the
-# diagram must write the same bytes.
+# when the cap dimension was first left out; any route to the diagram must
+# write the same bytes.
 PERSISTENCE_CIRCLES_SHA256 = {
-    "circles.diagram.csv": "fce7216e07c8fb0be06985c9f6428fdb4f9f54b73dcc48ab1478593cc5c4f6f1",
-    "circles.diagram.json": "85cd80c8e17c4eebccd531a9b0a419d805a5065fb8792288e4544f72d505ed08",
-    "circles.barcode.csv": "1324bcc9191fd67fa348b81ec53319b8cb743cad70a4e993e1004b3111d455b9",
+    "circles.diagram.csv": "9a3122253614e0f27940b776ea3c53d9937e59007e8a8be7c3db0fa4c7fa6125",
+    "circles.diagram.json": "8849f2d32baffd31e536cbaad6303f06ee229ccd3991a4c0f19b068afd1c3380",
 }
 
 
@@ -354,12 +401,11 @@ def test_persistence_circles_output_is_pinned(tmp_path):
 
 
 # sha256 of the files ``tdabc persistence --dataset shells --max-dim 2 --budget
-# 400000`` writes, recorded when every interval was a ``PersistenceInterval``;
-# unlike the circles, its top dimension holds 236,435 immortal triangles.
+# 400000`` writes, recorded when the cap dimension was first left out: 12,017
+# rows are written and its 224,418 immortal triangles are not.
 PERSISTENCE_SHELLS_SHA256 = {
-    "shells.diagram.csv": "788845dc1beefc8e21493d9c3134747da1d75349852c3528b51f6f7109e6eb51",
-    "shells.diagram.json": "2e6a65e55eef27f92d82fa631d716e9014cb663edc709102ef0c7ae3df003755",
-    "shells.barcode.csv": "f90b2bf7d588baeb7889380fe79dbf6f2bd8c9a3f8c2ac8a48caa2a65d1b9535",
+    "shells.diagram.csv": "29203eba69e1fbe827f33628cc777199f985e6ec0c02720e36e8a433fc34430a",
+    "shells.diagram.json": "5a0622303c996a306c6abbcf45208040e24d4359b1af0e15817720290660f608",
 }
 
 

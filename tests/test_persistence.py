@@ -9,7 +9,6 @@ rank-based Betti oracle must count the same classes alive at every scale.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import pickle
 
@@ -25,8 +24,6 @@ from tdabc.persistence import (
     PersistenceInterval,
     boundary_reduce,
     intervals_above_dim_zero,
-    write_diagram_csv,
-    write_diagram_json,
 )
 from tdabc.rips import RipsConfig, build_rips, pairwise_distances
 
@@ -241,46 +238,3 @@ def test_unit_square_has_single_candidate():
     candidates = intervals_above_dim_zero(diagram)
     assert len(candidates) == 1
     assert candidates[0].dim == 1
-
-
-# ---------------------------------------------------------------------------
-# Writers
-# ---------------------------------------------------------------------------
-
-
-def test_diagram_csv_format(tmp_path):
-    diagram = boundary_reduce(unit_square_complex())
-    path = tmp_path / "d.csv"
-    write_diagram_csv(diagram, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "dim,birth,death"
-    assert len(lines) == len(diagram.intervals) + 1
-    assert any(line.endswith(",inf") for line in lines[1:])
-
-
-def test_diagram_json_contains_max_filtration(tmp_path):
-    diagram = boundary_reduce(unit_square_complex())
-    path = tmp_path / "d.json"
-    write_diagram_json(diagram, path)
-    payload = json.loads(path.read_text())
-    assert payload["max_filtration"] == pytest.approx(math.sqrt(2))
-    assert len(payload["intervals"]) == len(diagram.intervals)
-
-
-@pytest.mark.parametrize("diagram", [
-    Diagram((), 0.0),
-    Diagram((PersistenceInterval(0, 0.0, 0.1), PersistenceInterval(1, 0.25, 1 / 3),
-             PersistenceInterval(2, 0.5, float("inf"))), 1e-17),
-    boundary_reduce(unit_square_complex()),
-])
-def test_diagram_json_is_what_the_json_encoder_writes(tmp_path, diagram):
-    path = tmp_path / "d.json"
-    write_diagram_json(diagram, path)
-    rows = zip(diagram.dims.tolist(), diagram.births.tolist(), diagram.deaths.tolist())
-    payload = {
-        "max_filtration": diagram.max_filtration,
-        "intervals": [
-            {"dim": q, "birth": b, "death": "inf" if math.isinf(d) else d} for q, b, d in rows
-        ],
-    }
-    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
