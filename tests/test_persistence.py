@@ -9,6 +9,7 @@ rank-based Betti oracle must count the same classes alive at every scale.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import pickle
 
@@ -17,7 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdabc.cli import main
 from tdabc.complexes import FilteredComplex
+from tdabc.datasets import LabeledDataset, save_csv
 from tdabc.errors import CapacityExceeded
 from tdabc.persistence import (
     Diagram,
@@ -27,7 +30,7 @@ from tdabc.persistence import (
 )
 from tdabc.rips import RipsConfig, build_rips, pairwise_distances
 
-from conftest import random_cloud, random_monotone_complex, unit_square_complex
+from conftest import UNIT_SQUARE, random_cloud, random_monotone_complex, unit_square_complex
 from oracles import betti_oracle, homology_reduce
 
 
@@ -238,3 +241,36 @@ def test_unit_square_has_single_candidate():
     candidates = intervals_above_dim_zero(diagram)
     assert len(candidates) == 1
     assert candidates[0].dim == 1
+
+
+# ---------------------------------------------------------------------------
+# Written diagram files
+# ---------------------------------------------------------------------------
+
+
+def write_unit_square_diagram(tmp_path):
+    """Run ``tdabc persistence`` on the unit square; the paths it writes."""
+    points = tmp_path / "square.csv"
+    save_csv(LabeledDataset(UNIT_SQUARE, np.zeros(len(UNIT_SQUARE), dtype=int), "square"),
+             points)
+    out = tmp_path / "out"
+    assert main(["persistence", "--dataset", str(points), "--max-edge", "inf",
+                 "--max-dim", "2", "--out", str(out)]) == 0
+    return out / "square.diagram.csv", out / "square.diagram.json"
+
+
+def test_diagram_csv_format(tmp_path):
+    diagram = boundary_reduce(unit_square_complex())
+    path, _ = write_unit_square_diagram(tmp_path)
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "dim,birth,death"
+    assert len(lines) == int(np.count_nonzero(diagram.dims < 2)) + 1
+    assert any(line.endswith(",inf") for line in lines[1:])
+
+
+def test_diagram_json_contains_max_filtration(tmp_path):
+    diagram = boundary_reduce(unit_square_complex())
+    _, path = write_unit_square_diagram(tmp_path)
+    payload = json.loads(path.read_text())
+    assert payload["max_filtration"] == pytest.approx(math.sqrt(2))
+    assert len(payload["intervals"]) + payload["left_out_at_max_dim"] == len(diagram.intervals)
