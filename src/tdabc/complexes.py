@@ -6,18 +6,20 @@ stored, with a value no larger than its cofaces.  A complex is fixed when it
 is made.
 
 It is stored as three arrays in filtration order (by value, then dimension,
-then vertex tuple): an ``int64`` vertex matrix padded with -1, the dimensions
-and the ``float64`` values.  Builders hand over their simplices by dimension,
-lowest first, each dimension's rows in ascending order, so one stable
-``np.argsort`` of the values puts them in filtration order.  Every
-restriction is a ``band``, and a sub-complex at a threshold (``subcomplex_at``)
-is the band from ``-inf``, a prefix of these arrays.  ``rows``, ``block``,
-``max_value``, ``vertex_ids``, ``vertex_count``, ``dimension`` and the
-prefixes read the arrays and build no tuple.  ``order``, ``value``, ``in``,
-``star``, ``closure``, ``link`` and the other bands work on tuples: the
-first of them to run builds the tuple index (every simplex as a tuple, in
-filtration order, with its value) from the complex's own arrays, once per
-complex, sub-complexes included.
+then vertex tuple): an ``int32`` matrix of vertex ranks padded with -1, the
+dimensions and the ``float64`` values.  The ranks index an ascending array
+of vertex ids, made with the complex and shared by its restrictions.
+Builders hand over their simplices by dimension, lowest first, each
+dimension's rows in ascending order, so one stable ``np.argsort`` of the
+values puts them in filtration order.  Every restriction is a ``band``, and
+a sub-complex at a threshold (``subcomplex_at``) is the band from ``-inf``,
+a prefix of these arrays.  ``rows``, ``block``, ``max_value``,
+``vertex_ids``, ``vertex_count``, ``dimension`` and the prefixes read the
+arrays and build no tuple.  ``order``, ``value``, ``in``, ``star``,
+``closure``, ``link`` and the other bands work on tuples: the first of them
+to run builds the tuple index (every simplex as a tuple, in filtration
+order, with its value) from the complex's own arrays, once per complex,
+sub-complexes included.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from .errors import DuplicateSimplex, InvalidConfig, MonotonicityViolation, Simp
 
 Simplex = tuple[int, ...]
 
-# A block is the q-simplices of a complex as a (count, q + 1) int64 matrix of
-# ascending vertex rows, with a float64 array of their values.
+# A block is the q-simplices of a complex as a (count, q + 1) integer matrix
+# of ascending vertex rows, with a float64 array of their values.
 Block = tuple[np.ndarray, np.ndarray]
 
 
@@ -69,33 +71,25 @@ def proper_faces(s: Simplex) -> Iterator[Simplex]:
         yield from combinations(s, q)
 
 
-def _vertex_ranks(matrix: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    # ``matrix`` with each vertex id replaced by its rank among the ascending
-    # ``ids``, and -1 padding kept; ids 0..n-1 are their own ranks.
-    if ids.size and ids[-1] != ids.size - 1:
-        return np.where(matrix < 0, -1, np.searchsorted(ids, matrix))
-    return matrix
-
-
 def _filtration_sorted(blocks: list[Block]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The blocks stacked into one -1-padded vertex matrix, dimensions and
-    # values, permuted into filtration order.  The blocks come by dimension,
-    # lowest first, each with its rows ascending, so stacked they are in
-    # (dimension, vertex tuple) order, and a stable sort by value completes
-    # the filtration order.
+    # The blocks, given by vertex rank, stacked into one -1-padded int32
+    # rank matrix, dimensions and values, permuted into filtration order.
+    # The blocks come by dimension, lowest first, each with its rows
+    # ascending, so stacked they are in (dimension, vertex tuple) order, and
+    # a stable sort by value completes the filtration order.
     width = max((matrix.shape[1] for matrix, _ in blocks), default=1)
     total = sum(len(values) for _, values in blocks)
-    vertices = np.full((total, width), -1, dtype=np.int64)
+    ranks = np.full((total, width), -1, dtype=np.int32)
     dims = np.empty(total, dtype=np.int64)
     at = 0
     for matrix, values in blocks:
         count, size = matrix.shape
-        vertices[at : at + count, :size] = matrix
+        ranks[at : at + count, :size] = matrix
         dims[at : at + count] = size - 1
         at += count
     values = np.concatenate([v for _, v in blocks]) if blocks else np.empty(0)
     perm = np.argsort(values, kind="stable")
-    return vertices[perm], dims[perm], values[perm]
+    return ranks[perm], dims[perm], values[perm]
 
 
 class FilteredComplex:
@@ -130,26 +124,30 @@ class FilteredComplex:
         by_size: dict[int, list[Simplex]] = {}
         for s in sorted(values):
             by_size.setdefault(len(s), []).append(s)
+        ids = np.array(by_size.get(1, []), dtype=np.int64).reshape(-1)
         blocks = [
-            (np.array(group, dtype=np.int64),
+            (np.searchsorted(ids, np.array(group, dtype=np.int64)),
              np.fromiter(map(values.__getitem__, group), dtype=np.float64, count=len(group)))
             for _, group in sorted(by_size.items())
         ]
-        self._store(*_filtration_sorted(blocks))
+        self._store(*_filtration_sorted(blocks), ids)
 
-    def _store(self, vertices: np.ndarray, dims: np.ndarray, values: np.ndarray) -> None:
-        self._vertices = vertices
+    def _store(self, ranks: np.ndarray, dims: np.ndarray, values: np.ndarray,
+               ids: np.ndarray) -> None:
+        self._ranks = ranks
         self._dims = dims
         self._values = values
+        self._ids = ids  # ascending; a restriction shares its parent's
         # Restrictions already built, keyed by their (lo, hi) prefix lengths.
         self._restrictions: dict[tuple[int, int], FilteredComplex] = {}
 
     @classmethod
     def _from_blocks(cls, blocks: list[Block]) -> "FilteredComplex":
         # Bulk load for builders that guarantee closure and monotonicity and
-        # hand over their blocks by dimension, each with its rows ascending.
+        # hand over their blocks by dimension, each with its rows ascending,
+        # on the vertex ids 0..n-1, which are their own ranks.
         out = cls.__new__(cls)
-        out._store(*_filtration_sorted(blocks))
+        out._store(*_filtration_sorted(blocks), np.arange(len(blocks[0][1])))
         return out
 
     # -- array queries -------------------------------------------------------
@@ -159,7 +157,7 @@ class FilteredComplex:
 
     @cached_property
     def vertex_ids(self) -> np.ndarray:
-        return np.sort(self._vertices[self._dims == 0, 0])
+        return self._ids[np.sort(self._ranks[self._dims == 0, 0])]
 
     @property
     def vertex_count(self) -> int:
@@ -174,29 +172,29 @@ class FilteredComplex:
         return float(self._values[-1]) if len(self._values) else 0.0
 
     def block(self, q: int) -> Block:
-        """The q-simplices in filtration order: an ``int64`` matrix of their
-        vertex rows, each vertex given by its rank among the complex's vertex
-        ids as in ``rows``, and their values."""
+        """The q-simplices in filtration order: an ``int32`` matrix of their
+        vertex rows, each vertex given by its rank among ``rows``' ids (a
+        restriction's ranks may skip some), and their values."""
         mask = self._dims == q
-        return _vertex_ranks(self._vertices[mask, : q + 1], self.vertex_ids), self._values[mask]
+        return self._ranks[mask, : q + 1], self._values[mask]
 
     @cached_property
     def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Simplices of dimension one and up, in filtration order: an ``int32``
-        matrix of their vertex rows, each vertex given by its rank among the
-        complex's vertex ids and padded with -1; their values; and the
-        ascending vertex ids that the ranks index."""
-        ids = self.vertex_ids
+        matrix of their vertex rows, each vertex given by its rank and padded
+        with -1; their values; and the ascending vertex ids that the ranks
+        index.  A restriction's ranks index its parent's ids and may skip
+        some, so those ids can be a superset of ``vertex_ids``."""
         cofaces = self._dims > 0
-        matrix = self._vertices[cofaces, : int(self._dims.max(initial=0)) + 1]
-        return _vertex_ranks(matrix, ids).astype(np.int32), self._values[cofaces], ids
+        width = int(self._dims.max(initial=0)) + 1
+        return self._ranks[cofaces, :width], self._values[cofaces], self._ids
 
     # -- tuple index -----------------------------------------------------------
 
     @cached_property
     def _order(self) -> list[Simplex]:
         # Cached apart from ``order``, a plain property so perfbench can wrap it.
-        rows = self._vertices.tolist()
+        rows = self._ids[self._ranks].tolist()
         return [tuple(row[: q + 1]) for row, q in zip(rows, self._dims.tolist())]
 
     @cached_property
@@ -288,6 +286,6 @@ class FilteredComplex:
                 at = np.array([i for i, s in enumerate(self._order[:hi]) if s in faces],
                               dtype=np.intp)
             sub = FilteredComplex.__new__(FilteredComplex)
-            sub._store(self._vertices[at], self._dims[at], self._values[at])
+            sub._store(self._ranks[at], self._dims[at], self._values[at], self._ids)
             self._restrictions[lo, hi] = sub
         return self._restrictions[lo, hi]

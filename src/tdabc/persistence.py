@@ -15,7 +15,7 @@ Everything is read from the complex's arrays, never from tuples: each
 dimension's vertex matrix and values come from ``FilteredComplex.block`` in
 filtration order, so births and deaths are those values.  Facets are found
 with numpy: each vertex gets a dense id (its position among the vertices),
-gathered by its rank, which is how ``block`` gives it; each simplex an exact
+looked up by its rank, which is how ``block`` gives it; each simplex an exact
 ``int64`` key (the position of its prefix face, all vertices but the last,
 times the vertex count, plus its last dense id); and the keys of one
 dimension are searched with ``np.searchsorted``.
@@ -218,12 +218,14 @@ def boundary_reduce(complex_: FilteredComplex) -> Diagram:
 
     # tables[q] holds the sorted keys of the q-simplices and the position of
     # each in filtration order among them.  A vertex's key is its rank, and
-    # its position is its dense id; the key of a higher simplex is the
-    # position of its prefix face times the vertex count, plus its last dense id.
+    # its position is its dense id, scattered by rank, since a restriction's
+    # ranks may skip numbers; the key of a higher simplex is the position of
+    # its prefix face times the vertex count, plus its last dense id.
     vertices, values = complex_.block(0)
-    tables = [_key_table(vertices[:, 0])]
-    dense = tables[0][1]  # a vertex's dense id, by its rank
     nv = len(vertices)
+    tables = [_key_table(vertices[:, 0])]
+    dense = np.empty(int(vertices.max()) + 1, dtype=np.int64)  # a vertex's dense id, by its rank
+    dense[vertices[:, 0]] = np.arange(nv)
     found: list[tuple[int, np.ndarray, np.ndarray]] = []  # (dim, births, deaths)
     cleared: set[int] = set()  # positions of q-simplices that killed a (q-1)-class
     births = values.tolist()

@@ -85,8 +85,6 @@ def _max_spanning_edge(dist: np.ndarray) -> float:
     # Prim's algorithm on the dense matrix; returns the largest edge the
     # tree needs, i.e. the smallest cap that keeps the complex connected.
     n = dist.shape[0]
-    if n <= 1:
-        return 0.0
     in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
     best = dist[0].copy()

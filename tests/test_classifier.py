@@ -158,18 +158,24 @@ def star_loop_extension(complex_, table, v):
 @settings(max_examples=60, deadline=None)
 def test_batched_extension_equals_the_star_loop(seed):
     """Bit-identical scores for test, training and absent vertices, on the
-    complex, a sublevel sub-complex and a lifespan band."""
+    complex, a sublevel sub-complex and a lifespan band, with vertex ids
+    0..n-1 or wide ids from 2^31 up."""
     rng = np.random.default_rng(seed)
     cx = random_rips(rng, max_points=12)
+    scale = [None, 1, 10**12][int(rng.integers(3))]
+    if scale is not None:
+        cx = FilteredComplex((tuple(2**31 + scale * v for v in s), cx.value(s)) for s in cx.order)
     table = random_association(rng, cx, n_classes=int(rng.integers(2, 4)))
     subs = [cx, cx.subcomplex_at(float(rng.uniform(0.0, cx.max_value)))]
     candidates = boundary_reduce(cx).candidates
     if candidates:
         d = candidates[int(rng.integers(len(candidates)))]
         subs.append(cx.band(d.birth, min(d.death, cx.max_value)))
-    queried = rng.permutation(cx.vertex_count + 2).tolist()  # two ids in no complex
+    ids = cx.vertex_ids.tolist()
+    queried = rng.permutation(ids + [ids[-1] + 1, ids[-1] + 2]).tolist()  # two ids in no complex
     queried.append(queried[0])
     for sub in subs:
+        assert sub.rows[2] is cx.rows[2]  # restrictions rank into their parent's ids
         rows, cofaces = extend(sub, table, queried)
         for v, got, count in zip(queried, rows, cofaces):
             if (v,) in sub:

@@ -183,7 +183,19 @@ def complexes_for_the_oracle(draw) -> FilteredComplex:
         cx = build_rips(dist, RipsConfig(max_dim=draw(st.integers(2, 4)), max_edge=cap))
     scale = draw(st.sampled_from([1, 1000, 10**12]))
     shift = draw(st.sampled_from([0.0, 0.25, 3.0]))
-    return _relabeled(cx, scale, shift) if scale != 1 or shift else cx
+    if scale != 1 or shift:
+        cx = _relabeled(cx, scale, shift)
+    # A restriction at stored values: a sublevel can drop vertices valued
+    # above it and a band those outside its simplices' closure, so its
+    # vertex ranks may skip numbers.
+    levels = sorted({cx.value(s) for s in cx.order})
+    restriction = draw(st.sampled_from(["none", "sublevel", "band"]))
+    if restriction == "sublevel":
+        return cx.subcomplex_at(draw(st.sampled_from(levels)))
+    if restriction == "band":
+        birth, death = sorted(draw(st.lists(st.sampled_from(levels), min_size=2, max_size=2)))
+        return cx.band(birth, death)
+    return cx
 
 
 @given(complexes_for_the_oracle())
