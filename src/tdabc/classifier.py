@@ -161,11 +161,13 @@ def handle_unlabeled_link(
 
     The frontier starts at the star of ``v`` with filtration values as
     priorities.  Popping a simplex collects the labels of its cofaces,
-    discounted by accumulated priority plus the coface's value; unvisited
-    cofaces and faces made only of test vertices join the frontier.  The walk
-    ends with the first popped simplex whose star adds a label, so ``v``
-    takes the labels of its nearest labeled neighborhood, not a vote of the
-    whole complex; later pops at that same priority are not taken.
+    discounted by accumulated priority plus the coface's value; its unvisited
+    unlabeled cofaces and facets join the frontier.  ``(v,)`` pops first, so
+    the walk goes on only past a star of test vertices, and then every
+    frontier simplex and facet holds test vertices only.  The walk ends with
+    the first popped simplex whose star adds a label, so ``v`` takes the
+    labels of its nearest labeled neighborhood, not a vote of the whole
+    complex; later pops at that same priority are not taken.
     """
     scores = np.zeros(table.n_classes)
     if (v,) not in complex_:
@@ -187,10 +189,10 @@ def handle_unlabeled_link(
             phi = associate(table, mu)
             if phi.any():
                 scores += phi * weight
-            elif mu not in visited:  # every vertex of ``mu`` is a test vertex
+            elif mu not in visited:
                 push(rho + complex_.value(mu), mu)
         for f in facets(tau):
-            if f not in visited and all(u in table.test_vertices for u in f):
+            if f not in visited:
                 push(rho + complex_.value(f), f)
     return scores
 

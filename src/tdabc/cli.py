@@ -330,8 +330,8 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "evaluate" and not args.ramp and not args.dataset:
-        parser.error("evaluate needs --dataset or --ramp")
+    if args.command == "evaluate" and args.ramp == bool(args.dataset):
+        parser.error("evaluate needs --dataset or --ramp, not both")
     if args.config:
         at = argv.index(args.command) + 1
         config = _read_config(args.config, args.parser)

@@ -11,15 +11,15 @@ dimensions and the ``float64`` values.  The ranks index an ascending array
 of vertex ids, made with the complex and shared by its restrictions.
 Builders hand over their simplices by dimension, lowest first, each
 dimension's rows in ascending order, so one stable ``np.argsort`` of the
-values puts them in filtration order.  Every restriction is a ``band``, and
-a sub-complex at a threshold (``subcomplex_at``) is the band from ``-inf``,
-a prefix of these arrays.  ``rows``, ``block``, ``max_value``,
-``vertex_ids``, ``vertex_count``, ``dimension`` and the prefixes read the
-arrays and build no tuple.  ``order``, ``value``, ``in``, ``star``,
-``closure``, ``link`` and the other bands work on tuples: the first of them
-to run builds the tuple index (every simplex as a tuple, in filtration
-order, with its value) from the complex's own arrays, once per complex,
-sub-complexes included.
+values puts them in filtration order.  Every restriction is a ``band``: a
+mask over these arrays, which adds the faces of its simplices by matching
+vertex rows; a sub-complex at a threshold (``subcomplex_at``) is a prefix.
+``rows``, ``block``, ``max_value``, ``vertex_ids``, ``vertex_count``,
+``dimension`` and every band read the arrays and build no tuple.  ``order``,
+``value``, ``in``, ``star``, ``closure`` and ``link`` work on tuples, for
+the unlabeled-link walk and as the paper's operators: the first to run
+builds the tuple index (each simplex as a tuple, in filtration order, with
+its value) from the arrays, once per complex or sub-complex.
 """
 
 from __future__ import annotations
@@ -275,17 +275,27 @@ class FilteredComplex:
         lo, hi = self._prefix_length(birth), self._prefix_length(death)
         if lo == 0 and hi == len(self):
             return self
-        # Built once per pair of prefix lengths, from ascending positions in
-        # the filtration order, so that the sub-complex's arrays need no sort.
+        # Built once per pair of prefix lengths, as a mask over the first ``hi``
+        # simplices (faces lie before their cofaces), so it needs no sort.  Top
+        # dimension down, a row below ``lo`` is kept when it is a facet of a kept
+        # row, so faces of faces are kept too.  Rows match by an id ranked one
+        # column at a time, so no key reaches rows * len(ids).
         if (lo, hi) not in self._restrictions:
-            if lo == 0:
-                at = slice(0, hi)
-            else:
-                # Faces lie before their cofaces, so all of them before ``hi``.
-                faces = self.closure(self._order[lo:hi])
-                at = np.array([i for i, s in enumerate(self._order[:hi]) if s in faces],
-                              dtype=np.intp)
+            ranks, dims, values = self._ranks[:hi], self._dims[:hi], self._values[:hi]
+            keep = np.arange(hi) >= lo
+            for q in range(int(dims[lo:].max(initial=0)), 0, -1):
+                below = np.flatnonzero(dims[:lo] == q - 1)
+                if not below.size:
+                    continue
+                cofaces = ranks[keep & (dims == q), : q + 1]
+                for i in range(q + 1):
+                    rows = np.concatenate([ranks[below, :q], np.delete(cofaces, i, axis=1)])
+                    key = rows[:, 0].astype(np.int64)
+                    for j in range(1, q):
+                        key = np.unique(key * len(self._ids) + rows[:, j], return_inverse=True)[1]
+                    keep[below[np.isin(key[: below.size], key[below.size :])]] = True
+            at = keep if lo else slice(None)  # a prefix stays a view of the arrays
             sub = FilteredComplex.__new__(FilteredComplex)
-            sub._store(self._ranks[at], self._dims[at], self._values[at], self._ids)
+            sub._store(ranks[at], dims[at], values[at], self._ids)
             self._restrictions[lo, hi] = sub
         return self._restrictions[lo, hi]

@@ -29,7 +29,7 @@ for an interval that is read through ``Diagram.intervals`` or
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,32 +73,22 @@ class Intervals(Sequence[PersistenceInterval]):
                    d.dims[at].tolist(), d.births[at].tolist(), d.deaths[at].tolist())
 
 
+@dataclass(frozen=True, eq=False)
 class Diagram:
-    """All intervals of a filtration as three arrays, ``dims``, ``births`` and
-    ``deaths`` (``math.inf`` for a class that never dies), plus the largest
-    filtration value.  Two diagrams are equal when their arrays and largest
-    values are."""
+    """All intervals of a filtration as three read-only arrays, ``dims``,
+    ``births`` and ``deaths`` (``math.inf`` for a class that never dies), plus
+    the largest filtration value.  Two diagrams are equal when their arrays
+    and largest values are."""
 
-    def __init__(self, intervals: Iterable[PersistenceInterval], max_filtration: float) -> None:
-        """A diagram of interval objects, kept in the order given."""
-        rows = [(d.dim, d.birth, d.death) for d in intervals]
-        dims, births, deaths = zip(*rows) if rows else ((), (), ())
-        self._store(np.array(dims, dtype=np.int64), np.array(births, dtype=np.float64),
-                    np.array(deaths, dtype=np.float64), max_filtration)
+    dims: np.ndarray
+    births: np.ndarray
+    deaths: np.ndarray
+    max_filtration: float
 
-    def _store(self, dims: np.ndarray, births: np.ndarray, deaths: np.ndarray,
-               max_filtration: float) -> None:
-        for array in (dims, births, deaths):
+    def __post_init__(self) -> None:
+        for array in (self.dims, self.births, self.deaths):
             array.flags.writeable = False
-        self.dims, self.births, self.deaths = dims, births, deaths
-        self.max_filtration = float(max_filtration)
-
-    @classmethod
-    def _from_arrays(cls, dims: np.ndarray, births: np.ndarray, deaths: np.ndarray,
-                     max_filtration: float) -> Diagram:
-        out = cls.__new__(cls)
-        out._store(dims, births, deaths, max_filtration)
-        return out
+        object.__setattr__(self, "max_filtration", float(self.max_filtration))
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -111,10 +101,6 @@ class Diagram:
                 and np.array_equal(self.births, other.births)
                 and np.array_equal(self.deaths, other.deaths))
 
-    def __repr__(self) -> str:
-        return (f"Diagram(dims={self.dims.tolist()}, births={self.births.tolist()}, "
-                f"deaths={self.deaths.tolist()}, max_filtration={self.max_filtration!r})")
-
     @cached_property
     def intervals(self) -> Intervals:
         return Intervals(self, np.arange(len(self)))
@@ -122,19 +108,19 @@ class Diagram:
     @cached_property
     def candidates(self) -> Intervals:
         """Dim >= 1 intervals with a positive span once truncated at ``max_filtration``."""
-        spans = np.minimum(self.deaths, self.max_filtration) - self.births
-        return Intervals(self, np.flatnonzero((self.dims >= 1) & (spans > 0.0)))
+        return Intervals(self, self.spans[3])
 
     @cached_property
-    def spans(self) -> tuple[np.ndarray, np.ndarray, float]:
+    def spans(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
         """The candidates' lifetimes (death clamped at ``max_filtration``, minus
-        birth) and births as arrays, and the lifetimes' mean, summed left to
-        right as the built-in ``sum`` of a list of floats does up to Python 3.11."""
-        at = self.candidates.positions
-        births = self.births[at]
-        lifetimes = np.minimum(self.deaths[at], self.max_filtration) - births
+        birth) and births as arrays, the lifetimes' mean, summed left to right
+        as the built-in ``sum`` of a list of floats does up to Python 3.11, and
+        the candidates' positions."""
+        lifetimes = np.minimum(self.deaths, self.max_filtration) - self.births
+        at = np.flatnonzero((self.dims >= 1) & (lifetimes > 0.0))
+        lifetimes = lifetimes[at]
         mean = float(np.add.accumulate(lifetimes)[-1]) / at.size if at.size else math.nan
-        return lifetimes, births, mean
+        return lifetimes, self.births[at], mean, at
 
 
 def _key_table(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,7 +199,7 @@ def boundary_reduce(complex_: FilteredComplex) -> Diagram:
     """Birth/death intervals for every homology dimension of the filtration,
     ordered by (dim, birth, death)."""
     if not len(complex_):
-        return Diagram((), 0.0)
+        return Diagram(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), 0.0)
     top = complex_.dimension
 
     # tables[q] holds the sorted keys of the q-simplices and the position of
@@ -256,7 +242,7 @@ def boundary_reduce(complex_: FilteredComplex) -> Diagram:
     alive[np.fromiter(cleared, dtype=np.intp, count=len(cleared))] = False
     born = values[alive]
     found.append((top, born, np.full(len(born), math.inf)))
-    return Diagram._from_arrays(
+    return Diagram(
         np.concatenate([np.full(len(b), q, dtype=np.int64) for q, b, _ in found]),
         np.concatenate([b for _, b, _ in found]),
         np.concatenate([d for _, _, d in found]),

@@ -22,7 +22,9 @@ RECOVERY_MODES = ("sublevel", "lifespan")
 
 @dataclass(frozen=True)
 class SelectionPolicy:
-    """How to pick an interval and turn it into a sub-complex."""
+    """How to pick an interval and turn it into a sub-complex.  ``epsilon_mode``
+    acts only under ``sublevel`` recovery: ``lifespan`` keeps the interval's
+    whole span, and ``classify_all`` takes its ball radius at the death."""
 
     selector: str = "max"
     epsilon_mode: str = "death"
@@ -46,7 +48,7 @@ def select(
     mean, and ``rand`` a uniform draw from the lifetimes above the mean (from
     all of them when none is above).
     """
-    lifetimes, births, mean = diagram.spans
+    lifetimes, births, mean, _ = diagram.spans
     if not lifetimes.size:
         raise EmptyIntervalSet("no intervals to select from")
     if policy.selector == "rand":
@@ -81,4 +83,4 @@ def recover(
     maxf = complex_.max_value
     if policy.recovery == "sublevel":
         return complex_.subcomplex_at(interval_epsilon(d, maxf, policy.epsilon_mode))
-    return complex_.band(d.birth, min(d.death, maxf))
+    return complex_.band(d.birth, interval_epsilon(d, maxf, "death"))

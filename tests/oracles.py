@@ -38,6 +38,14 @@ from tdabc.persistence import Diagram, PersistenceInterval
 _ORACLE_DIM_CAP = 6000
 
 
+def diagram_of(intervals: Iterable[PersistenceInterval], max_filtration: float) -> Diagram:
+    """The ``Diagram`` of interval objects, kept in the order given."""
+    intervals = tuple(intervals)
+    return Diagram(np.array([d.dim for d in intervals], dtype=np.int64),
+                   np.array([d.birth for d in intervals], dtype=np.float64),
+                   np.array([d.death for d in intervals], dtype=np.float64), max_filtration)
+
+
 def lifetime(d: PersistenceInterval, max_filtration: float) -> float:
     """Interval span with the death clamped to the filtration's end."""
     return min(d.death, max_filtration) - d.birth
@@ -218,7 +226,7 @@ def homology_reduce(complex_: FilteredComplex) -> Diagram:
     order = complex_.order
     m = len(order)
     if m == 0:
-        return Diagram((), 0.0)
+        return diagram_of((), 0.0)
     values = [complex_.value(s) for s in order]
     maxf = values[-1]
 
@@ -264,7 +272,7 @@ def homology_reduce(complex_: FilteredComplex) -> Diagram:
             continue
         intervals.append(PersistenceInterval(len(order[j]) - 1, values[j], math.inf))
     intervals.sort(key=lambda d: (d.dim, d.birth, d.death))
-    return Diagram(tuple(intervals), float(maxf))
+    return diagram_of(intervals, float(maxf))
 
 
 def dealt_splits(

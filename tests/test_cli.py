@@ -113,6 +113,7 @@ def test_unknown_dataset_exits_two(tmp_path, capsys):
 # Errors found while parsing, argparse's own included, and what each line says.
 PARSE_ERRORS = {
     ("evaluate", "--folds", "3"): "evaluate needs --dataset or --ramp",
+    ("evaluate", "--ramp", "--dataset", "circles"): "evaluate needs --dataset or --ramp, not both",
     ("evaluate", "--dataset", "circles", "--selector", "rand"):
         "unrecognized arguments: --selector rand",
     ("classify", "--dataset", "circles", "--k", "x"): "argument --k: invalid int value: 'x'",

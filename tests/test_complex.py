@@ -363,6 +363,12 @@ def test_nan_thresholds_are_refused_and_store_nothing():
     assert cx._restrictions == {}
 
 
+def assert_no_tuple_index(cx, band):
+    """A band is made from the arrays: neither it nor its parent holds tuples."""
+    for made in (cx, band):
+        assert not {"_order", "_index", "_cofaces"} & vars(made).keys()
+
+
 def band_reference(cx, birth, death):
     """Simplices valued in (birth, death] plus their faces, in filtration order."""
     members = {}
@@ -381,6 +387,7 @@ def test_band_matches_the_explicit_construction(seed):
     cx = random_monotone_complex(rng)
     birth, death = sorted(float(x) for x in rng.uniform(0.0, max(cx.max_value, 0.1), 2))
     band = cx.band(birth, death)
+    assert_no_tuple_index(cx, band)
     assert [(s, band.value(s)) for s in band.order] == band_reference(cx, birth, death)
 
 
@@ -420,7 +427,10 @@ def test_subcomplex_preserves_values_and_is_face_closed(seed):
 def test_restrictions_at_stored_values_keep_every_tie(seed):
     """Thresholds equal to stored values: ties at the cut go in, for prefixes and bands."""
     cx = random_monotone_complex(np.random.default_rng(seed))
-    levels = sorted({cx.value(s) for s in cx.order})
+    levels = np.unique(cx._values).tolist()  # not ``order``, which builds the tuple index
+    for birth, death in itertools.combinations_with_replacement(levels, 2):
+        band = cx.band(birth, death)
+        assert_no_tuple_index(cx, band)
     for eps in levels:
         assert cx.subcomplex_at(eps).order == [s for s in cx.order if cx.value(s) <= eps]
     for birth, death in itertools.combinations_with_replacement(levels, 2):

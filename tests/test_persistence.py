@@ -31,7 +31,7 @@ from tdabc.persistence import (
 from tdabc.rips import RipsConfig, build_rips, pairwise_distances
 
 from conftest import UNIT_SQUARE, random_cloud, random_monotone_complex, unit_square_complex
-from oracles import betti_oracle, homology_reduce
+from oracles import betti_oracle, diagram_of, homology_reduce
 
 
 def betti_from_diagram(diagram: Diagram, epsilon: float, dim: int) -> int:
@@ -219,7 +219,7 @@ def test_oracle_rejects_oversized_input():
 
 def test_candidates_exclude_dim_zero_and_zero_length():
     maxf = 2.0
-    diagram = Diagram(
+    diagram = diagram_of(
         (
             PersistenceInterval(0, 0.0, 1.0),
             PersistenceInterval(1, 0.5, 0.5),

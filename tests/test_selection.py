@@ -14,16 +14,11 @@ from hypothesis import strategies as st
 
 from tdabc.complexes import proper_faces
 from tdabc.errors import EmptyIntervalSet
-from tdabc.persistence import (
-    Diagram,
-    PersistenceInterval,
-    boundary_reduce,
-    intervals_above_dim_zero,
-)
+from tdabc.persistence import PersistenceInterval, boundary_reduce, intervals_above_dim_zero
 from tdabc.selection import SelectionPolicy, interval_epsilon, recover, select
 
 from conftest import random_rips, unit_square_complex
-from oracles import lifetime
+from oracles import diagram_of, lifetime
 
 INF = float("inf")
 
@@ -38,7 +33,7 @@ def bar(dim, birth, death):
 
 
 def lifetimes(intervals, max_filtration):
-    return Diagram(tuple(intervals), max_filtration).spans[0].tolist()
+    return diagram_of(intervals, max_filtration).spans[0].tolist()
 
 
 def test_lifetime_finite():
@@ -61,7 +56,7 @@ BARS = (
 
 
 def pick(selector, intervals, max_filtration, rng=None):
-    return select(Diagram(tuple(intervals), max_filtration), SelectionPolicy(selector), rng)
+    return select(diagram_of(intervals, max_filtration), SelectionPolicy(selector), rng)
 
 
 def test_max_int_picks_longest():
@@ -122,7 +117,7 @@ def test_rand_rejects_empty():
 
 def test_select_dispatches_by_policy():
     rng = np.random.default_rng(0)
-    diagram = Diagram(BARS, 10.0)
+    diagram = diagram_of(BARS, 10.0)
     assert select(diagram, SelectionPolicy(selector="max"), rng) == bar(1, 1.0, 4.0)
     assert select(diagram, SelectionPolicy(selector="avg"), rng) == bar(2, 2.0, 4.5)
     picked = select(diagram, SelectionPolicy(selector="rand"), np.random.default_rng(1))
@@ -160,7 +155,7 @@ GRID_BARS = st.lists(
 def test_select_equals_the_scans_with_ties(raw, max_filtration, seed):
     # Intervals equal in (dim, birth, death) give the same epsilon and the same
     # sub-complex, so equality is all that a tie can show.
-    diagram = Diagram(tuple(bar(q, b, b + s) for q, b, s in raw), max_filtration)
+    diagram = diagram_of((bar(q, b, b + s) for q, b, s in raw), max_filtration)
     candidates = diagram.candidates
     if not candidates:
         with pytest.raises(EmptyIntervalSet):
@@ -181,9 +176,10 @@ def test_cached_mean_is_the_left_to_right_sum(seed):
     births = rng.uniform(0.0, 5.0, size=int(rng.integers(1, 400))).tolist()
     deaths = [b + float(rng.exponential()) if rng.random() < 0.9 else INF for b in births]
     max_filtration = float(rng.uniform(5.0, 8.0))
-    diagram = Diagram(tuple(bar(1, b, d) for b, d in zip(births, deaths)), max_filtration)
+    diagram = diagram_of((bar(1, b, d) for b, d in zip(births, deaths)), max_filtration)
     spans = [lifetime(d, max_filtration) for d in diagram.candidates]
-    lifetimes, cached_births, mean = diagram.spans
+    lifetimes, cached_births, mean, positions = diagram.spans
+    assert positions is diagram.candidates.positions
     assert lifetimes.tolist() == spans
     assert cached_births.tolist() == [d.birth for d in diagram.candidates]
     assert mean == reduce(operator.add, spans) / len(spans)
