@@ -1,24 +1,29 @@
 """Persistent homology of a filtered complex over the two-element field.
 
-``boundary_reduce`` finds the persistence pairs by cohomology with clearing,
-the route of Bauer's Ripser; de Silva, Morozov and Vejdemo-Johansson show
-that persistent cohomology has the same pairs as homology.  Dimensions are
-handled lowest first.  The coboundary columns of the q-simplices are reduced
-in reverse filtration order, and a column's pivot is its earliest cofacet.
-A q-simplex that killed a class of dimension q-1 gets no column (clearing),
-a column whose earliest cofacet has no owner yet is paired at once, and only
-the rest are reduced by column additions.  The top dimension has no
-coboundary, so it gets no columns: each top simplex that no column claimed
-is an immortal interval.
+``boundary_reduce`` follows Bauer's Ripser.  Dimension 0 is found by
+union-find: the edges are walked in filtration order, and an edge that joins
+two components kills the younger one (the elder rule), whose oldest vertex
+gives the birth; the merging edges are cleared for dimension 1.  Each higher
+dimension is found by cohomology with clearing; de Silva, Morozov and
+Vejdemo-Johansson show that persistent cohomology has the same pairs as
+homology.  The coboundary columns of the q-simplices are reduced in reverse
+filtration order, and a column's pivot is its earliest cofacet.  A q-simplex
+that killed a class of dimension q-1 gets no column (clearing), a column
+whose earliest cofacet has no owner yet is paired at once, and only the rest
+are reduced by column additions.  The top dimension has no coboundary, so it
+gets no columns: each top simplex that no column claimed is an immortal
+interval.
 
 Everything is read from the complex's arrays, never from tuples: each
 dimension's vertex matrix and values come from ``FilteredComplex.block`` in
 filtration order, so births and deaths are those values.  Facets are found
 with numpy: each vertex gets a dense id (its position among the vertices),
-looked up by its rank, which is how ``block`` gives it; each simplex an exact
-``int64`` key (the position of its prefix face, all vertices but the last,
-times the vertex count, plus its last dense id); and the keys of one
-dimension are searched with ``np.searchsorted``.
+looked up by its rank, which is how ``block`` gives it.  An edge is read
+from one dense vertex-pair table of edge positions.  A deeper face is
+searched: each simplex of dimension two and up gets an exact ``int64`` key
+(the position of its prefix face, all vertices but the last, times the
+vertex count, plus its last dense id), and the keys of one dimension are
+searched with ``np.searchsorted``.  At ``max_dim`` 2 no search is left.
 
 The result is a ``Diagram`` of three arrays in (dim, birth, death) order.
 Selection reads the arrays; a ``PersistenceInterval`` object is made only
@@ -130,15 +135,58 @@ def _key_table(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[sorter], sorter
 
 
-def _locate(tables: list[tuple[np.ndarray, np.ndarray]], rows: np.ndarray) -> np.ndarray:
+def _locate(
+    edges: np.ndarray, tables: list[tuple[np.ndarray, np.ndarray]],
+    rows: np.ndarray, columns: list[int],
+) -> np.ndarray:
     # Positions within their dimension of the simplices whose dense vertex
-    # rows are ``rows``, found one prefix face at a time.
-    nv = len(tables[0][0])
-    pos = rows[:, 0]
-    for q in range(1, rows.shape[1]):
-        keys, sorter = tables[q]
-        pos = sorter[np.searchsorted(keys, pos * nv + rows[:, q])]
+    # rows are ``rows[:, columns]``: the edge of the first two columns read
+    # from the dense vertex-pair table, then one prefix face at a time by
+    # search.
+    nv = len(edges)
+    pos = edges[rows[:, columns[0]], rows[:, columns[1]]]
+    for (keys, sorter), c in zip(tables, columns[2:], strict=True):
+        pos = sorter[np.searchsorted(keys, pos * nv + rows[:, c])]
     return pos
+
+
+def _components(
+    births: list[float], deaths: list[float], rows: np.ndarray,
+) -> tuple[list[float], list[float], set[int]]:
+    # Dimension 0 by union-find over the edges, given by their dense vertex
+    # rows in filtration order.  Each component's root is its oldest vertex,
+    # the one of least dense id; an edge joining two components kills the
+    # younger one (the elder rule), with its root's birth.  Returns the
+    # births and deaths of the intervals and the positions of the merging
+    # edges.
+    parent = list(range(len(births)))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]  # path halving
+        return v
+
+    born: list[float] = []
+    died: list[float] = []
+    merged: set[int] = set()
+    left = len(births) - 1
+    for e, (u, v) in enumerate(rows.tolist()):
+        if not left:
+            break
+        u, v = find(u), find(v)
+        if u == v:
+            continue
+        if u > v:
+            u, v = v, u
+        parent[v] = u
+        born.append(births[v])
+        died.append(deaths[e])
+        merged.add(e)
+        left -= 1
+    roots = [v for v in range(len(births)) if parent[v] == v]
+    born += [births[v] for v in roots]
+    died += [math.inf] * len(roots)
+    return born, died, merged
 
 
 def _coboundaries(facet_pos: np.ndarray, n_columns: int) -> tuple[list[int], np.ndarray]:
@@ -202,38 +250,47 @@ def boundary_reduce(complex_: FilteredComplex) -> Diagram:
         return Diagram(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), 0.0)
     top = complex_.dimension
 
-    # tables[q] holds the sorted keys of the q-simplices and the position of
-    # each in filtration order among them.  A vertex's key is its rank, and
-    # its position is its dense id, scattered by rank, since a restriction's
-    # ranks may skip numbers; the key of a higher simplex is the position of
-    # its prefix face times the vertex count, plus its last dense id.
+    # A vertex's dense id is its position in filtration order, scattered by
+    # rank, since a restriction's ranks may skip numbers.
     vertices, values = complex_.block(0)
     nv = len(vertices)
-    tables = [_key_table(vertices[:, 0])]
     dense = np.empty(int(vertices.max()) + 1, dtype=np.int64)  # a vertex's dense id, by its rank
     dense[vertices[:, 0]] = np.arange(nv)
     found: list[tuple[int, np.ndarray, np.ndarray]] = []  # (dim, births, deaths)
     cleared: set[int] = set()  # positions of q-simplices that killed a (q-1)-class
     births = values.tolist()
+    # edges[a, b] is the position of the edge whose dense vertex row is
+    # (a, b); tables[k] holds the sorted keys of the (k + 2)-simplices and
+    # the position of each in filtration order among them, a key being the
+    # position of the simplex's prefix face times the vertex count, plus its
+    # last dense id.
+    edges = np.empty((nv, nv), dtype=np.int64)
+    tables: list[tuple[np.ndarray, np.ndarray]] = []
     for q in range(top):
         simplices, values = complex_.block(q + 1)
         deaths = values.tolist()
         rows = dense[simplices]
         del simplices
-        facet_pos = np.empty(rows.shape, dtype=np.int64)
-        for i in range(q + 2):
-            facet_pos[:, i] = _locate(tables, np.delete(rows, i, axis=1))
-        if q + 1 < top:
-            tables.append(_key_table(facet_pos[:, -1] * nv + rows[:, -1]))
-        del rows
-        starts, cofacets = _coboundaries(facet_pos, len(births))
-        del facet_pos
-
-        born, died, owners = _reduce(births, deaths, starts, cofacets, cleared)
+        if q == 0:
+            born, died, cleared = _components(births, deaths, rows)
+            edges[rows[:, 0], rows[:, 1]] = np.arange(len(rows))
+        else:
+            # Facet i of a row is the row without its column i.
+            facet_pos = np.empty(rows.shape, dtype=np.int64)
+            for i in range(q + 2):
+                facet_pos[:, i] = _locate(edges, tables, rows, [c for c in range(q + 2) if c != i])
+            if q + 1 < top:
+                tables.append(_key_table(facet_pos[:, -1] * nv + rows[:, -1]))
+            else:
+                del edges, tables  # no face is looked up after the top's
+            del rows
+            starts, cofacets = _coboundaries(facet_pos, len(births))
+            del facet_pos
+            born, died, owners = _reduce(births, deaths, starts, cofacets, cleared)
+            cleared = set(owners)
         born, died = np.array(born, dtype=np.float64), np.array(died, dtype=np.float64)
         by_pair = np.lexsort((died, born))
         found.append((q, born[by_pair], died[by_pair]))
-        cleared = set(owners)
         births = deaths
 
     # Each top simplex no column claimed is immortal.  In filtration order

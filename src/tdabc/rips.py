@@ -145,11 +145,15 @@ def build_rips(dist: np.ndarray, config: RipsConfig | None = None) -> FilteredCo
     # A NaN entry makes both comparisons false.
     if dist.size and not (dist.min() >= 0.0 and dist.max() < math.inf):
         raise InvalidConfig("distance entries must be non-negative and not NaN or infinite")
+    budget = config.budget
+    # No cap can help when the vertices alone pass the budget.
+    if n > budget:
+        raise CapacityExceeded(
+            f"the {n} vertices exceed the budget of {budget} simplices; raise --budget"
+        )
     max_edge = config.max_edge
     if max_edge is None:
-        max_edge = auto_max_edge(dist, config.max_dim, config.budget)
-
-    budget = config.budget
+        max_edge = auto_max_edge(dist, config.max_dim, budget)
 
     def check(count: int) -> None:
         if count > budget:
@@ -170,7 +174,6 @@ def build_rips(dist: np.ndarray, config: RipsConfig | None = None) -> FilteredCo
     frontier_values = np.zeros(n)
     blocks = [(frontier, frontier_values)]
     count = n
-    check(count)
     for _dim in range(1, config.max_dim + 1):
         grown: list[np.ndarray] = []
         grown_values: list[np.ndarray] = []

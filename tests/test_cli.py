@@ -492,7 +492,8 @@ def test_persistence_rejects_tiny_budget(tmp_path, capsys):
         "--budget", "10",
     )
     assert rc == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err and "raise --budget" in err
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tdabc.persistence as persistence
 from tdabc.cli import main
 from tdabc.complexes import FilteredComplex
 from tdabc.datasets import LabeledDataset, save_csv
@@ -67,6 +68,18 @@ def test_two_points_one_edge_pairing():
     assert h0[1].immortal
 
 
+def test_elder_rule_golden_diagram():
+    """Vertices born at 0, 1, 2 and 0.5: each merging edge kills the younger
+    component, at the edge's value and with that component's birth, and the
+    two components left are immortal with their own births."""
+    cx = FilteredComplex([((0,), 0.0), ((1,), 1.0), ((2,), 2.0), ((3,), 0.5),
+                          ((0, 1), 3.0), ((1, 2), 4.0)])
+    diagram = boundary_reduce(cx)
+    assert diagram.dims.tolist() == [0, 0, 0, 0]
+    assert diagram.births.tolist() == [0.0, 0.5, 1.0, 2.0]
+    assert diagram.deaths.tolist() == [math.inf, math.inf, 3.0, 4.0]
+
+
 def test_unit_square_golden_diagram():
     cx = unit_square_complex()
     diagram = boundary_reduce(cx)
@@ -95,6 +108,24 @@ def test_circle_has_one_dominant_loop():
 # ---------------------------------------------------------------------------
 # Structural invariants
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("max_dim", [2, 3])
+def test_coboundaries_are_built_above_the_vertices_only(monkeypatch, max_dim):
+    """Dimension 0 is found by union-find, so coboundary columns are built
+    for the q-simplices with 1 <= q < top alone: one call per such q."""
+    widths = []  # each call's facet count per cofacet, q + 2
+    build = persistence._coboundaries
+
+    def counted(facet_pos, n_columns):
+        widths.append(facet_pos.shape[1])
+        return build(facet_pos, n_columns)
+
+    monkeypatch.setattr(persistence, "_coboundaries", counted)
+    cx = unit_square_complex(max_dim)
+    assert cx.dimension == max_dim
+    boundary_reduce(cx)
+    assert widths == list(range(3, max_dim + 2))
 
 
 @given(st.integers(0, 10_000))

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+import tdabc.rips as rips
 from tdabc.complexes import facets
 from tdabc.errors import CapacityExceeded, DimensionMismatch, InvalidConfig
 from tdabc.rips import (
@@ -175,6 +176,20 @@ def test_budget_guard_raises():
     dist = pairwise_distances(rng.normal(size=(30, 2)))
     with pytest.raises(CapacityExceeded):
         build_rips(dist, RipsConfig(max_dim=3, max_edge=float("inf"), budget=50))
+
+
+def test_budget_below_the_vertex_count_raises_before_the_cap_search(monkeypatch):
+    """No edge cap helps when the vertices alone pass the budget, so the cap
+    search does not run and the message says to raise the budget."""
+    dist = pairwise_distances(np.random.default_rng(0).normal(size=(30, 2)))
+
+    def no_search(*args):
+        raise AssertionError("auto_max_edge ran")
+
+    monkeypatch.setattr(rips, "auto_max_edge", no_search)
+    with pytest.raises(CapacityExceeded, match=r"30 vertices exceed the budget of 10 .*--budget"):
+        build_rips(dist, RipsConfig(max_dim=3, max_edge=None, budget=10))
+    build_rips(dist, RipsConfig(max_dim=3, max_edge=0.0, budget=30))  # the vertices alone fit
 
 
 def test_budget_stops_growth_within_a_few_adjacency_matrices():
