@@ -17,18 +17,22 @@ vertex rows; a sub-complex at a threshold (``subcomplex_at``) is a prefix.
 ``rows``, ``block``, ``max_value``, ``vertex_ids``, ``vertex_count``,
 ``dimension`` and every band read the arrays and build no tuple.  ``order``,
 ``value``, ``in``, ``star``, ``closure`` and ``link`` work on tuples, for
-the unlabeled-link walk and as the paper's operators: the first to run
-builds the tuple index (each simplex as a tuple, in filtration order, with
-its value) from the arrays, once per complex or sub-complex.
+the unlabeled-link walk and as the paper's operators.  They read a tuple
+index (each simplex as a tuple, in filtration order, with its value, and
+each vertex's cofaces in filtration order) up to a cut, the complex's last
+value.  The first of them to run builds the index from the arrays, once per
+complex: a prefix holds every simplex valued up to its last value, so it
+shares its parent's index and cuts it there.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from functools import cached_property
+from bisect import bisect_right
+from functools import cache, cached_property, partial
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -39,6 +43,10 @@ Simplex = tuple[int, ...]
 # A block is the q-simplices of a complex as a (count, q + 1) integer matrix
 # of ascending vertex rows, with a float64 array of their values.
 Block = tuple[np.ndarray, np.ndarray]
+
+# A complex's simplices as tuples in filtration order, their values, and each
+# vertex's cofaces in filtration order.
+TupleIndex = tuple[list[Simplex], dict[Simplex, float], dict[int, list[Simplex]]]
 
 
 def simplex(vertices: Iterable[int]) -> Simplex:
@@ -92,6 +100,17 @@ def _filtration_sorted(blocks: list[Block]) -> tuple[np.ndarray, np.ndarray, np.
     return ranks[perm], dims[perm], values[perm]
 
 
+def _tuple_index(ranks: np.ndarray, dims: np.ndarray, values: np.ndarray,
+                 ids: np.ndarray) -> TupleIndex:
+    rows = ids[ranks].tolist()
+    order = [tuple(row[: q + 1]) for row, q in zip(rows, dims.tolist())]
+    cofaces: dict[int, list[Simplex]] = {}
+    for s in order:
+        for v in s:
+            cofaces.setdefault(v, []).append(s)
+    return order, dict(zip(order, values.tolist())), cofaces
+
+
 class FilteredComplex:
     """Simplices with filtration values, ordered by (value, dim, lex)."""
 
@@ -133,11 +152,16 @@ class FilteredComplex:
         self._store(*_filtration_sorted(blocks), ids)
 
     def _store(self, ranks: np.ndarray, dims: np.ndarray, values: np.ndarray,
-               ids: np.ndarray) -> None:
+               ids: np.ndarray, tuples: Callable[[], TupleIndex] | None = None) -> None:
         self._ranks = ranks
         self._dims = dims
         self._values = values
         self._ids = ids  # ascending; a restriction shares its parent's
+        # The tuple index, built on first use and read up to this complex's
+        # last value; a prefix is handed its parent's.  It holds arrays, never
+        # a complex, so sharing it makes no reference cycle.
+        self._tuples = tuples or cache(partial(_tuple_index, ranks, dims, values, ids))
+        self._cut = float(values[-1]) if len(values) else -math.inf
         # Restrictions already built, keyed by their (lo, hi) prefix lengths.
         self._restrictions: dict[tuple[int, int], FilteredComplex] = {}
 
@@ -191,50 +215,33 @@ class FilteredComplex:
 
     # -- tuple index -----------------------------------------------------------
 
-    @cached_property
-    def _order(self) -> list[Simplex]:
-        # Cached apart from ``order``, a plain property so perfbench can wrap it.
-        rows = self._ids[self._ranks].tolist()
-        return [tuple(row[: q + 1]) for row, q in zip(rows, self._dims.tolist())]
-
-    @cached_property
-    def _index(self) -> dict[Simplex, float]:
-        return dict(zip(self._order, self._values.tolist()))
-
     def __contains__(self, s: object) -> bool:
-        return s in self._index
+        return self._tuples()[1].get(s, math.inf) <= self._cut
 
     def value(self, s: Iterable[int]) -> float:
         key = tuple(s)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise SimplexNotFound(f"simplex {key} is not in the complex") from None
+        value = self._tuples()[1].get(key, math.inf)
+        if value > self._cut:
+            raise SimplexNotFound(f"simplex {key} is not in the complex")
+        return value
 
     @property
     def order(self) -> list[Simplex]:
         """Filtration order: by value, then dimension, then vertex tuple."""
-        return self._order
+        return self._tuples()[0][: len(self)]
 
     # -- neighborhood operators --------------------------------------------
-
-    @cached_property
-    def _cofaces(self) -> dict[int, list[Simplex]]:
-        table: dict[int, list[Simplex]] = {}
-        for s in self._order:
-            for v in s:
-                table.setdefault(v, []).append(s)
-        return table
 
     def star(self, s: Iterable[int]) -> list[Simplex]:
         """Cofaces of ``s`` including ``s`` itself, in filtration order."""
         key = tuple(s)
-        if key not in self._index:
+        if key not in self:
             raise SimplexNotFound(f"simplex {key} is not in the complex")
-        table = self._cofaces
-        if len(key) == 1:
-            return list(table[key[0]])
+        _, values, table = self._tuples()
         candidates = min((table[v] for v in key), key=len)
+        candidates = candidates[: bisect_right(candidates, self._cut, key=values.__getitem__)]
+        if len(key) == 1:
+            return candidates
         sset = set(key)
         return [t for t in candidates if sset.issubset(t)]
 
@@ -243,7 +250,7 @@ class FilteredComplex:
         out: set[Simplex] = set()
         for raw in subset:
             key = tuple(raw)
-            if key not in self._index:
+            if key not in self:
                 raise SimplexNotFound(f"simplex {key} is not in the complex")
             out.add(key)
             out.update(proper_faces(key))
@@ -296,6 +303,6 @@ class FilteredComplex:
                     keep[below[np.isin(key[: below.size], key[below.size :])]] = True
             at = keep if lo else slice(None)  # a prefix stays a view of the arrays
             sub = FilteredComplex.__new__(FilteredComplex)
-            sub._store(ranks[at], dims[at], values[at], self._ids)
+            sub._store(ranks[at], dims[at], values[at], self._ids, None if lo else self._tuples)
             self._restrictions[lo, hi] = sub
         return self._restrictions[lo, hi]

@@ -477,6 +477,37 @@ def test_unlabeled_walk_takes_labels_only_from_the_rim_of_its_test_region(seed, 
         assert set(np.flatnonzero(got > 0.0).tolist()) <= rim
 
 
+def test_a_restrictions_walk_equals_the_walk_on_a_built_copy():
+    """On a prefix, which reads its parent's tuple index up to its cut, and on
+    lifespan bands, which build their own, the walk from every test vertex
+    whose star holds no label gives the bytes of the walk on a complex built
+    from the same (simplex, value) pairs.  One or two training vertices leave
+    most stars unlabeled, so the walks go past them."""
+    scored = {"prefix": 0, "band": 0}
+    for seed in range(80):
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            cx = random_rips(rng, max_points=10)
+        else:
+            cx = random_monotone_complex(rng, max_vertices=9)
+        ids = cx.vertex_ids.tolist()
+        training = rng.permutation(ids)[: int(rng.integers(1, 3))].tolist()
+        table = table_for({v: i for i, v in enumerate(training)},
+                          [v for v in ids if v not in training])
+        subs = [("prefix", cx.subcomplex_at(float(rng.uniform(0.0, cx.max_value))))]
+        for d in list(boundary_reduce(cx).candidates)[:3]:
+            subs.append(("band", cx.band(d.birth, min(d.death, cx.max_value))))
+        for kind, sub in subs:
+            copy = FilteredComplex((s, sub.value(s)) for s in sub.order)
+            for v in sorted(table.test_vertices):
+                if (v,) in copy and any(associate(table, mu).any() for mu in copy.star((v,))):
+                    continue
+                got = handle_unlabeled_link(sub, table, v)
+                assert got.tobytes() == handle_unlabeled_link(copy, table, v).tobytes()
+                scored[kind] += bool(got.any())
+    assert min(scored.values()) > 0  # both kinds walked out to a label
+
+
 # ---------------------------------------------------------------------------
 # classify_all end to end
 # ---------------------------------------------------------------------------
@@ -642,6 +673,37 @@ def test_a_fold_shares_its_extension_and_no_bit_moves(monkeypatch):
     kinds = {kind for preds in got for kind in preds.provenance}
     assert {"isolated", "unlabeled_link"} <= kinds
     assert [prediction_rows(p) for p in got] == [prediction_rows(p) for p in want]
+
+
+def test_recovered_prefixes_share_the_index_and_make_no_cycle():
+    """With the cycle collector off, the roster's tdabc specs classify one
+    ramp-16 fold.  Each recovered prefix reads its parent's tuple index, and
+    once the complex and its diagram are dropped the complex is freed by
+    reference counts alone: no prefix refers back to it."""
+    data = make_imbalance_ramp(16)
+    dist = pairwise_distances(data.points)
+    _, _, train, test = stratified_splits(data.labels, FoldPlan(5, 1, 0))[0]
+    table = AssociationTable({int(v): int(data.labels[v]) for v in train},
+                             frozenset(int(v) for v in test), 2)
+    specs = [spec for spec in default_classifiers() if isinstance(spec, TdabcSpec)]
+    assert len(specs) == 3
+    gc.collect()
+    gc.disable()
+    try:
+        cx = build_rips(dist, RipsConfig(max_dim=2, max_edge=0.3))
+        diagram = boundary_reduce(cx)
+        kinds = set()
+        for spec in specs:
+            kinds.update(classify_all(cx, diagram, table, spec, dist, seed=3).provenance)
+        assert "unlabeled_link" in kinds
+        prefixes = [sub for (lo, _), sub in cx._restrictions.items() if lo == 0]
+        assert prefixes and all(sub._tuples is cx._tuples for sub in prefixes)
+        assert cx._tuples.cache_info().currsize == 1
+        complex_ref = weakref.ref(cx)
+        del cx, diagram, prefixes
+        assert complex_ref() is None
+    finally:
+        gc.enable()
 
 
 def test_a_kept_table_holds_no_complex_or_distances_alive(monkeypatch):

@@ -364,9 +364,10 @@ def test_nan_thresholds_are_refused_and_store_nothing():
 
 
 def assert_no_tuple_index(cx, band):
-    """A band is made from the arrays: neither it nor its parent holds tuples."""
+    """A band is made from the arrays: neither it nor its parent has built
+    the tuple index that it reads."""
     for made in (cx, band):
-        assert not {"_order", "_index", "_cofaces"} & vars(made).keys()
+        assert made._tuples.cache_info().currsize == 0
 
 
 def band_reference(cx, birth, death):
@@ -389,6 +390,40 @@ def test_band_matches_the_explicit_construction(seed):
     band = cx.band(birth, death)
     assert_no_tuple_index(cx, band)
     assert [(s, band.value(s)) for s in band.order] == band_reference(cx, birth, death)
+
+
+@given(st.integers(0, 10_000), st.sampled_from([None, 1, 3, 10**12]))
+@settings(max_examples=60, deadline=None)
+def test_a_prefix_reads_its_parents_index_as_a_built_copy(seed, scale):
+    """Cut at every stored level and below the least one (the empty prefix),
+    a sub-complex answers ``in``, ``value``, ``star``, ``closure``, ``link``
+    and ``order`` as a complex built from its (simplex, value) pairs does,
+    with vertex ids 0..n-1 or wide ids from 2^31 up.  It reads its parent's
+    tuple index and builds none of its own."""
+    values = random_monotone_values(np.random.default_rng(seed))
+    if scale is not None:
+        values = {tuple(2**31 + scale * v for v in s): x for s, x in values.items()}
+    cx = FilteredComplex(values.items())
+    order = tuple_order(values)
+    levels = sorted(set(values.values()))
+    for eps in [levels[0] - 1.0, *levels]:
+        sub = cx.subcomplex_at(eps)
+        copy = FilteredComplex((s, values[s]) for s in order if values[s] <= eps)
+        assert sub._tuples is cx._tuples
+        assert sub.order == copy.order
+        assert sub.closure(sub.order) == copy.closure(copy.order)
+        for s in order:
+            assert (s in sub) == (s in copy)
+            if s in copy:
+                assert type(sub.value(s)) is float and sub.value(s) == copy.value(s)
+                assert sub.star(s) == copy.star(s)
+                assert sub.closure([s]) == copy.closure([s])
+                assert sub.link(s) == copy.link(s)
+            else:
+                for read in (sub.value, sub.star, sub.link, lambda t: sub.closure([t])):
+                    with pytest.raises(SimplexNotFound):
+                        read(s)
+    assert cx._tuples.cache_info().currsize == 1
 
 
 def test_subcomplex_at_zero_is_vertex_skeleton():

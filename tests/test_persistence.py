@@ -286,6 +286,17 @@ def test_unit_square_has_single_candidate():
     assert candidates[0].dim == 1
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP Known defect 1: candidates keep the immortal classes of the cap "
+    "dimension, which no simplex above the cap exists to kill, so selection "
+    "picks one of them and recovers the whole complex"))
+@pytest.mark.parametrize("max_dim", [1, 2, 3])
+def test_no_candidate_of_a_rips_diagram_reaches_the_cap_dimension(max_dim):
+    dist = pairwise_distances(random_cloud(np.random.default_rng(max_dim), max_points=12))
+    diagram = boundary_reduce(build_rips(dist, RipsConfig(max_dim=max_dim)))
+    assert all(d.dim < max_dim for d in diagram.candidates)
+
+
 # ---------------------------------------------------------------------------
 # Written diagram files
 # ---------------------------------------------------------------------------
