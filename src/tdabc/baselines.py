@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import EPSILON_FLOOR, AssociationTable, predict, tally
+from .classifier import EPSILON_FLOOR, AssociationTable, check_covers, predict, tally
 from .errors import InsufficientTraining, InvalidConfig
 
 PROVENANCE_BASELINE = "baseline"
@@ -44,6 +44,7 @@ def knn_predict_all(
         raise InsufficientTraining(
             f"k={config.k} exceeds the {len(train)} training vertices"
         )
+    check_covers(dist, max(tests[-1], train[-1]))
     k = config.k
     memo = table._neighbours.get(k)
     if memo is None or memo[0]() is not dist:

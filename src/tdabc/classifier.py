@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .complexes import FilteredComplex, Simplex, facets
-from .errors import InvalidAssociation, InvalidConfig, NoLabeledData
+from .errors import DimensionMismatch, InvalidAssociation, InvalidConfig, NoLabeledData
 from .persistence import Diagram, intervals_above_dim_zero
 from .selection import SelectionPolicy, interval_epsilon, recover, select
 
@@ -115,13 +115,22 @@ def extend(
 
 def tally(rows: np.ndarray, classes: np.ndarray, weights: np.ndarray,
           n_rows: int, n_classes: int) -> np.ndarray:
-    """The ``(n_rows, n_classes)`` sums of ``weights`` by (row, class) cell.
-    ``np.bincount`` adds the weights in input order, so each cell equals a
-    loop's running sum over the same votes bit for bit."""
+    """The ``(n_rows, n_classes)`` ``float64`` sums of ``weights`` by (row,
+    class) cell.  ``np.bincount`` adds the weights in input order, so each
+    cell equals a loop's running sum over the same votes bit for bit."""
     cells = rows * n_classes
     cells += classes  # in place: no third index-sized array
-    return np.bincount(cells, weights=weights,
-                       minlength=n_rows * n_classes).reshape(n_rows, n_classes)
+    # With no vote at all, ``np.bincount`` counts in int64 whatever the weights.
+    sums = np.bincount(cells, weights=weights, minlength=n_rows * n_classes)
+    return sums.astype(np.float64, copy=False).reshape(n_rows, n_classes)
+
+
+def check_covers(dist: np.ndarray, largest: int) -> None:
+    """Raise ``DimensionMismatch`` unless ``dist`` is square, with a row for
+    every vertex id up to ``largest``."""
+    if np.ndim(dist) != 2 or len(dist) <= largest or np.shape(dist)[1] != len(dist):
+        raise DimensionMismatch(
+            f"distance matrix of shape {np.shape(dist)} misses vertex {largest}")
 
 
 def _by_rank(ids: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -252,6 +261,7 @@ def classify_all(
         raise NoLabeledData("classification needs at least one labeled vertex")
     if set(table.training) | table.test_vertices != set(complex_.vertex_ids.tolist()):
         raise InvalidAssociation("the table's vertex ids are not the complex's")
+    check_covers(dist, int(complex_.vertex_ids[-1]))
 
     if intervals_above_dim_zero(diagram):
         chosen = select(diagram, policy, np.random.default_rng(seed))

@@ -11,10 +11,14 @@ dimensions and the ``float64`` values.  The ranks index an ascending array
 of vertex ids, made with the complex and shared by its restrictions.
 Builders hand over their simplices by dimension, lowest first, each
 dimension's rows in ascending order, so one stable ``np.argsort`` of the
-values puts them in filtration order.  Every restriction is a ``band``: a
-mask over these arrays, which adds the faces of its simplices by matching
-vertex rows; a sub-complex at a threshold (``subcomplex_at``) is a prefix.
-``rows``, ``block``, ``max_value``, ``vertex_ids``, ``vertex_count``,
+values puts them in filtration order.  ``boundaries`` gives each dimension's
+facets as positions in that order: an edge's are its vertices' dense ids
+(their positions), a triangle's are read from one dense vertex-pair table
+of edges, and deeper ones are searched by exact ``int64`` prefix-face keys.
+Persistence reads them, and so does every restriction, a ``band``: a mask
+over the arrays that keeps the facets of kept rows, top dimension down; a
+sub-complex at a threshold (``subcomplex_at``) is a prefix.  ``rows``,
+``boundaries``, ``max_value``, ``vertex_ids``, ``vertex_count``,
 ``dimension`` and every band read the arrays and build no tuple.  ``order``,
 ``value``, ``in``, ``star``, ``closure`` and ``link`` work on tuples, for
 the unlabeled-link walk and as the paper's operators.  They read a tuple
@@ -195,13 +199,6 @@ class FilteredComplex:
     def max_value(self) -> float:
         return float(self._values[-1]) if len(self._values) else 0.0
 
-    def block(self, q: int) -> Block:
-        """The q-simplices in filtration order: an ``int32`` matrix of their
-        vertex rows, each vertex given by its rank among ``rows``' ids (a
-        restriction's ranks may skip some), and their values."""
-        mask = self._dims == q
-        return self._ranks[mask, : q + 1], self._values[mask]
-
     @cached_property
     def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Simplices of dimension one and up, in filtration order: an ``int32``
@@ -212,6 +209,55 @@ class FilteredComplex:
         cofaces = self._dims > 0
         width = int(self._dims.max(initial=0)) + 1
         return self._ranks[cofaces, :width], self._values[cofaces], self._ids
+
+    def boundaries(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """For each dimension q from 0 up, the q-simplices' values in filtration
+        order and an ``int64`` matrix whose column i holds the position, among
+        the (q-1)-simplices, of each one's facet without vertex i.  The reader
+        owns each matrix: the generator keeps none that it has yielded."""
+        top = self.dimension
+        vertices = self._ranks[self._dims == 0, 0]
+        nv = len(vertices)
+        # A vertex's dense id is its position in filtration order, scattered by
+        # rank, since a restriction's ranks may skip numbers.
+        dense = np.empty(int(vertices.max(initial=-1)) + 1, dtype=np.int64)
+        dense[vertices] = np.arange(nv)
+        # edges[a, b] is the position of the edge with dense vertex row (a, b);
+        # tables[k] holds the sorted keys of the (k + 2)-simplices and each one's
+        # position among them, a key being its prefix face's position times the
+        # vertex count, plus its last dense id.
+        edges = np.empty((nv, nv), dtype=np.int64)
+        tables: list[tuple[np.ndarray, np.ndarray]] = []
+
+        def facets(q: int) -> tuple[np.ndarray, np.ndarray]:
+            # Its locals go when it returns, so the generator holds no matrix it yielded.
+            nonlocal edges, tables
+            at = self._dims == q
+            if q == 0:
+                return self._values[at], np.empty((nv, 0), dtype=np.int64)
+            rows = dense[self._ranks[at, : q + 1]]
+            out = rows[:, ::-1]  # an edge's facets are its vertices, last one first
+            if q > 1:
+                # Facet i is the row without column i: the edge of its first two
+                # columns is read from the table, then each prefix face searched.
+                out = np.empty(rows.shape, dtype=np.int64)
+                for i in range(q + 1):
+                    columns = [c for c in range(q + 1) if c != i]
+                    pos = edges[rows[:, columns[0]], rows[:, columns[1]]]
+                    for (keys, sorter), c in zip(tables, columns[2:], strict=True):
+                        pos = sorter[np.searchsorted(keys, pos * nv + rows[:, c])]
+                    out[:, i] = pos
+            if q == top:
+                del edges, tables  # no face is looked up after the top's
+            elif q == 1:
+                edges[rows[:, 0], rows[:, 1]] = np.arange(len(rows))
+            else:
+                keys = out[:, -1] * nv + rows[:, -1]
+                sorter = np.argsort(keys)  # the keys are distinct: any sort will do
+                tables.append((keys[sorter], sorter))
+            return self._values[at], out
+
+        yield from map(facets, range(top + 1))
 
     # -- tuple index -----------------------------------------------------------
 
@@ -284,24 +330,16 @@ class FilteredComplex:
             return self
         # Built once per pair of prefix lengths, as a mask over the first ``hi``
         # simplices (faces lie before their cofaces), so it needs no sort.  Top
-        # dimension down, a row below ``lo`` is kept when it is a facet of a kept
-        # row, so faces of faces are kept too.  Rows match by an id ranked one
-        # column at a time, so no key reaches rows * len(ids).
+        # dimension down, the facets of kept rows are kept, read from the
+        # prefix's boundaries, so faces of faces are kept too.
         if (lo, hi) not in self._restrictions:
             ranks, dims, values = self._ranks[:hi], self._dims[:hi], self._values[:hi]
-            keep = np.arange(hi) >= lo
-            for q in range(int(dims[lo:].max(initial=0)), 0, -1):
-                below = np.flatnonzero(dims[:lo] == q - 1)
-                if not below.size:
-                    continue
-                cofaces = ranks[keep & (dims == q), : q + 1]
-                for i in range(q + 1):
-                    rows = np.concatenate([ranks[below, :q], np.delete(cofaces, i, axis=1)])
-                    key = rows[:, 0].astype(np.int64)
-                    for j in range(1, q):
-                        key = np.unique(key * len(self._ids) + rows[:, j], return_inverse=True)[1]
-                    keep[below[np.isin(key[: below.size], key[below.size :])]] = True
-            at = keep if lo else slice(None)  # a prefix stays a view of the arrays
+            at = slice(None)  # a prefix stays a view of the arrays
+            if lo:
+                at = np.arange(hi) >= lo
+                faces = [f for _, f in self.band(-math.inf, death).boundaries()]
+                for q in range(len(faces) - 1, 0, -1):
+                    at[np.flatnonzero(dims == q - 1)[faces[q][at[dims == q]]]] = True
             sub = FilteredComplex.__new__(FilteredComplex)
             sub._store(ranks[at], dims[at], values[at], self._ids, None if lo else self._tuples)
             self._restrictions[lo, hi] = sub

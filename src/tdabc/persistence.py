@@ -14,16 +14,11 @@ are reduced by column additions.  The top dimension has no coboundary, so it
 gets no columns: each top simplex that no column claimed is an immortal
 interval.
 
-Everything is read from the complex's arrays, never from tuples: each
-dimension's vertex matrix and values come from ``FilteredComplex.block`` in
-filtration order, so births and deaths are those values.  Facets are found
-with numpy: each vertex gets a dense id (its position among the vertices),
-looked up by its rank, which is how ``block`` gives it.  An edge is read
-from one dense vertex-pair table of edge positions.  A deeper face is
-searched: each simplex of dimension two and up gets an exact ``int64`` key
-(the position of its prefix face, all vertices but the last, times the
-vertex count, plus its last dense id), and the keys of one dimension are
-searched with ``np.searchsorted``.  At ``max_dim`` 2 no search is left.
+Everything is read from ``FilteredComplex.boundaries``, never from tuples:
+each dimension's values in filtration order, which are the births and
+deaths, and the positions of its simplices' facets.  Union-find reads the
+edges' facets, their two vertices, and the coboundary columns of the
+q-simplices are the facets of the (q+1)-simplices, gathered by facet.
 
 The result is a ``Diagram`` of three arrays in (dim, birth, death) order.
 Selection reads the arrays; a ``PersistenceInterval`` object is made only
@@ -128,34 +123,12 @@ class Diagram:
         return lifetimes, self.births[at], mean, at
 
 
-def _key_table(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The keys of one dimension sorted, and each sorted key's position; the
-    # keys are distinct, so any sort gives the same order.
-    sorter = np.argsort(keys)
-    return keys[sorter], sorter
-
-
-def _locate(
-    edges: np.ndarray, tables: list[tuple[np.ndarray, np.ndarray]],
-    rows: np.ndarray, columns: list[int],
-) -> np.ndarray:
-    # Positions within their dimension of the simplices whose dense vertex
-    # rows are ``rows[:, columns]``: the edge of the first two columns read
-    # from the dense vertex-pair table, then one prefix face at a time by
-    # search.
-    nv = len(edges)
-    pos = edges[rows[:, columns[0]], rows[:, columns[1]]]
-    for (keys, sorter), c in zip(tables, columns[2:], strict=True):
-        pos = sorter[np.searchsorted(keys, pos * nv + rows[:, c])]
-    return pos
-
-
 def _components(
     births: list[float], deaths: list[float], rows: np.ndarray,
 ) -> tuple[list[float], list[float], set[int]]:
-    # Dimension 0 by union-find over the edges, given by their dense vertex
-    # rows in filtration order.  Each component's root is its oldest vertex,
-    # the one of least dense id; an edge joining two components kills the
+    # Dimension 0 by union-find over the edges in filtration order, each given
+    # by its vertices' positions.  Each component's root is its oldest vertex,
+    # the one of least position; an edge joining two components kills the
     # younger one (the elder rule), with its root's birth.  Returns the
     # births and deaths of the intervals and the positions of the merging
     # edges.
@@ -248,42 +221,19 @@ def boundary_reduce(complex_: FilteredComplex) -> Diagram:
     ordered by (dim, birth, death)."""
     if not len(complex_):
         return Diagram(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), 0.0)
-    top = complex_.dimension
-
-    # A vertex's dense id is its position in filtration order, scattered by
-    # rank, since a restriction's ranks may skip numbers.
-    vertices, values = complex_.block(0)
-    nv = len(vertices)
-    dense = np.empty(int(vertices.max()) + 1, dtype=np.int64)  # a vertex's dense id, by its rank
-    dense[vertices[:, 0]] = np.arange(nv)
+    faces = complex_.boundaries()
+    values, _ = next(faces)
     found: list[tuple[int, np.ndarray, np.ndarray]] = []  # (dim, births, deaths)
     cleared: set[int] = set()  # positions of q-simplices that killed a (q-1)-class
     births = values.tolist()
-    # edges[a, b] is the position of the edge whose dense vertex row is
-    # (a, b); tables[k] holds the sorted keys of the (k + 2)-simplices and
-    # the position of each in filtration order among them, a key being the
-    # position of the simplex's prefix face times the vertex count, plus its
-    # last dense id.
-    edges = np.empty((nv, nv), dtype=np.int64)
-    tables: list[tuple[np.ndarray, np.ndarray]] = []
-    for q in range(top):
-        simplices, values = complex_.block(q + 1)
+    # The q-simplices' columns are read from the facets of the (q+1)-simplices.
+    # No ``enumerate``: it would hold the last matrix it handed over.
+    for q in range(complex_.dimension):
+        values, facet_pos = next(faces)
         deaths = values.tolist()
-        rows = dense[simplices]
-        del simplices
         if q == 0:
-            born, died, cleared = _components(births, deaths, rows)
-            edges[rows[:, 0], rows[:, 1]] = np.arange(len(rows))
+            born, died, cleared = _components(births, deaths, facet_pos)
         else:
-            # Facet i of a row is the row without its column i.
-            facet_pos = np.empty(rows.shape, dtype=np.int64)
-            for i in range(q + 2):
-                facet_pos[:, i] = _locate(edges, tables, rows, [c for c in range(q + 2) if c != i])
-            if q + 1 < top:
-                tables.append(_key_table(facet_pos[:, -1] * nv + rows[:, -1]))
-            else:
-                del edges, tables  # no face is looked up after the top's
-            del rows
             starts, cofacets = _coboundaries(facet_pos, len(births))
             del facet_pos
             born, died, owners = _reduce(births, deaths, starts, cofacets, cleared)
@@ -298,7 +248,7 @@ def boundary_reduce(complex_: FilteredComplex) -> Diagram:
     alive = np.ones(len(values), dtype=bool)
     alive[np.fromiter(cleared, dtype=np.intp, count=len(cleared))] = False
     born = values[alive]
-    found.append((top, born, np.full(len(born), math.inf)))
+    found.append((complex_.dimension, born, np.full(len(born), math.inf)))
     return Diagram(
         np.concatenate([np.full(len(b), q, dtype=np.int64) for q, b, _ in found]),
         np.concatenate([b for _, b, _ in found]),

@@ -26,7 +26,7 @@ from tdabc.classifier import (
 )
 from tdabc.complexes import FilteredComplex
 from tdabc.datasets import make_imbalance_ramp
-from tdabc.errors import InvalidAssociation, InvalidConfig, NoLabeledData
+from tdabc.errors import DimensionMismatch, InvalidAssociation, InvalidConfig, NoLabeledData
 from tdabc.evaluation import FoldPlan, TdabcSpec, default_classifiers, stratified_splits
 from tdabc.persistence import boundary_reduce
 from tdabc.rips import RipsConfig, build_rips, pairwise_distances
@@ -354,6 +354,26 @@ def test_isolated_equidistant_training_ties():
     assert got[0] > 0
 
 
+def test_tally_sums_in_float64_with_no_vote():
+    none = np.empty(0, dtype=np.intp)
+    got = classifier.tally(none, none, np.empty(0), 2, 3)
+    assert got.dtype == np.float64 and got.shape == (2, 3) and not got.any()
+
+
+def test_ball_vote_is_kept_when_no_test_vertex_has_a_labeled_coface():
+    """Vertex 4 has no coface, so the call's extension casts no vote at all;
+    its ball vote must still reach the scores whole, not cut to integers."""
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.2, 0.3]])
+    dist = pairwise_distances(points)
+    cx = build_rips(dist, RipsConfig(max_dim=2, max_edge=1.2))
+    table = table_for({0: 1, 1: 0, 2: 1, 3: 1}, {4})
+    (got,) = classify_all(cx, boundary_reduce(cx), table, SelectionPolicy(), dist)
+    want = 1.0 / dist[4, [1, 2]]  # within twice the chosen death: only vertices 1 and 2
+    assert got.provenance == "isolated"
+    assert got.label == 0
+    assert got.scores.tolist() == pytest.approx(want.tolist())
+
+
 def test_isolated_test_neighbor_contributes_its_extension():
     """A test vertex inside the ball passes along its own accumulated vector."""
     # Test vertex 1 linked to green vertex 2.
@@ -569,6 +589,16 @@ def test_classify_rejects_a_table_of_other_vertex_ids():
     dist = np.ones((8, 8)) - np.eye(8)
     with pytest.raises(InvalidAssociation):
         classify_all(cx, boundary_reduce(cx), table, SelectionPolicy(), dist)
+
+
+def test_classify_and_knn_reject_a_distance_matrix_that_misses_vertex_ids():
+    """Too few rows for the vertex ids, or not square: a typed error, not numpy's IndexError."""
+    cx, diagram, table, dist = blob_fixture()
+    for short in (dist[:8, :8], dist[:, :-1]):
+        with pytest.raises(DimensionMismatch):
+            classify_all(cx, diagram, table, SelectionPolicy(), short)
+        with pytest.raises(DimensionMismatch):
+            baselines.knn_predict_all(short, table, baselines.KnnConfig(k=3))
 
 
 def test_classify_requires_training_data():

@@ -240,6 +240,27 @@ def test_arrays_equal_the_tuple_oracle(made):
         assert [band.value(s) for s in band.order] == [members[s] for s in band.order]
 
 
+@given(filtrations())
+@settings(max_examples=150, deadline=None)
+def test_boundaries_equal_the_tuple_facets(made):
+    """Each dimension's values are the tuples' values, and facet column i is
+    the position, among the order's (q-1)-simplices, of the simplex without
+    its vertex i."""
+    cx, values = made
+    order = tuple_order(values)
+    by_dim = [[s for s in order if len(s) == q + 1] for q in range(cx.dimension + 1)]
+    got = list(cx.boundaries())
+    assert len(got) == len(by_dim)
+    for q, (row_values, facet_pos) in enumerate(got):
+        simplices = by_dim[q]
+        assert row_values.tolist() == [cx.value(s) for s in simplices]
+        assert facet_pos.dtype == np.int64 and facet_pos.shape == (len(simplices), q + 1 if q else 0)
+        if q:
+            position = {f: i for i, f in enumerate(by_dim[q - 1])}
+            want = [[position[s[:i] + s[i + 1:]] for i in range(q + 1)] for s in simplices]
+            assert facet_pos.tolist() == want
+
+
 # ---------------------------------------------------------------------------
 # star / closure / link
 # ---------------------------------------------------------------------------
