@@ -10,11 +10,15 @@ then vertex tuple): an ``int32`` matrix of vertex ranks padded with -1, the
 dimensions and the ``float64`` values.  The ranks index an ascending array
 of vertex ids, made with the complex and shared by its restrictions.
 Builders hand over their simplices by dimension, lowest first, each
-dimension's rows in ascending order, so one stable ``np.argsort`` of the
-values puts them in filtration order.  ``boundaries`` gives each dimension's
-facets as positions in that order: an edge's are its vertices' dense ids
-(their positions), a triangle's are read from one dense vertex-pair table
-of edges, and deeper ones are searched by exact ``int64`` prefix-face keys.
+dimension's rows in ascending order, and each simplex's value as an integer
+level, its position in the ascending table of distinct values (the
+constructor finds the levels by ``np.unique``).  One ``np.sort`` of the
+``int64`` keys ``level << shift | position`` then puts them in filtration
+order, as a stable sort of the values would.  ``boundaries`` gives each
+dimension's facets as positions in that order: an edge's are its vertices'
+dense ids (their positions), a triangle's are read from one dense
+vertex-pair table of edges, and deeper ones are searched, in sorted order,
+by exact ``int64`` prefix-face keys.
 Persistence reads them, and so does every restriction, a ``band``: a mask
 over the arrays that keeps the facets of kept rows, top dimension down; a
 sub-complex at a threshold (``subcomplex_at``) is a prefix.  ``rows``,
@@ -45,7 +49,8 @@ from .errors import DuplicateSimplex, InvalidConfig, MonotonicityViolation, Simp
 Simplex = tuple[int, ...]
 
 # A block is the q-simplices of a complex as a (count, q + 1) integer matrix
-# of ascending vertex rows, with a float64 array of their values.
+# of ascending vertex rows, with an integer array of their levels: each one's
+# value is a table's entry at its level.
 Block = tuple[np.ndarray, np.ndarray]
 
 # A complex's simplices as tuples in filtration order, their values, and each
@@ -83,25 +88,34 @@ def proper_faces(s: Simplex) -> Iterator[Simplex]:
         yield from combinations(s, q)
 
 
-def _filtration_sorted(blocks: list[Block]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The blocks, given by vertex rank, stacked into one -1-padded int32
-    # rank matrix, dimensions and values, permuted into filtration order.
+def _filtration_sorted(blocks: list[Block], table: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The blocks, given by vertex rank and level, stacked into one -1-padded
+    # int32 rank matrix, dimensions and values, permuted into filtration order.
     # The blocks come by dimension, lowest first, each with its rows
     # ascending, so stacked they are in (dimension, vertex tuple) order, and
-    # a stable sort by value completes the filtration order.
+    # sorting by level, then stacked position, completes the filtration
+    # order.  One sort of the int64 keys ``level << shift | position`` does
+    # that: no two keys are equal, and a level table is never longer than the
+    # complex, so the keys hold below 2**62 for any complex under 2**31 rows.
     width = max((matrix.shape[1] for matrix, _ in blocks), default=1)
-    total = sum(len(values) for _, values in blocks)
+    total = sum(len(levels) for _, levels in blocks)
     ranks = np.full((total, width), -1, dtype=np.int32)
     dims = np.empty(total, dtype=np.int64)
+    keys = np.empty(total, dtype=np.int64)
     at = 0
-    for matrix, values in blocks:
+    for matrix, levels in blocks:
         count, size = matrix.shape
         ranks[at : at + count, :size] = matrix
         dims[at : at + count] = size - 1
+        keys[at : at + count] = levels
         at += count
-    values = np.concatenate([v for _, v in blocks]) if blocks else np.empty(0)
-    perm = np.argsort(values, kind="stable")
-    return ranks[perm], dims[perm], values[perm]
+    shift = total.bit_length()
+    keys <<= shift
+    keys |= np.arange(total)
+    keys.sort()
+    perm = keys & ((1 << shift) - 1)
+    return np.take(ranks, perm, axis=0), dims[perm], table[keys >> shift]
 
 
 def _tuple_index(ranks: np.ndarray, dims: np.ndarray, values: np.ndarray,
@@ -148,12 +162,17 @@ class FilteredComplex:
         for s in sorted(values):
             by_size.setdefault(len(s), []).append(s)
         ids = np.array(by_size.get(1, []), dtype=np.int64).reshape(-1)
+        # Levels index the ascending distinct values, where adding 0.0 stores
+        # a -0.0 value as 0.0 (and -0.0 finds it, as the two compare equal).
+        table = np.unique(np.fromiter(values.values(), dtype=np.float64, count=len(values)))
+        table += 0.0
         blocks = [
             (np.searchsorted(ids, np.array(group, dtype=np.int64)),
-             np.fromiter(map(values.__getitem__, group), dtype=np.float64, count=len(group)))
+             np.searchsorted(table, np.fromiter(map(values.__getitem__, group),
+                                                dtype=np.float64, count=len(group))))
             for _, group in sorted(by_size.items())
         ]
-        self._store(*_filtration_sorted(blocks), ids)
+        self._store(*_filtration_sorted(blocks, table), ids)
 
     def _store(self, ranks: np.ndarray, dims: np.ndarray, values: np.ndarray,
                ids: np.ndarray, tuples: Callable[[], TupleIndex] | None = None) -> None:
@@ -170,12 +189,13 @@ class FilteredComplex:
         self._restrictions: dict[tuple[int, int], FilteredComplex] = {}
 
     @classmethod
-    def _from_blocks(cls, blocks: list[Block]) -> "FilteredComplex":
+    def _from_blocks(cls, blocks: list[Block], table: np.ndarray) -> "FilteredComplex":
         # Bulk load for builders that guarantee closure and monotonicity and
         # hand over their blocks by dimension, each with its rows ascending,
-        # on the vertex ids 0..n-1, which are their own ranks.
+        # on the vertex ids 0..n-1, which are their own ranks, with levels
+        # that index ``table``, the ascending distinct values.
         out = cls.__new__(cls)
-        out._store(*_filtration_sorted(blocks), np.arange(len(blocks[0][1])))
+        out._store(*_filtration_sorted(blocks, table), np.arange(len(blocks[0][1])))
         return out
 
     # -- array queries -------------------------------------------------------
@@ -232,20 +252,24 @@ class FilteredComplex:
         def facets(q: int) -> tuple[np.ndarray, np.ndarray]:
             # Its locals go when it returns, so the generator holds no matrix it yielded.
             nonlocal edges, tables
-            at = self._dims == q
+            at = np.flatnonzero(self._dims == q)
+            values = self._values[at]
             if q == 0:
-                return self._values[at], np.empty((nv, 0), dtype=np.int64)
-            rows = dense[self._ranks[at, : q + 1]]
+                return values, np.empty((nv, 0), dtype=np.int64)
+            rows = dense[np.take(self._ranks, at, axis=0)[:, : q + 1]]
             out = rows[:, ::-1]  # an edge's facets are its vertices, last one first
             if q > 1:
                 # Facet i is the row without column i: the edge of its first two
-                # columns is read from the table, then each prefix face searched.
+                # columns is read from the table, then each prefix face searched,
+                # with the queries sorted and their answers put back in order.
                 out = np.empty(rows.shape, dtype=np.int64)
                 for i in range(q + 1):
                     columns = [c for c in range(q + 1) if c != i]
                     pos = edges[rows[:, columns[0]], rows[:, columns[1]]]
                     for (keys, sorter), c in zip(tables, columns[2:], strict=True):
-                        pos = sorter[np.searchsorted(keys, pos * nv + rows[:, c])]
+                        query = pos * nv + rows[:, c]
+                        by_query = np.argsort(query)
+                        pos[by_query] = sorter[np.searchsorted(keys, query[by_query])]
                     out[:, i] = pos
             if q == top:
                 del edges, tables  # no face is looked up after the top's
@@ -255,7 +279,7 @@ class FilteredComplex:
                 keys = out[:, -1] * nv + rows[:, -1]
                 sorter = np.argsort(keys)  # the keys are distinct: any sort will do
                 tables.append((keys[sorter], sorter))
-            return self._values[at], out
+            return values, out
 
         yield from map(facets, range(top + 1))
 

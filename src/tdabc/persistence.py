@@ -8,17 +8,21 @@ dimension is found by cohomology with clearing; de Silva, Morozov and
 Vejdemo-Johansson show that persistent cohomology has the same pairs as
 homology.  The coboundary columns of the q-simplices are reduced in reverse
 filtration order, and a column's pivot is its earliest cofacet.  A q-simplex
-that killed a class of dimension q-1 gets no column (clearing), a column
-whose earliest cofacet has no owner yet is paired at once, and only the rest
-are reduced by column additions.  The top dimension has no coboundary, so it
-gets no columns: each top simplex that no column claimed is an immortal
-interval.
+that killed a class of dimension q-1 gets no column (clearing).  A column
+whose earliest cofacet has it as its latest facet (an apparent pair) keeps
+that pivot, since no later column holds it, so every such column is paired
+in one vectorized step.  A loop visits the other columns, latest first: one
+whose earliest cofacet has no owner yet is paired at once, and only the
+rest are reduced by column additions.  The top dimension has no coboundary,
+so it gets no columns: each top simplex that no column claimed is an
+immortal interval.
 
 Everything is read from ``FilteredComplex.boundaries``, never from tuples:
 each dimension's values in filtration order, which are the births and
 deaths, and the positions of its simplices' facets.  Union-find reads the
 edges' facets, their two vertices, and the coboundary columns of the
-q-simplices are the facets of the (q+1)-simplices, gathered by facet.
+q-simplices are the facets of the (q+1)-simplices, gathered by facet with
+one sort of packed ``int64`` keys, facet then cofacet.
 
 The result is a ``Diagram`` of three arrays in (dim, birth, death) order.
 Selection reads the arrays; a ``PersistenceInterval`` object is made only
@@ -162,42 +166,50 @@ def _components(
     return born, died, merged
 
 
-def _coboundaries(facet_pos: np.ndarray, n_columns: int) -> tuple[list[int], np.ndarray]:
+def _coboundaries(facet_pos: np.ndarray, n_columns: int) -> tuple[np.ndarray, np.ndarray]:
     # Column pointers and cofacet positions, each column ascending, from the
     # facet positions of every cofacet in filtration order.  A cofacet lists
-    # a facet once, so the key facet * cofacet count + cofacet is distinct
-    # (and far below 2**63 for any complex that fits in memory); sorting the
-    # keys lists each column's cofacets in ascending order, as a stable
-    # argsort of the facet positions would, but faster.
+    # a facet once, so the key ``facet << shift | cofacet`` is distinct (and
+    # far below 2**63 for any complex that fits in memory); sorting the keys
+    # lists each column's cofacets in ascending order, as a stable argsort of
+    # the facet positions would, but faster.
     count = len(facet_pos)
-    keys = facet_pos * count + np.arange(count)[:, None]
-    cofacets = np.sort(keys, axis=None) % count
+    shift = count.bit_length()
+    keys = facet_pos << shift
+    keys |= np.arange(count)[:, None]
+    cofacets = np.sort(keys, axis=None) & ((1 << shift) - 1)
     starts = np.zeros(n_columns + 1, dtype=np.int64)
     np.cumsum(np.bincount(facet_pos.ravel(), minlength=n_columns), out=starts[1:])
-    return starts.tolist(), cofacets
+    return starts, cofacets
 
 
 def _reduce(
-    births: list[float], deaths: list[float], starts: list[int],
-    cofacets: np.ndarray, cleared: set[int],
-) -> tuple[list[float], list[float], dict[int, object]]:
-    # One dimension's columns, latest first; returns the births and deaths of
-    # the intervals found and the owner of every pivot.
+    births: np.ndarray, deaths: np.ndarray, starts: np.ndarray, cofacets: np.ndarray,
+    latest: np.ndarray, live: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # One dimension's live columns; returns the births and deaths of the
+    # intervals found and every pivot.  ``latest`` holds each cofacet's
+    # latest facet.  A live column c is apparent when its earliest cofacet p
+    # has c as its latest facet: no column after c holds p, because no
+    # simplex after c is a facet of p, so c keeps p as its pivot and is
+    # paired there and then, before the loop runs.  The loop reduces the
+    # other columns, latest first; an apparent column is read from its
+    # pivot's owner like any other.
+    lo, hi = starts[:-1], starts[1:]
+    empty = lo == hi  # no cofacet: the class never dies
+    first = cofacets[np.minimum(lo, len(cofacets) - 1)]  # for an empty column, a placeholder
+    apparent = live & ~empty & (latest[first] == np.arange(len(births)))
+    owners: dict[int, object] = dict(  # pivot -> its column: an index, or a reduced set
+        zip(first[apparent].tolist(), np.flatnonzero(apparent).tolist()))
+    starts = starts.tolist()
+
     def column(c: int) -> set[int]:
         return set(cofacets[starts[c]:starts[c + 1]].tolist())
 
-    owners: dict[int, object] = {}  # pivot -> its column: an index, or a reduced set
-    born: list[float] = []
-    died: list[float] = []
-    for c in range(len(births) - 1, -1, -1):
-        if c in cleared:
-            continue
-        born.append(births[c])
-        lo = starts[c]
-        if lo == starts[c + 1]:
-            died.append(math.inf)
-            continue
-        pivot = int(cofacets[lo])
+    rest = np.flatnonzero(live & ~empty & ~apparent)[::-1]
+    pivots: list[int] = []  # each reduced column's pivot, or -1 when it sums to zero
+    for c in rest.tolist():
+        pivot = int(cofacets[starts[c]])
         if pivot in owners:
             col = column(c)
             while pivot in owners:
@@ -207,13 +219,18 @@ def _reduce(
                     break
                 pivot = min(col)
             if not col:
-                died.append(math.inf)
+                pivots.append(-1)
                 continue
             owners[pivot] = col
         else:
             owners[pivot] = c
-        died.append(deaths[pivot])
-    return born, died, owners
+        pivots.append(pivot)
+    reduced = np.array(pivots, dtype=np.int64)
+    born = np.concatenate((births[live & empty], births[apparent], births[rest]))
+    died = np.concatenate((np.full(np.count_nonzero(live & empty), math.inf),
+                           deaths[first[apparent]],
+                           np.where(reduced >= 0, deaths[reduced], math.inf)))
+    return born, died, np.fromiter(owners, dtype=np.int64, count=len(owners))
 
 
 def boundary_reduce(complex_: FilteredComplex) -> Diagram:
@@ -222,32 +239,36 @@ def boundary_reduce(complex_: FilteredComplex) -> Diagram:
     if not len(complex_):
         return Diagram(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), 0.0)
     faces = complex_.boundaries()
-    values, _ = next(faces)
+    births, _ = next(faces)
     found: list[tuple[int, np.ndarray, np.ndarray]] = []  # (dim, births, deaths)
-    cleared: set[int] = set()  # positions of q-simplices that killed a (q-1)-class
-    births = values.tolist()
-    # The q-simplices' columns are read from the facets of the (q+1)-simplices.
-    # No ``enumerate``: it would hold the last matrix it handed over.
+    cleared = np.empty(0, dtype=np.int64)
+    # The q-simplices' columns are read from the facets of the (q+1)-simplices;
+    # ``cleared`` holds the positions of the q-simplices that killed a
+    # (q-1)-class.  No ``enumerate``: it would hold the last matrix it handed over.
     for q in range(complex_.dimension):
-        values, facet_pos = next(faces)
-        deaths = values.tolist()
+        deaths, facet_pos = next(faces)
         if q == 0:
-            born, died, cleared = _components(births, deaths, facet_pos)
+            born, died, merged = _components(births.tolist(), deaths.tolist(), facet_pos)
+            born, died = np.array(born, dtype=np.float64), np.array(died, dtype=np.float64)
+            cleared = np.fromiter(merged, dtype=np.int64, count=len(merged))
         else:
+            live = np.ones(len(births), dtype=bool)
+            live[cleared] = False
+            latest = facet_pos[:, 0].copy()  # column by column: max(axis=1) is slower
+            for column in facet_pos.T[1:]:
+                np.maximum(latest, column, out=latest)
             starts, cofacets = _coboundaries(facet_pos, len(births))
             del facet_pos
-            born, died, owners = _reduce(births, deaths, starts, cofacets, cleared)
-            cleared = set(owners)
-        born, died = np.array(born, dtype=np.float64), np.array(died, dtype=np.float64)
+            born, died, cleared = _reduce(births, deaths, starts, cofacets, latest, live)
         by_pair = np.lexsort((died, born))
         found.append((q, born[by_pair], died[by_pair]))
         births = deaths
 
     # Each top simplex no column claimed is immortal.  In filtration order
     # their births already ascend.
-    alive = np.ones(len(values), dtype=bool)
-    alive[np.fromiter(cleared, dtype=np.intp, count=len(cleared))] = False
-    born = values[alive]
+    alive = np.ones(len(births), dtype=bool)
+    alive[cleared] = False
+    born = births[alive]
     found.append((complex_.dimension, born, np.full(len(born), math.inf)))
     return Diagram(
         np.concatenate([np.full(len(b), q, dtype=np.int64) for q, b, _ in found]),

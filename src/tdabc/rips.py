@@ -2,11 +2,14 @@
 
 Vertices enter at value 0, every other simplex at the maximum pairwise
 distance among its vertices, so faces never appear after their cofaces.
-``build_rips`` grows each dimension as an ``int64`` vertex matrix with a
-``float64`` values array, one block of frontier rows at a time.  A row gains
-its later neighbours in ascending order, so each dimension's rows ascend as
-tuples do, and ``FilteredComplex`` puts the blocks into filtration order by
-one stable sort of their values.
+``build_rips`` grows each dimension on integer levels: a simplex's level is
+the position of its value in the ascending table of distinct edge values,
+0.0 included for the vertices, so the largest level among its edges is its
+own.  Each dimension is an ``int64`` vertex matrix with an integer levels
+array, grown one block of frontier rows at a time.  A row gains its later
+neighbours in ascending order, so each dimension's rows ascend as tuples
+do, and ``FilteredComplex`` puts the blocks into filtration order by one
+sort of packed integer keys, level then position.
 """
 
 from __future__ import annotations
@@ -42,19 +45,28 @@ def pairwise_distances(points, metric: str = "euclidean") -> np.ndarray:
         raise InvalidConfig("point coordinates must be finite")
     # Summed one coordinate at a time, as SciPy's cdist sums: euclidean and manhattan
     # equal it bit for bit, cosine up to the last bits.  Every term is symmetric, so d is.
+    # Each term is made in one scratch matrix, and every step writes in place.
     d = np.zeros((len(pts), len(pts)))
+    term = np.empty_like(d)
     with np.errstate(all="ignore"):  # overflow and 0/0 fail the check below
         for x in pts.T:
             if metric == "cosine":
-                d += np.multiply.outer(x, x)
+                np.multiply.outer(x, x, out=term)
             else:
-                diff = np.abs(np.subtract.outer(x, x))
-                d += diff if metric == "manhattan" else diff * diff
+                np.subtract.outer(x, x, out=term)
+                if metric == "manhattan":
+                    np.abs(term, out=term)
+                else:
+                    np.multiply(term, term, out=term)
+            d += term
         if metric == "euclidean":
-            d = np.sqrt(d)
+            np.sqrt(d, out=d)
         elif metric == "cosine":
             norms = np.sqrt(np.diag(d))
-            d = 1.0 - np.clip(d / np.multiply.outer(norms, norms), -1.0, 1.0)
+            np.divide(d, np.multiply.outer(norms, norms, out=term), out=d)
+            np.clip(d, -1.0, 1.0, out=d)
+            np.subtract(1.0, d, out=d)
+        del term
     if not np.isfinite(d).all():
         raise InvalidConfig(f"{metric} distance is undefined for some input rows")
     np.fill_diagonal(d, 0.0)
@@ -163,20 +175,31 @@ def build_rips(dist: np.ndarray, config: RipsConfig | None = None) -> FilteredCo
             )
 
     up = np.triu(dist <= max_edge, k=1)
+    check(n + int(np.count_nonzero(up)))  # before the level matrix is made
+    # level[a, b] is the level of edge (a, b), a < b: the position of its value
+    # in ``table``, the ascending distinct edge values and 0.0, the vertices'
+    # value and so level 0.  Adding 0.0 stores a -0.0 distance as 0.0.
+    edges = np.flatnonzero(up)
+    table, inverse = np.unique(np.append(dist.ravel()[edges], 0.0), return_inverse=True)
+    table += 0.0
+    level = np.zeros(n * n, dtype=np.int32 if len(table) < 2**31 else np.int64)
+    level[edges] = inverse[:-1]
+    level = level.reshape(n, n)
 
     # Each dimension grows from the one below: a simplex gains every later
-    # vertex adjacent to all of its vertices.  The frontier is read in chunks
-    # of about _CHUNK_CELLS mask cells; np.nonzero lists a chunk's new
-    # simplices by frontier row, then by added vertex, and they are counted
-    # against the budget before they are stored.
+    # vertex adjacent to all of its vertices, and its level is the largest of
+    # its parent's and the new edges'.  The frontier is read in chunks of
+    # about _CHUNK_CELLS mask cells; np.nonzero lists a chunk's new simplices
+    # by frontier row, then by added vertex, and they are counted against the
+    # budget before they are stored.
     step = max(1, _CHUNK_CELLS // max(n, 1))
     frontier = np.arange(n, dtype=np.int64)[:, None]
-    frontier_values = np.zeros(n)
-    blocks = [(frontier, frontier_values)]
+    frontier_levels = np.zeros(n, dtype=level.dtype)
+    blocks = [(frontier, frontier_levels)]
     count = n
     for _dim in range(1, config.max_dim + 1):
         grown: list[np.ndarray] = []
-        grown_values: list[np.ndarray] = []
+        grown_levels: list[np.ndarray] = []
         for lo in range(0, len(frontier), step):
             rows = frontier[lo : lo + step]
             mask = up[rows[:, 0]]
@@ -188,15 +211,15 @@ def build_rips(dist: np.ndarray, config: RipsConfig | None = None) -> FilteredCo
             count += len(added)
             check(count)
             parents = rows[at]
-            values = frontier_values[lo : lo + step][at]
+            levels = frontier_levels[lo : lo + step][at]
             for j in range(parents.shape[1]):
-                np.maximum(values, dist[parents[:, j], added], out=values)
+                np.maximum(levels, level[parents[:, j], added], out=levels)
             grown.append(np.column_stack((parents, added)))
-            grown_values.append(values)
+            grown_levels.append(levels)
         if not grown:
             break
         frontier = np.concatenate(grown)
-        frontier_values = np.concatenate(grown_values)
-        blocks.append((frontier, frontier_values))
+        frontier_levels = np.concatenate(grown_levels)
+        blocks.append((frontier, frontier_levels))
 
-    return FilteredComplex._from_blocks(blocks)
+    return FilteredComplex._from_blocks(blocks, table)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdabc.complexes import FilteredComplex, facets, proper_faces, simplex
+from tdabc.complexes import FilteredComplex, _filtration_sorted, facets, proper_faces, simplex
 from tdabc.errors import (
     DuplicateSimplex,
     InvalidConfig,
@@ -259,6 +259,40 @@ def test_boundaries_equal_the_tuple_facets(made):
             position = {f: i for i, f in enumerate(by_dim[q - 1])}
             want = [[position[s[:i] + s[i + 1:]] for i in range(q + 1)] for s in simplices]
             assert facet_pos.tolist() == want
+
+
+@pytest.mark.parametrize("total", [0, 1, 2, 3, 255, 256, 257, 1024, 1025])
+@pytest.mark.parametrize("distinct", [3, None])
+def test_filtration_sort_is_the_stable_sort_of_the_values(total, distinct):
+    """One sort of packed level-and-position keys orders the stacked blocks
+    as a stable argsort of their values does: with heavy ties (three levels)
+    and with a level per row, at totals on both sides of a power of two,
+    where the position field gains a bit, and on no rows at all."""
+    rng = np.random.default_rng(total)
+    sizes = np.diff(np.sort(rng.integers(0, total + 1, size=2)), prepend=0, append=total)
+    levels = rng.integers(0, distinct or max(total, 1), size=total)
+    table = np.sort(rng.choice(10.0 ** np.arange(-3, 3, 0.001), size=distinct or max(total, 1),
+                               replace=False))
+    blocks, at = [], 0  # an empty complex has no block
+    for q, size in enumerate(sizes.tolist() if total else []):
+        blocks.append((rng.integers(0, 50, size=(size, q + 1)), levels[at : at + size]))
+        at += size
+    ranks, dims, values = _filtration_sorted(blocks, table)
+    width = len(blocks) or 1
+    stacked = np.full((total, width), -1)
+    for (m, _), lo in zip(blocks, np.cumsum(sizes) - sizes):
+        stacked[lo : lo + len(m), : m.shape[1]] = m
+    want = np.argsort(table[levels], kind="stable")
+    assert ranks.dtype == np.int32 and ranks.tobytes() == stacked[want].astype(np.int32).tobytes()
+    assert dims.dtype == np.int64 and dims.tolist() == np.repeat([0, 1, 2], sizes)[want].tolist()
+    assert values.dtype == np.float64 and values.tobytes() == table[levels][want].tobytes()
+    assert ranks.shape == (total, width)
+
+
+def test_a_negative_zero_value_is_stored_as_zero():
+    cx = FilteredComplex([((0,), -0.0), ((1,), 0.0), ((0, 1), -0.0)])
+    assert not np.signbit(cx._values).any()
+    assert cx.order == [(0,), (1,), (0, 1)]
 
 
 # ---------------------------------------------------------------------------

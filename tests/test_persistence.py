@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -233,6 +234,73 @@ def complexes_for_the_oracle(draw) -> FilteredComplex:
 @settings(max_examples=300, deadline=None)
 def test_boundary_reduce_equals_the_homology_oracle(cx):
     assert boundary_reduce(cx) == homology_reduce(cx)
+
+
+def _apparent_counts(cx: FilteredComplex) -> tuple[Diagram, list[tuple[int, int]]]:
+    # The diagram, and for each dimension that ``_reduce`` reads, its live
+    # columns with a cofacet and how many of them are apparent: the column's
+    # earliest cofacet has it as its latest facet.
+    counts = []
+    reduce = persistence._reduce
+
+    def counted(births, deaths, starts, cofacets, latest, live):
+        columns = [c for c in np.flatnonzero(live).tolist() if starts[c] < starts[c + 1]]
+        apparent = [c for c in columns if latest[cofacets[starts[c]]] == c]
+        counts.append((len(columns), len(apparent)))
+        return reduce(births, deaths, starts, cofacets, latest, live)
+
+    with mock.patch.object(persistence, "_reduce", counted):
+        diagram = boundary_reduce(cx)
+    return diagram, counts
+
+
+def _rips_on_edges(n: int, edges: dict[tuple[int, int], float], max_dim: int) -> FilteredComplex:
+    # The Rips complex whose edges are ``edges``; every other pair lies past the cap.
+    dist = np.full((n, n), 100.0)
+    np.fill_diagonal(dist, 0.0)
+    for (a, b), value in edges.items():
+        dist[a, b] = dist[b, a] = value
+    return build_rips(dist, RipsConfig(max_dim=max_dim, max_edge=99.0))
+
+
+@pytest.mark.parametrize("n, edges, want", [
+    # A solid tetrahedron whose edges enter one at a time.
+    (4, {(0, 1): 5, (0, 2): 1, (0, 3): 3, (1, 2): 2, (1, 3): 6, (2, 3): 4}, [(3, 3), (1, 1)]),
+    # A solid 4-simplex: 6 live edges, 4 live triangles, 1 live tetrahedron.
+    (5, {(0, 1): 2, (0, 2): 1, (0, 3): 8, (0, 4): 3, (1, 2): 10, (1, 3): 9, (1, 4): 7,
+         (2, 3): 5, (2, 4): 4, (3, 4): 6}, [(6, 6), (4, 4), (1, 1)]),
+])
+def test_boundary_reduce_equals_the_oracle_when_every_column_is_apparent(n, edges, want):
+    """Every live column is paired before the reduction loop, which visits none."""
+    cx = _rips_on_edges(n, edges, max_dim=n - 1)
+    diagram, counts = _apparent_counts(cx)
+    assert counts == want
+    assert diagram == homology_reduce(cx)
+
+
+@pytest.mark.parametrize("pages", [2, 5])
+def test_boundary_reduce_equals_the_oracle_when_one_column_is_apparent(pages):
+    """A book of triangles (0, 1, v) on the spine (0, 1), which enters last.
+    Each triangle's latest edge is the spine, so only the spine is apparent
+    and the loop reduces the other edge columns.  No complex can have none:
+    the latest facet of a cofacet never kills a class (its boundary is the
+    sum of the other facets'), so it is a live column, and following each
+    column's earliest cofacet to that cofacet's latest facet ends at an
+    apparent column."""
+    edges = {(0, 1): 3.0}
+    for v in range(2, pages + 2):
+        edges[0, v], edges[1, v] = 1.0, 2.0
+    cx = _rips_on_edges(pages + 2, edges, max_dim=2)
+    diagram, counts = _apparent_counts(cx)
+    assert counts == [(pages, 1)]
+    assert diagram == homology_reduce(cx)
+
+
+@given(complexes_for_the_oracle())
+@settings(max_examples=100, deadline=None)
+def test_every_reduced_dimension_pairs_an_apparent_column(cx):
+    _, counts = _apparent_counts(cx)
+    assert all(apparent for columns, apparent in counts if columns)
 
 
 def test_oracle_rejects_oversized_input():

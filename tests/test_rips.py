@@ -16,6 +16,7 @@ from scipy.spatial.distance import cdist
 import tdabc.rips as rips
 from tdabc.complexes import facets
 from tdabc.errors import CapacityExceeded, DimensionMismatch, InvalidConfig
+from tdabc.persistence import boundary_reduce
 from tdabc.rips import (
     METRICS,
     RipsConfig,
@@ -102,6 +103,30 @@ def test_distances_equal_scipys_cdist(points, metric):
         assert np.abs(got - want).max() <= 1e-12
     else:
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_distances_hold_two_matrices_at_most(metric):
+    """The sum and one term are the only n-by-n float matrices made; four
+    temporaries at a time would pass the bound."""
+    n = 400
+    points = np.random.default_rng(0).normal(size=(n, 4))
+    tracemalloc.start()
+    try:
+        pairwise_distances(points, metric)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 8 * n * n
+
+
+def test_a_negative_zero_distance_is_stored_as_zero():
+    dist = [[0.0, -0.0, 1.0], [-0.0, 0.0, 0.5], [1.0, 0.5, 0.0]]
+    cx = build_rips(dist, RipsConfig(max_dim=2, max_edge=2.0))
+    assert cx.value((0, 1)) == 0.0 and len(cx) == 7
+    diagram = boundary_reduce(cx)
+    for values in (cx._values, diagram.births, diagram.deaths):
+        assert not np.signbit(values).any()
 
 
 @pytest.mark.parametrize("bad", [-1.0, float("nan")])
